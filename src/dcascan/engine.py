@@ -1,16 +1,17 @@
 """Dendritic cell population engine.
 
-A tissue compartment buffers suspect items (antigen) and carries the
-current signal vector.  A fixed population of cells samples the tissue
-every tick, fuses the signals into three cumulative outputs and, once
-sufficiently stimulated, migrates: every stored antigen is presented with
-a binary context and the cell is recycled.
+A tissue compartment buffers suspect items (antigen).  A fixed population
+of cells samples the tissue every tick, fuses the signal vector into three
+cumulative outputs and, once sufficiently stimulated, migrates: every
+stored antigen is presented with a binary context and the cell is
+recycled.
 """
 
 from __future__ import annotations
 
 import random
 from collections import OrderedDict
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .errors import ConfigError, EngineInvariantError
@@ -67,6 +68,40 @@ class WeightMatrix:
             raise ConfigError("inflammation base must be positive")
 
 
+def draw_slots(rng: random.Random, n: int, k: int) -> list[int]:
+    """Draw k distinct slot indices in [0, n), in draw order.
+
+    Each draw is ``getrandbits(n.bit_length())``; draws ``>= n`` and
+    repeats are rejected.  For n above CPython's set threshold (85 when
+    k=10) this consumes the RNG exactly as ``rng.sample(range(n), k)``
+    does and returns the same list, so the engine owns its sampler without
+    changing the outputs of the default 500-slot tissue.
+    """
+    getrandbits = rng.getrandbits
+    bits = n.bit_length()
+    picked: list[int] = []
+    seen: set[int] = set()
+    for _ in range(k):
+        j = getrandbits(bits)
+        while j >= n or j in seen:
+            j = getrandbits(bits)
+        seen.add(j)
+        picked.append(j)
+    return picked
+
+
+def increments(pamp: float, danger: float, safe: float, inflammation: int,
+               weights: WeightMatrix) -> tuple[float, float, float]:
+    """The (csm, semi, mature) increments one tick adds to every cell."""
+    factor = weights.inflammation_base + inflammation
+    return (
+        factor * (weights.csm_pamp * pamp + weights.csm_danger * danger + weights.csm_safe * safe),
+        factor * (weights.semi_pamp * pamp + weights.semi_danger * danger + weights.semi_safe * safe),
+        factor * (weights.mature_pamp * pamp + weights.mature_danger * danger
+                  + weights.mature_safe * safe),
+    )
+
+
 def combine_categories(signals: SignalVector) -> tuple[float, float, float, int]:
     """Collapse the seven signals into (pamp, danger, safe, inflammation)."""
     return (
@@ -102,7 +137,7 @@ class EngineConfig:
 
 
 class TissueCompartment:
-    """Fixed-size antigen buffer plus the signal vector of the current tick.
+    """Fixed-size antigen buffer.
 
     When full, a new arrival overwrites the longest-resident antigen, so
     the buffer behaves like a ring under sustained overflow.
@@ -113,7 +148,6 @@ class TissueCompartment:
         self.slots: list[Antigen | None] = [None] * capacity
         self._free = list(range(capacity - 1, -1, -1))
         self._residents: OrderedDict[int, None] = OrderedDict()
-        self.current_signals: SignalVector | None = None
         self.stored_total = 0
         self.overwritten_total = 0
 
@@ -122,14 +156,22 @@ class TissueCompartment:
         return len(self._residents)
 
     def store(self, antigen: Antigen) -> None:
-        if self._free:
-            idx = self._free.pop()
-        else:
-            idx, _ = self._residents.popitem(last=False)
-            self.overwritten_total += 1
-        self.slots[idx] = antigen
-        self._residents[idx] = None
-        self.stored_total += 1
+        self.store_all((antigen,))
+
+    def store_all(self, antigens: Sequence[Antigen]) -> None:
+        """Store arrivals in order, each overwriting the oldest when full."""
+        slots, free, residents = self.slots, self._free, self._residents
+        overwritten = 0
+        for antigen in antigens:
+            if free:
+                idx = free.pop()
+            else:
+                idx, _ = residents.popitem(last=False)
+                overwritten += 1
+            slots[idx] = antigen
+            residents[idx] = None
+        self.overwritten_total += overwritten
+        self.stored_total += len(antigens)
 
     def take(self, idx: int) -> Antigen | None:
         antigen = self.slots[idx]
@@ -154,23 +196,23 @@ class DendriticCell:
         self.mature = 0.0
 
     def sample(self, tissue: TissueCompartment, rng: random.Random, k: int) -> None:
-        """Draw k distinct slots; move found antigen in while room remains."""
-        for idx in rng.sample(range(tissue.capacity), k):
-            if len(self.antigen_store) >= self.store_capacity:
-                break
-            antigen = tissue.take(idx)
-            if antigen is not None:
-                self.antigen_store.append(antigen)
+        """Draw k distinct slots; move found antigen in while room remains.
+
+        All k draws are made even once the store is full, so the RNG
+        stream does not depend on store occupancy.
+        """
+        for idx in draw_slots(rng, tissue.capacity, k):
+            if len(self.antigen_store) < self.store_capacity:
+                antigen = tissue.take(idx)
+                if antigen is not None:
+                    self.antigen_store.append(antigen)
 
     def update_signals(self, pamp: float, danger: float, safe: float,
                        inflammation: int, weights: WeightMatrix) -> None:
-        factor = weights.inflammation_base + inflammation
-        self.csm = max(0.0, self.csm + factor * (
-            weights.csm_pamp * pamp + weights.csm_danger * danger + weights.csm_safe * safe))
-        self.semi = max(0.0, self.semi + factor * (
-            weights.semi_pamp * pamp + weights.semi_danger * danger + weights.semi_safe * safe))
-        self.mature = max(0.0, self.mature + factor * (
-            weights.mature_pamp * pamp + weights.mature_danger * danger + weights.mature_safe * safe))
+        d_csm, d_semi, d_mature = increments(pamp, danger, safe, inflammation, weights)
+        self.csm = max(0.0, self.csm + d_csm)
+        self.semi = max(0.0, self.semi + d_semi)
+        self.mature = max(0.0, self.mature + d_mature)
 
     @property
     def wants_migration(self) -> bool:
@@ -209,24 +251,53 @@ class DcaEngine:
     def tick(self, signals: SignalVector, antigens: list[Antigen], now: float) -> list[PresentationRecord]:
         """Advance one virtual second and return any presentations.
 
-        Order is fixed: new antigen enters the tissue, the signal vector is
-        published, every cell samples then updates in population order, and
-        finally stimulated cells present and are recycled.
+        Order is fixed: new antigen enters the tissue, every cell samples
+        then updates in population order, and finally stimulated cells
+        present and are recycled.  The per-cell work is ``draw_slots``,
+        ``DendriticCell.sample`` and ``update_signals`` inlined, with the
+        same draws and arithmetic; the output increments are the same for
+        every cell, so they are computed once.
         """
-        for antigen in antigens:
-            self.tissue.store(antigen)
-        self.tissue.current_signals = signals
+        tissue = self.tissue
+        tissue.store_all(antigens)
         pamp, danger, safe, inflammation = combine_categories(signals)
-        k = self.config.antigens_per_update
-        weights = self.config.weights
+        d_csm, d_semi, d_mature = increments(pamp, danger, safe, inflammation, self.config.weights)
+        rng = self.rng
+        n = tissue.capacity
+        getrandbits = rng.getrandbits
+        bits = n.bit_length()
+        draws = range(self.config.antigens_per_update)
+        slots, residents, free = tissue.slots, tissue._residents, tissue._free
+        migrating = []
         for cell in self.cells:
-            cell.sample(self.tissue, self.rng, k)
-            cell.update_signals(pamp, danger, safe, inflammation, weights)
+            store = cell.antigen_store
+            room = cell.store_capacity - len(store)
+            seen = set()
+            for _ in draws:
+                j = getrandbits(bits)
+                while j >= n or j in seen:
+                    j = getrandbits(bits)
+                seen.add(j)
+                if room > 0:
+                    antigen = slots[j]
+                    if antigen is not None:
+                        slots[j] = None
+                        del residents[j]
+                        free.append(j)
+                        store.append(antigen)
+                        room -= 1
+            csm = cell.csm + d_csm
+            cell.csm = csm = csm if csm > 0.0 else 0.0
+            semi = cell.semi + d_semi
+            cell.semi = semi if semi > 0.0 else 0.0
+            mature = cell.mature + d_mature
+            cell.mature = mature if mature > 0.0 else 0.0
+            if csm > cell.migration_threshold:
+                migrating.append(cell)
         records: list[PresentationRecord] = []
-        for cell in self.cells:
-            if cell.wants_migration:
-                records.extend(cell.present(now))
-                cell.reset(self.rng, self.config.threshold_min, self.config.threshold_max)
+        for cell in migrating:
+            records.extend(cell.present(now))
+            cell.reset(rng, self.config.threshold_min, self.config.threshold_max)
         self.presented_total += len(records)
         self.ticks_run += 1
         return records

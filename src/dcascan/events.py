@@ -155,6 +155,8 @@ def _parse_packet(parts: list[str], line_no: int) -> PacketEvent:
         size = int(parts[5])
     except ValueError as exc:
         raise StreamParseError(line_no, f"bad numeric field: {exc}") from None
+    if not math.isfinite(ts):
+        raise StreamParseError(line_no, f"timestamp {ts} is not finite")
     protocol = parts[3]
     flags_text = parts[4]
     if flags_text == "-":
@@ -176,6 +178,8 @@ def _parse_process(parts: list[str], line_no: int) -> ProcessEvent:
         pid = int(parts[2])
     except ValueError as exc:
         raise StreamParseError(line_no, f"bad numeric field: {exc}") from None
+    if not math.isfinite(ts):
+        raise StreamParseError(line_no, f"timestamp {ts} is not finite")
     try:
         return ProcessEvent(ts, pid, parts[3], parts[4])
     except ValidationError as exc:
@@ -187,7 +191,7 @@ def parse_stream(text: str) -> EventStream:
 
     Events are sorted stably by timestamp, so records sharing a timestamp
     keep their file order.  An empty input yields an empty stream of
-    duration zero.
+    duration zero.  Timestamps and the duration must be finite numbers.
     """
     packets: list[PacketEvent] = []
     procs: list[ProcessEvent] = []
@@ -202,6 +206,8 @@ def parse_stream(text: str) -> EventStream:
                     duration = float(line[len(_DURATION_PREFIX):])
                 except ValueError:
                     raise StreamParseError(line_no, "bad duration annotation") from None
+                if not math.isfinite(duration):
+                    raise StreamParseError(line_no, f"duration {duration} is not finite")
             continue
         parts = line.split()
         if parts[0] == "P":

@@ -58,6 +58,16 @@ class SignalConfig:
             raise ConfigError("ss2 window must cover at least one second")
         if self.ds1_scale <= 0 or self.ds1_input_cap <= 0 or self.ss1_delta_max <= 0:
             raise ConfigError("signal scale parameters must be positive")
+        # Every signal must land in [0, 100]; reject values that can only
+        # break that range here rather than on the first tick.
+        for name in ("signal_cap", "rst_cap"):
+            if not 0.0 < getattr(self, name) <= 100.0:
+                raise ConfigError(f"{name}={getattr(self, name)} outside (0, 100]")
+        scores = {"ss2_default": self.ss2_default, "ss2_top": self.ss2_top}
+        scores.update((f"ss2_step_values[{i}]", v) for i, v in enumerate(self.ss2_step_values))
+        for name, value in scores.items():
+            if not 0.0 <= value <= 100.0:
+                raise ConfigError(f"{name}={value} outside [0, 100]")
 
 
 @dataclass(frozen=True, slots=True)

@@ -88,6 +88,38 @@ def test_run_missing_events_file(tmp_path, capsys):
     assert "io error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, fragment",
+    [
+        # a leading NaN used to stall bucketing and drop every packet silently
+        ("P nan sent tcp syn 40\nP 1.0 sent tcp syn 40\n", "line 1: timestamp nan"),
+        # a trailing NaN used to end in a raw ValueError traceback
+        ("P 1.0 sent tcp syn 40\nP nan sent tcp syn 40\n", "line 2: timestamp nan"),
+        ("E 1.0 5 nmap syscall\nE nan 5 nmap syscall\n", "line 2: timestamp nan"),
+        # an infinite duration used to end in a raw OverflowError traceback
+        ("# duration=inf\nP 1.0 sent tcp syn 40\n", "line 1: duration inf"),
+    ],
+)
+def test_run_rejects_non_finite_times(tmp_path, capsys, text, fragment):
+    events = tmp_path / "events.txt"
+    events.write_text(text)
+    out = tmp_path / "out.csv"
+    code = main(["run", str(events), "--seed", "1", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and fragment in err
+    assert not out.exists()
+
+
+def test_run_rejects_out_of_range_signal_config(small_events, tmp_path, capsys):
+    conf = tmp_path / "run.conf"
+    conf.write_text("signals.signal_cap = 200\n")
+    code = main(["run", str(small_events), "--seed", "1", "--config", str(conf),
+                 "--out", str(tmp_path / "out.csv")])
+    assert code == 2
+    assert capsys.readouterr().err == "config error: signal_cap=200.0 outside (0, 100]\n"
+
+
 # --------------------------------------------------------------------------
 # analyze
 

@@ -1,8 +1,11 @@
 """Tissue, cell, and population engine behaviour."""
 
+import math
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dcascan.engine import (
     Antigen,
@@ -12,6 +15,7 @@ from dcascan.engine import (
     TissueCompartment,
     WeightMatrix,
     combine_categories,
+    draw_slots,
 )
 from dcascan.errors import ConfigError, EngineInvariantError
 from dcascan.signals import SignalVector
@@ -181,6 +185,76 @@ def test_sampling_stops_at_store_capacity():
     cell.sample(tissue, random.Random(1), 10)
     assert len(cell.antigen_store) == 50
     assert tissue.occupied_count == 498
+
+
+def _set_threshold(k):
+    """Largest n for which CPython's random.sample uses its pool branch (85 at k=10)."""
+    return 21 + (4 ** math.ceil(math.log(3 * k, 4)) if k > 5 else 0)
+
+
+@given(seed=st.integers(0, 2**32), k=st.integers(1, 20), extra=st.integers(1, 2000))
+def test_draw_slots_matches_stdlib_set_branch(seed, k, extra):
+    n = _set_threshold(k) + extra
+    ours, stdlib = random.Random(seed), random.Random(seed)
+    assert draw_slots(ours, n, k) == stdlib.sample(range(n), k)
+    assert ours.getstate() == stdlib.getstate()
+
+
+@given(seed=st.integers(0, 2**32), n=st.integers(1, 600), data=st.data())
+def test_draw_slots_gives_k_distinct_indices(seed, n, data):
+    k = data.draw(st.integers(1, n))
+    slots = draw_slots(random.Random(seed), n, k)
+    assert len(slots) == len(set(slots)) == k
+    assert all(0 <= j < n for j in slots)
+
+
+def test_full_store_still_makes_every_draw():
+    tissue = TissueCompartment(500)
+    for i in range(500):
+        tissue.store(_antigen(i))
+    full, empty = DendriticCell(50, 150.0), DendriticCell(50, 150.0)
+    full.antigen_store = [_antigen(1000 + i) for i in range(50)]
+    full_rng, empty_rng = random.Random(3), random.Random(3)
+    full.sample(tissue, full_rng, 10)
+    empty.sample(tissue, empty_rng, 10)
+    assert len(full.antigen_store) == 50
+    assert len(empty.antigen_store) == 10
+    assert full_rng.getstate() == empty_rng.getstate()
+
+
+def test_tick_matches_cell_methods():
+    """The inlined tick equals sample-then-update on each cell in turn."""
+    config = EngineConfig(tissue_capacity=200, cell_store_capacity=5, seed=4)
+    engine = DcaEngine(config)
+    tissue = TissueCompartment(config.tissue_capacity)
+    rng = random.Random(config.seed)
+    cells = [DendriticCell(config.cell_store_capacity,
+                           rng.uniform(config.threshold_min, config.threshold_max))
+             for _ in range(config.population_size)]
+    stimulus = random.Random(8)
+    presented = 0
+    for t in range(40):
+        sv = _vector(pamp1=stimulus.uniform(0, 100), ss1=stimulus.uniform(0, 100),
+                     inflammation=stimulus.randint(0, 1))
+        arrivals = [_antigen(250 * t + j) for j in range(250)]  # overflows the tissue
+        records = engine.tick(sv, arrivals, float(t))
+        expected = []
+        for antigen in arrivals:
+            tissue.store(antigen)
+        for cell in cells:
+            cell.sample(tissue, rng, config.antigens_per_update)
+            cell.update_signals(*combine_categories(sv), config.weights)
+        for cell in cells:
+            if cell.wants_migration:
+                expected += cell.present(float(t))
+                cell.reset(rng, config.threshold_min, config.threshold_max)
+        assert records == expected
+        presented += len(records)
+        assert tissue.slots == engine.tissue.slots
+        assert [(c.csm, c.semi, c.mature) for c in cells] == \
+            [(c.csm, c.semi, c.mature) for c in engine.cells]
+    assert presented > 0
+    assert engine.tissue.overwritten_total == tissue.overwritten_total > 0
 
 
 def test_sampling_empty_tissue_is_a_noop():

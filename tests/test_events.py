@@ -52,6 +52,19 @@ def test_parse_reports_line_number():
     assert "line 2" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "P inf sent tcp syn 40\n",
+        "E -inf 5 nmap syscall\n",
+        "# duration=nan\n",
+    ],
+)
+def test_parse_rejects_non_finite_times(text):
+    with pytest.raises(StreamParseError, match="line 1: .* is not finite"):
+        parse_stream(text)
+
+
 def test_parse_rejects_unknown_tag():
     with pytest.raises(StreamParseError):
         parse_stream("X 1.0 what\n")

@@ -126,6 +126,28 @@ def test_signal_config_validation():
         SignalConfig(ds1_scale=0)
 
 
+@pytest.mark.parametrize(
+    "kwargs, fragment",
+    [
+        ({"signal_cap": 200.0}, "signal_cap"),
+        ({"signal_cap": 0.0}, "signal_cap"),
+        ({"rst_cap": 100.5}, "rst_cap"),
+        ({"rst_cap": float("nan")}, "rst_cap"),
+        ({"ss2_top": 101.0}, "ss2_top"),
+        ({"ss2_default": -1.0}, "ss2_default"),
+        ({"ss2_step_values": (0.0, 10.0, 150.0)}, r"ss2_step_values\[2\]"),
+    ],
+)
+def test_signal_config_rejects_scores_outside_range(kwargs, fragment):
+    with pytest.raises(ConfigError, match=fragment):
+        SignalConfig(**kwargs)
+
+
+def test_signal_config_accepts_range_edges():
+    SignalConfig(signal_cap=100.0, rst_cap=0.5, ss2_top=0.0, ss2_default=100.0,
+                 ss2_step_values=(0.0, 0.0, 100.0))
+
+
 def test_signal_vector_range_checks():
     with pytest.raises(ValidationError):
         SignalVector(101, 0, 0, 0, 0, 0, 0)
