@@ -7,7 +7,7 @@ population engine, and MCAV-based analysis of what the cells present.
 
 from .analysis import AnalysisConfig, classify, compute_mcav_windows, session_summary
 from .engine import Antigen, DcaEngine, EngineConfig, PresentationRecord, WeightMatrix
-from .events import EventStream, PacketEvent, ProcessEvent, parse_stream, replay, serialize_stream
+from .events import EventStream, PacketEvent, ProcessEvent, parse_stream, serialize_stream
 from .pipeline import RunResult, run_stream
 from .scenario import NormalProfile, ScanProfile, SessionProfile, gen_dataset
 from .signals import SignalConfig, SignalDeriver, SignalVector
@@ -33,7 +33,6 @@ __all__ = [
     "compute_mcav_windows",
     "gen_dataset",
     "parse_stream",
-    "replay",
     "run_stream",
     "serialize_stream",
     "session_summary",

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 from .engine import Antigen, PresentationRecord
 from .errors import ConfigError, ValidationError
+from .events import format_time
 
 
 @dataclass(frozen=True)
@@ -140,16 +141,12 @@ def classify(summaries: dict[str, LabelSummary],
     return verdicts
 
 
-def _fmt_time(t: float) -> str:
-    return repr(t) if t != int(t) else str(int(t))
-
-
 def write_presentations(records: list[PresentationRecord], path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["presented_at", "pid", "label", "context"])
         for r in records:
-            writer.writerow([_fmt_time(r.presented_at), r.antigen.pid, r.antigen.label, r.context])
+            writer.writerow([format_time(r.presented_at), r.antigen.pid, r.antigen.label, r.context])
 
 
 def read_presentations(path) -> list[PresentationRecord]:

@@ -20,9 +20,7 @@ from . import analysis, pipeline
 from .config import PipelineConfig, build_config
 from .errors import ConfigError, DcaError
 from .events import load_stream, save_stream
-from .scenario import gen_dataset
-
-_KINDS = ("passive-normal", "active-normal")
+from .scenario import DATASET_KINDS, gen_dataset
 
 
 class _UsageError(Exception):
@@ -48,13 +46,20 @@ def _add_scan_args(sub):
                      help="leave the scan out (benign traffic only)")
 
 
+def non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="dcascan", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     commands = parser.add_subparsers(dest="command", required=True)
 
     gen = commands.add_parser("generate", help="write a synthetic event file")
-    gen.add_argument("kind", choices=_KINDS)
+    gen.add_argument("kind", choices=DATASET_KINDS)
     gen.add_argument("--duration", type=float, default=7000.0,
                      help="session length in virtual seconds (default 7000)")
     gen.add_argument("--seed", type=int, default=1)
@@ -70,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", default="presentations.csv", metavar="FILE")
     run.add_argument("--signal-trace", default=None, metavar="FILE",
                      help="also write the per-second signal vectors")
-    run.add_argument("--audit-every", type=int, default=0, metavar="N",
+    run.add_argument("--audit-every", type=non_negative_int, default=0, metavar="N",
                      help="verify antigen accounting every N ticks")
     _add_config_arg(run)
     run.set_defaults(func=cmd_run)
@@ -85,14 +90,14 @@ def build_parser() -> argparse.ArgumentParser:
     ana.set_defaults(func=cmd_analyze)
 
     pipe = commands.add_parser("pipeline", help="generate, run and analyze in one call")
-    pipe.add_argument("kind", choices=_KINDS)
+    pipe.add_argument("kind", choices=DATASET_KINDS)
     pipe.add_argument("--duration", type=float, default=7000.0)
     pipe.add_argument("--seed", type=int, required=True,
                       help="seed for both generation and the engine")
     pipe.add_argument("--out-dir", required=True, metavar="DIR")
     pipe.add_argument("--signal-trace", action="store_true",
                       help="also write signals.csv")
-    pipe.add_argument("--audit-every", type=int, default=0, metavar="N")
+    pipe.add_argument("--audit-every", type=non_negative_int, default=0, metavar="N")
     _add_scan_args(pipe)
     _add_config_arg(pipe)
     pipe.set_defaults(func=cmd_pipeline)
@@ -100,15 +105,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _analysis_config(config: PipelineConfig, args) -> analysis.AnalysisConfig:
-    cfg = config.analysis
-    updates = {}
-    if getattr(args, "window_size", None) is not None:
-        updates["window_size"] = args.window_size
-    if getattr(args, "mcav_threshold", None) is not None:
-        updates["mcav_threshold"] = args.mcav_threshold
-    if getattr(args, "min_confidence", None) is not None:
-        updates["min_confidence"] = args.min_confidence
-    return replace(cfg, **updates) if updates else cfg
+    """The analysis section with the flags of ``analyze`` applied over it."""
+    flags = ("window_size", "mcav_threshold", "min_confidence")
+    updates = {name: getattr(args, name) for name in flags if getattr(args, name, None) is not None}
+    return replace(config.analysis, **updates)
 
 
 def _generate_stream(args, config: PipelineConfig):
@@ -134,20 +134,26 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def cmd_run(args) -> int:
-    config = build_config(args.config)
-    engine_config = replace(config.engine, seed=args.seed)
-    stream = load_stream(args.events)
+def _run_and_write(args, config: PipelineConfig, stream, out, trace_out):
+    """Replay the stream with the engine seeded from --seed, write the
+    presentation log and, when ``trace_out`` is set, the signal trace."""
     result = pipeline.run_stream(
         stream,
-        engine_config,
+        replace(config.engine, seed=args.seed),
         config.signals,
         audit_every=args.audit_every,
-        collect_trace=args.signal_trace is not None,
+        collect_trace=trace_out is not None,
     )
-    analysis.write_presentations(result.records, args.out)
-    if args.signal_trace is not None:
-        pipeline.write_signal_trace(result.signal_trace, args.signal_trace)
+    analysis.write_presentations(result.records, out)
+    if trace_out is not None:
+        pipeline.write_signal_trace(result.signal_trace, trace_out)
+    return result
+
+
+def cmd_run(args) -> int:
+    config = build_config(args.config)
+    stream = load_stream(args.events)
+    result = _run_and_write(args, config, stream, args.out, args.signal_trace)
     print(f"replayed {result.ticks} ticks: {len(result.records)} presentations "
           f"({result.audit['ingested']} antigen ingested, "
           f"{result.audit['overwritten']} overwritten) -> {args.out}")
@@ -180,23 +186,14 @@ def cmd_analyze(args) -> int:
 
 def cmd_pipeline(args) -> int:
     config = build_config(args.config)
-    os.makedirs(args.out_dir, exist_ok=True)
     stream = _generate_stream(args, config)
+    os.makedirs(args.out_dir, exist_ok=True)
     events_path = os.path.join(args.out_dir, "events.txt")
     save_stream(stream, events_path)
     print(f"generated {events_path}: {stream.event_count} events")
-
-    engine_config = replace(config.engine, seed=args.seed)
-    result = pipeline.run_stream(
-        stream,
-        engine_config,
-        config.signals,
-        audit_every=args.audit_every,
-        collect_trace=args.signal_trace,
-    )
-    analysis.write_presentations(result.records, os.path.join(args.out_dir, "presentations.csv"))
-    if args.signal_trace:
-        pipeline.write_signal_trace(result.signal_trace, os.path.join(args.out_dir, "signals.csv"))
+    trace_out = os.path.join(args.out_dir, "signals.csv") if args.signal_trace else None
+    result = _run_and_write(args, config, stream,
+                            os.path.join(args.out_dir, "presentations.csv"), trace_out)
     print(f"replayed {result.ticks} ticks: {len(result.records)} presentations")
     _analyze_records(result.records, args.out_dir, _analysis_config(config, args))
     return 0
@@ -213,7 +210,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except DcaError as exc:
+    except (DcaError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

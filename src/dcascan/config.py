@@ -21,7 +21,7 @@ import typing
 from dataclasses import dataclass, field, fields, replace
 
 from .analysis import AnalysisConfig
-from .engine import EngineConfig, WeightMatrix
+from .engine import EngineConfig
 from .errors import ConfigError
 from .scenario import NormalProfile, ScanProfile, SessionProfile
 from .signals import SignalConfig
@@ -111,54 +111,30 @@ def _section_kwargs(cls, items: dict[str, str], section: str) -> dict:
 
 
 def apply_overrides(config: PipelineConfig, flat: dict[str, str]) -> PipelineConfig:
-    """Overlay flat dotted keys onto a PipelineConfig, validating everything."""
+    """Overlay flat dotted keys onto a PipelineConfig, validating everything.
+
+    The sections are the fields of PipelineConfig, plus ``weights`` for
+    ``engine.weights``.
+    """
+    sections = {f.name: getattr(config, f.name) for f in fields(PipelineConfig)}
+    sections["weights"] = config.engine.weights
     by_section: dict[str, dict[str, str]] = {}
     for key, value in flat.items():
         section, dot, name = key.partition(".")
         if not dot or not name:
             raise ConfigError(f"config key {key!r} is not of the form section.key")
-        by_section.setdefault(section, {})[name] = value
-
-    sections = {
-        "engine": EngineConfig,
-        "weights": WeightMatrix,
-        "signals": SignalConfig,
-        "scan": ScanProfile,
-        "normal": NormalProfile,
-        "session": SessionProfile,
-        "analysis": AnalysisConfig,
-    }
-    for section in by_section:
         if section not in sections:
             raise ConfigError(f"unknown config section {section!r}")
-
-    engine = config.engine
-    if "weights" in by_section:
-        weights = replace(engine.weights,
-                          **_section_kwargs(WeightMatrix, by_section["weights"], "weights"))
-        engine = replace(engine, weights=weights)
-    if "engine" in by_section:
-        engine = replace(engine, **_section_kwargs(EngineConfig, by_section["engine"], "engine"))
-    return PipelineConfig(
-        engine=engine,
-        signals=replace(config.signals,
-                        **_section_kwargs(SignalConfig, by_section.get("signals", {}), "signals")),
-        scan=replace(config.scan,
-                     **_section_kwargs(ScanProfile, by_section.get("scan", {}), "scan")),
-        normal=replace(config.normal,
-                       **_section_kwargs(NormalProfile, by_section.get("normal", {}), "normal")),
-        session=replace(config.session,
-                        **_section_kwargs(SessionProfile, by_section.get("session", {}), "session")),
-        analysis=replace(config.analysis,
-                         **_section_kwargs(AnalysisConfig, by_section.get("analysis", {}), "analysis")),
-    )
+        by_section.setdefault(section, {})[name] = value
+    for section, items in by_section.items():
+        current = sections[section]
+        sections[section] = replace(current, **_section_kwargs(type(current), items, section))
+    sections["engine"] = replace(sections["engine"], weights=sections.pop("weights"))
+    return PipelineConfig(**sections)
 
 
-def build_config(config_path=None, overrides: dict[str, str] | None = None) -> PipelineConfig:
-    """Defaults, overlaid with an optional file and then explicit overrides."""
-    config = PipelineConfig()
-    if config_path is not None:
-        config = apply_overrides(config, load_flat_config(config_path))
-    if overrides:
-        config = apply_overrides(config, overrides)
-    return config
+def build_config(config_path=None) -> PipelineConfig:
+    """Defaults, overlaid with an optional config file."""
+    if config_path is None:
+        return PipelineConfig()
+    return apply_overrides(PipelineConfig(), load_flat_config(config_path))

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .errors import StreamParseError, ValidationError
 
@@ -115,12 +115,9 @@ class TickBucket:
     packet_events: list[PacketEvent] = field(default_factory=list)
     process_events: list[ProcessEvent] = field(default_factory=list)
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.packet_events and not self.process_events
 
-
-def _fmt_ts(t: float) -> str:
+def format_time(t: float) -> str:
+    """Shortest text of a time: integral values without a trailing ``.0``."""
     return repr(t) if t != int(t) else str(int(t))
 
 
@@ -130,11 +127,11 @@ def _packet_line(p: PacketEvent) -> str:
     else:
         flags = "-"
     tail = f" {p.icmp_type}" if p.icmp_type is not None else ""
-    return f"P {_fmt_ts(p.timestamp)} {p.direction} {p.protocol} {flags} {p.size_bytes}{tail}"
+    return f"P {format_time(p.timestamp)} {p.direction} {p.protocol} {flags} {p.size_bytes}{tail}"
 
 
 def _process_line(e: ProcessEvent) -> str:
-    return f"E {_fmt_ts(e.timestamp)} {e.pid} {e.process_name} {e.kind}"
+    return f"E {format_time(e.timestamp)} {e.pid} {e.process_name} {e.kind}"
 
 
 def serialize_stream(stream: EventStream) -> str:
@@ -266,13 +263,3 @@ def iter_buckets(stream: EventStream) -> Iterator[TickBucket]:
             bucket.process_events.append(procs[ei])
             ei += 1
         yield bucket
-
-
-def replay(stream: EventStream, handler: Callable[[TickBucket], None] | None = None) -> list[TickBucket]:
-    """Drive ``handler`` once per virtual second and return all buckets."""
-    buckets = []
-    for bucket in iter_buckets(stream):
-        if handler is not None:
-            handler(bucket)
-        buckets.append(bucket)
-    return buckets

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 from .errors import ConfigError
 from .events import EventStream, PacketEvent, ProcessEvent
 
-DATASET_KINDS = ("passive_normal", "active_normal")
+DATASET_KINDS = ("passive-normal", "active-normal")
 
 # Fractions of the session given to lead-in quiet time and to the scan
 # when no explicit window is requested.
@@ -257,13 +257,18 @@ def gen_dataset(kind: str, duration: float, seed: int, *,
                 include_scan: bool = True) -> EventStream:
     """Generate a complete labelled session as an EventStream.
 
-    ``passive_normal`` holds the scan and its ssh session only;
-    ``active_normal`` adds concurrent desktop traffic.  The scan window
-    defaults to roughly the middle nine tenths of the session.
+    ``passive-normal`` holds the scan and its ssh session only;
+    ``active-normal`` adds concurrent desktop traffic; underscores may
+    stand for the hyphen.  The scan window defaults to roughly the middle
+    nine tenths of the session.
     """
-    kind = kind.replace("-", "_")
+    kind = kind.replace("_", "-")
     if kind not in DATASET_KINDS:
         raise ConfigError(f"unknown dataset kind {kind!r}")
+    for name, value in (("duration", duration), ("scan_start", scan_start),
+                        ("scan_duration", scan_duration)):
+        if value is not None and not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value}")
     if duration <= 0:
         raise ConfigError("duration must be positive")
     scan = scan or ScanProfile()
@@ -295,7 +300,7 @@ def gen_dataset(kind: str, duration: float, seed: int, *,
         scan_packets, scan_procs, salvo_seconds = gen_syn_scan(scan, rng)
         packets += scan_packets
         procs += scan_procs
-    if kind == "active_normal":
+    if kind == "active-normal":
         busy = frozenset(salvo_seconds)
         normal_packets, normal_procs = gen_normal(normal, duration, rng, busy)
         packets += normal_packets

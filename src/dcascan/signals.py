@@ -1,8 +1,9 @@
 """Derivation of the seven per-second input signals from event buckets.
 
-All signals are normalized to [0, 100].  Categories follow the usual
-dendritic cell algorithm vocabulary: two PAMPs, two danger signals, two
-safe signals, plus a binary inflammation flag.
+All signals are normalized to [0, SIGNAL_MAX], that is [0, 100].
+Categories follow the usual dendritic cell algorithm vocabulary: two
+PAMPs, two danger signals, two safe signals, plus a binary inflammation
+flag.
 
     pamp1  ICMP destination-unreachable packets received per second
     pamp2  TCP RST packets per second, sent and received
@@ -17,12 +18,13 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ConfigError, ValidationError
 from .events import TickBucket
 
 SIZE_WEIGHTINGS = ("packets", "seconds")
+SIGNAL_MAX = 100.0
 
 
 @dataclass(frozen=True)
@@ -30,8 +32,6 @@ class SignalConfig:
     """Tunable constants of the signal normalizations."""
 
     icmp_multiplier: float = 5.0
-    signal_cap: float = 100.0
-    rst_cap: float = 100.0
     ds1_midpoint: float = 400.0
     ds1_scale: float = 75.0
     ds1_input_cap: float = 1000.0
@@ -58,15 +58,12 @@ class SignalConfig:
             raise ConfigError("ss2 window must cover at least one second")
         if self.ds1_scale <= 0 or self.ds1_input_cap <= 0 or self.ss1_delta_max <= 0:
             raise ConfigError("signal scale parameters must be positive")
-        # Every signal must land in [0, 100]; reject values that can only
-        # break that range here rather than on the first tick.
-        for name in ("signal_cap", "rst_cap"):
-            if not 0.0 < getattr(self, name) <= 100.0:
-                raise ConfigError(f"{name}={getattr(self, name)} outside (0, 100]")
+        # Every signal must land in [0, SIGNAL_MAX]; reject scores that can
+        # only break that range here rather than on the first tick.
         scores = {"ss2_default": self.ss2_default, "ss2_top": self.ss2_top}
         scores.update((f"ss2_step_values[{i}]", v) for i, v in enumerate(self.ss2_step_values))
         for name, value in scores.items():
-            if not 0.0 <= value <= 100.0:
+            if not 0.0 <= value <= SIGNAL_MAX:
                 raise ConfigError(f"{name}={value} outside [0, 100]")
 
 
@@ -85,7 +82,7 @@ class SignalVector:
     def __post_init__(self):
         for name in ("pamp1", "pamp2", "ds1", "ds2", "ss1", "ss2"):
             v = getattr(self, name)
-            if not 0.0 <= v <= 100.0:
+            if not 0.0 <= v <= SIGNAL_MAX:
                 raise ValidationError(f"{name}={v} outside [0, 100]")
         if self.inflammation not in (0, 1):
             raise ValidationError(f"inflammation must be 0 or 1, got {self.inflammation}")
@@ -95,14 +92,14 @@ def icmp_unreachable_pamp(rate: float, config: SignalConfig = SignalConfig()) ->
     """pamp1: unreachable replies scaled up and capped."""
     if rate < 0:
         raise ValidationError(f"negative rate {rate}")
-    return min(config.signal_cap, config.icmp_multiplier * rate)
+    return min(SIGNAL_MAX, config.icmp_multiplier * rate)
 
 
-def rst_rate_pamp(rate: float, config: SignalConfig = SignalConfig()) -> float:
+def rst_rate_pamp(rate: float) -> float:
     """pamp2: RST packets per second, capped."""
     if rate < 0:
         raise ValidationError(f"negative rate {rate}")
-    return min(config.rst_cap, rate)
+    return min(SIGNAL_MAX, rate)
 
 
 def send_rate_danger(pps: float, config: SignalConfig = SignalConfig()) -> float:
@@ -114,10 +111,10 @@ def send_rate_danger(pps: float, config: SignalConfig = SignalConfig()) -> float
     if pps < 0:
         raise ValidationError(f"negative rate {pps}")
     x = min(pps, config.ds1_input_cap)
-    return config.signal_cap / (1.0 + math.exp(-(x - config.ds1_midpoint) / config.ds1_scale))
+    return SIGNAL_MAX / (1.0 + math.exp(-(x - config.ds1_midpoint) / config.ds1_scale))
 
 
-def tcp_ratio_danger(tcp_packets: int, all_packets: int, config: SignalConfig = SignalConfig()) -> float:
+def tcp_ratio_danger(tcp_packets: int, all_packets: int) -> float:
     """ds2: percentage of packets that are TCP; zero for an idle second."""
     if tcp_packets < 0 or all_packets < 0:
         raise ValidationError("packet counts must be non-negative")
@@ -125,14 +122,14 @@ def tcp_ratio_danger(tcp_packets: int, all_packets: int, config: SignalConfig = 
         raise ValidationError(f"tcp count {tcp_packets} exceeds total {all_packets}")
     if all_packets == 0:
         return 0.0
-    return config.signal_cap * tcp_packets / all_packets
+    return SIGNAL_MAX * tcp_packets / all_packets
 
 
 def rate_stability_safe(delta_pps: float, config: SignalConfig = SignalConfig()) -> float:
     """ss1: full score for a steady send rate, fading to zero at large swings."""
     if delta_pps < 0:
         raise ValidationError(f"negative delta {delta_pps}")
-    return config.signal_cap * max(0.0, 1.0 - delta_pps / config.ss1_delta_max)
+    return SIGNAL_MAX * max(0.0, 1.0 - delta_pps / config.ss1_delta_max)
 
 
 def size_step_safe(mean_size: float, config: SignalConfig = SignalConfig()) -> float:
@@ -143,31 +140,20 @@ def size_step_safe(mean_size: float, config: SignalConfig = SignalConfig()) -> f
     return config.ss2_top
 
 
-@dataclass
-class DerivationState:
-    """Carry-over between consecutive buckets."""
-
-    prev_sent_pps: float | None = None
-    size_window: deque = field(default_factory=deque)
-    last_ss2: float | None = None
-    root_sessions: int = 0
-
-
 class SignalDeriver:
     """Stateful mapping of one-second buckets onto signal vectors."""
 
     def __init__(self, config: SignalConfig | None = None):
         self.config = config or SignalConfig()
-        self.state = DerivationState()
-        self.state.size_window = deque(maxlen=self.config.ss2_window_seconds)
-
-    def reset(self) -> None:
-        self.__init__(self.config)
+        self._prev_sent_pps: float | None = None
+        self._size_window: deque = deque(maxlen=self.config.ss2_window_seconds)
+        self._last_ss2: float | None = None
+        self._root_sessions = 0
 
     def _ss1(self, sent_pps: float) -> float:
-        prev = self.state.prev_sent_pps
+        prev = self._prev_sent_pps
         delta = 0.0 if prev is None else abs(sent_pps - prev)
-        self.state.prev_sent_pps = sent_pps
+        self._prev_sent_pps = sent_pps
         return rate_stability_safe(delta, self.config)
 
     def _ss2(self, size_sum: int, packet_count: int) -> float:
@@ -175,31 +161,31 @@ class SignalDeriver:
         if packet_count == 0:
             # An idle second leaves the window untouched and repeats the
             # previous score; before any traffic the benign default applies.
-            if self.state.last_ss2 is None:
+            if self._last_ss2 is None:
                 return cfg.ss2_default
-            return self.state.last_ss2
-        self.state.size_window.append((size_sum, packet_count))
+            return self._last_ss2
+        self._size_window.append((size_sum, packet_count))
         if cfg.ss2_weighting == "packets":
-            total_bytes = sum(b for b, _ in self.state.size_window)
-            total_packets = sum(c for _, c in self.state.size_window)
+            total_bytes = sum(b for b, _ in self._size_window)
+            total_packets = sum(c for _, c in self._size_window)
             mean = total_bytes / total_packets
         else:
-            mean = sum(b / c for b, c in self.state.size_window) / len(self.state.size_window)
+            mean = sum(b / c for b, c in self._size_window) / len(self._size_window)
         value = size_step_safe(mean, cfg)
-        self.state.last_ss2 = value
+        self._last_ss2 = value
         return value
 
     def _inflammation(self, bucket: TickBucket) -> int:
         for ev in bucket.process_events:
             if ev.kind == "login":
-                self.state.root_sessions += 1
+                self._root_sessions += 1
             elif ev.kind == "logout":
-                if self.state.root_sessions == 0:
+                if self._root_sessions == 0:
                     raise ValidationError(
                         f"logout at t={ev.timestamp} with no open root session"
                     )
-                self.state.root_sessions -= 1
-        return 1 if self.state.root_sessions > 0 else 0
+                self._root_sessions -= 1
+        return 1 if self._root_sessions > 0 else 0
 
     def derive(self, bucket: TickBucket) -> SignalVector:
         """Fold one bucket into the state and return its signal vector."""
@@ -227,9 +213,9 @@ class SignalDeriver:
                 icmp_unreachable += 1
         return SignalVector(
             pamp1=icmp_unreachable_pamp(icmp_unreachable, cfg),
-            pamp2=rst_rate_pamp(rst, cfg),
+            pamp2=rst_rate_pamp(rst),
             ds1=send_rate_danger(sent, cfg),
-            ds2=tcp_ratio_danger(tcp, total, cfg),
+            ds2=tcp_ratio_danger(tcp, total),
             ss1=self._ss1(float(sent)),
             ss2=self._ss2(size_sum, total),
             inflammation=self._inflammation(bucket),

@@ -39,6 +39,16 @@ def test_generate_rejects_zero_duration(tmp_path, capsys):
     assert "duration" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--duration=nan", "--scan-start=nan", "--scan-duration=inf"])
+def test_pipeline_rejects_non_finite_scenario_values(tmp_path, capsys, flag):
+    out_dir = tmp_path / "run"
+    code = main(["pipeline", "passive-normal", "--seed", "1", "--out-dir", str(out_dir), flag])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error: ") and "must be finite" in err
+    assert not out_dir.exists()
+
+
 def test_generate_without_scan(tmp_path):
     out = tmp_path / "quiet.txt"
     code = main(["generate", "active-normal", "--duration", "60",
@@ -112,12 +122,44 @@ def test_run_rejects_non_finite_times(tmp_path, capsys, text, fragment):
 
 
 def test_run_rejects_out_of_range_signal_config(small_events, tmp_path, capsys):
+    # Signals are capped at signals.SIGNAL_MAX; there is no cap key to raise.
     conf = tmp_path / "run.conf"
     conf.write_text("signals.signal_cap = 200\n")
     code = main(["run", str(small_events), "--seed", "1", "--config", str(conf),
                  "--out", str(tmp_path / "out.csv")])
     assert code == 2
-    assert capsys.readouterr().err == "config error: signal_cap=200.0 outside (0, 100]\n"
+    assert capsys.readouterr().err == "config error: unknown config key signals.signal_cap\n"
+
+
+@pytest.mark.parametrize("flag", ["--audit-every=-7", "--audit-every=x"])
+@pytest.mark.parametrize("command", ["run", "pipeline"])
+def test_audit_every_must_be_a_non_negative_integer(tmp_path, capsys, command, flag):
+    argv = (["run", str(tmp_path / "events.txt"), "--out", str(tmp_path / "p.csv")]
+            if command == "run" else
+            ["pipeline", "passive-normal", "--out-dir", str(tmp_path / "run")])
+    assert main(argv + ["--seed", "1", flag]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "usage error: argument --audit-every" in err
+    assert not list(tmp_path.iterdir())
+
+
+NOT_UTF8 = b"\x80\xff not text \xfe\n"
+
+
+@pytest.mark.parametrize("command", ["run", "analyze", "config"])
+def test_non_utf8_input_is_a_one_line_error(small_events, tmp_path, capsys, command):
+    blob = tmp_path / "blob"
+    blob.write_bytes(NOT_UTF8)
+    argv = {
+        "run": ["run", str(blob), "--seed", "1", "--out", str(tmp_path / "p.csv")],
+        "analyze": ["analyze", str(blob), "--out-dir", str(tmp_path / "scores")],
+        "config": ["run", str(small_events), "--seed", "1", "--config", str(blob),
+                   "--out", str(tmp_path / "p.csv")],
+    }[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: 'utf-8' codec can't decode")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["blob"]
 
 
 # --------------------------------------------------------------------------

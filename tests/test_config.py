@@ -1,14 +1,20 @@
 """Flat config parsing and the layered override machinery."""
 
+from dataclasses import fields
+
 import pytest
 
+from dcascan.analysis import AnalysisConfig
 from dcascan.config import (
     PipelineConfig,
     apply_overrides,
     build_config,
     parse_flat_config,
 )
+from dcascan.engine import EngineConfig, WeightMatrix
 from dcascan.errors import ConfigError
+from dcascan.scenario import NormalProfile, ScanProfile, SessionProfile
+from dcascan.signals import SignalConfig
 
 
 def test_parse_basic_lines():
@@ -68,6 +74,68 @@ def test_overrides_reach_every_section():
     assert config.analysis.mcav_threshold == 0.4
 
 
+# A value other than the default for every field of every section.
+EVERY_KEY = {
+    "engine": {"population_size": 64, "tissue_capacity": 400, "antigens_per_update": 8,
+               "cell_store_capacity": 40, "threshold_min": 90.0, "threshold_max": 250.0,
+               "seed": 9},
+    "weights": {"csm_pamp": 2.5, "csm_danger": 1.5, "csm_safe": 1.0, "semi_pamp": 0.5,
+                "semi_danger": 0.25, "semi_safe": 2.0, "mature_pamp": 3.0,
+                "mature_danger": 1.25, "mature_safe": -2.0, "inflammation_base": 1.5},
+    "signals": {"icmp_multiplier": 4.0, "ds1_midpoint": 350.0, "ds1_scale": 60.0,
+                "ds1_input_cap": 900.0, "ss1_delta_max": 400.0, "ss2_window_seconds": 30,
+                "ss2_default": 90.0, "ss2_step_bounds": (40.0, 55.0, 70.0),
+                "ss2_step_values": (5.0, 20.0, 60.0), "ss2_top": 95.0,
+                "ss2_weighting": "seconds"},
+    "scan": {"start_time": 5.0, "target_count": 100, "hosts_up": 30, "ports_per_host": 7,
+             "probe_interval": 0.1, "scanner_pid": 4000, "scanner_label": "zmap",
+             "parent_pid": 3999, "parent_label": "tty", "open_port_fraction": 0.1,
+             "icmp_reply_rate": 0.2, "salvo_rate": 300.0, "syscalls_per_probe": 3,
+             "syscalls_per_reply": 20, "relay_syscalls_per_reply": 4,
+             "relay_packets_per_salvo": 10, "relay_packet_size": 120},
+    "normal": {"mean_pps": 12.0, "mean_packet_size": 80.0, "browser_pid": 2000,
+               "browser_label": "chrome", "child_pids": (2001, 2002, 2003),
+               "syscall_rate": 0.5, "activity_period": 50.0, "activity_pps": 30.0,
+               "activity_length": (2.0, 5.0), "download_period": 500.0,
+               "download_pps": 150.0, "download_size": 300.0,
+               "download_length": (4.0, 10.0), "stall_flush_syscalls": 50.0,
+               "tcp_fraction": 0.7, "udp_fraction": 0.2, "sent_fraction": 0.5},
+    "session": {"sshd_pid": 3000, "sshd_label": "dropbear", "sshd_syscall_rate": 0.3,
+                "login_time": 4.0},
+    "analysis": {"window_size": 5000, "mcav_threshold": 0.6, "min_confidence": 500,
+                 "include_partial": True},
+}
+
+
+def _section(config, section):
+    return config.engine.weights if section == "weights" else getattr(config, section)
+
+
+def _flat_text(value) -> str:
+    if isinstance(value, tuple):
+        return ", ".join(str(v) for v in value)
+    return str(value)
+
+
+def test_every_field_of_every_section_round_trips():
+    section_classes = {
+        "engine": EngineConfig, "weights": WeightMatrix, "signals": SignalConfig,
+        "scan": ScanProfile, "normal": NormalProfile, "session": SessionProfile,
+        "analysis": AnalysisConfig,
+    }
+    for section, cls in section_classes.items():
+        # engine.weights is a section of its own, not a flat key.
+        names = {f.name for f in fields(cls)} - ({"weights"} if cls is EngineConfig else set())
+        assert set(EVERY_KEY[section]) == names, section
+    flat = {f"{section}.{name}": _flat_text(value)
+            for section, values in EVERY_KEY.items() for name, value in values.items()}
+    config = apply_overrides(PipelineConfig(), flat)
+    for section, values in EVERY_KEY.items():
+        for name, value in values.items():
+            assert getattr(_section(config, section), name) == value, f"{section}.{name}"
+            assert getattr(_section(PipelineConfig(), section), name) != value, f"{section}.{name}"
+
+
 def test_override_typed_values():
     config = apply_overrides(PipelineConfig(), {
         "analysis.include_partial": "yes",
@@ -115,7 +183,7 @@ def test_build_config_layers_file_then_overrides(tmp_path):
         "engine.seed = 5\n"
         "analysis.window_size = 2000\n"
     )
-    config = build_config(path, {"engine.seed": "9"})
+    config = apply_overrides(build_config(path), {"engine.seed": "9"})
     assert config.engine.seed == 9          # explicit override wins
     assert config.analysis.window_size == 2000  # file survives elsewhere
     assert build_config().engine.seed == 0  # plain defaults

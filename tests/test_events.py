@@ -12,10 +12,10 @@ from dcascan.events import (
     EventStream,
     PacketEvent,
     ProcessEvent,
+    TickBucket,
     bucket_count,
     iter_buckets,
     parse_stream,
-    replay,
     serialize_stream,
 )
 
@@ -151,11 +151,11 @@ def test_bucket_boundaries_floor():
         PacketEvent(3.0, "sent", "udp", None, 60),
     ]
     stream = EventStream(packets, [], 4.0)
-    buckets = replay(stream)
+    buckets = list(iter_buckets(stream))
     assert len(buckets) == 4
     assert len(buckets[0].packet_events) == 2
     assert len(buckets[3].packet_events) == 1
-    assert buckets[1].is_empty and buckets[2].is_empty
+    assert buckets[1:3] == [TickBucket(1), TickBucket(2)]
 
 
 def test_bucket_count_long_stream():
@@ -165,7 +165,7 @@ def test_bucket_count_long_stream():
 
 def test_event_at_integral_duration_gets_a_bucket():
     stream = EventStream([PacketEvent(5.0, "sent", "udp", None, 60)], [], 5.0)
-    buckets = replay(stream)
+    buckets = list(iter_buckets(stream))
     assert len(buckets) == 6
     assert len(buckets[5].packet_events) == 1
 
@@ -174,7 +174,7 @@ def test_bucket_partition_property():
     rng = random.Random(4242)
     for _ in range(20):
         stream = _random_stream(rng, duration=rng.uniform(5, 40))
-        buckets = replay(stream)
+        buckets = list(iter_buckets(stream))
         assert len(buckets) == math.ceil(stream.duration)
         collected_p = [p for b in buckets for p in b.packet_events]
         collected_e = [e for b in buckets for e in b.process_events]
@@ -189,14 +189,12 @@ def test_bucket_partition_property():
 def test_replay_is_pure():
     rng = random.Random(7)
     stream = _random_stream(rng)
-    first = replay(stream)
-    second = replay(stream)
+    first = list(iter_buckets(stream))
+    second = list(iter_buckets(stream))
     assert [b.packet_events for b in first] == [b.packet_events for b in second]
     assert [b.process_events for b in first] == [b.process_events for b in second]
 
 
 def test_replay_handler_called_once_per_second():
     stream = EventStream([], [], 12.0)
-    seen = []
-    replay(stream, seen.append)
-    assert [b.second for b in seen] == list(range(12))
+    assert list(iter_buckets(stream)) == [TickBucket(second) for second in range(12)]

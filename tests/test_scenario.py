@@ -167,6 +167,7 @@ def test_normal_profile_validation():
 
 
 def test_dataset_kinds_and_aliases():
+    assert DATASET_KINDS == ("passive-normal", "active-normal")
     for kind in DATASET_KINDS:
         stream = gen_dataset(kind, 120, 1)
         assert stream.duration == 120.0
@@ -181,6 +182,14 @@ def test_dataset_rejects_bad_arguments():
         gen_dataset("passive_normal", 0, 1)
     with pytest.raises(ConfigError):
         gen_dataset("passive_normal", 100, 1, scan_start=100)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("name", ["duration", "scan_start", "scan_duration"])
+def test_dataset_rejects_non_finite_values(name, value):
+    kwargs = {"duration": 100.0, "scan_start": None, "scan_duration": None, name: value}
+    with pytest.raises(ConfigError, match=f"{name} must be finite"):
+        gen_dataset("passive-normal", seed=1, **kwargs)
 
 
 def test_dataset_event_ordering_and_bounds():

@@ -129,10 +129,10 @@ def test_signal_config_validation():
 @pytest.mark.parametrize(
     "kwargs, fragment",
     [
-        ({"signal_cap": 200.0}, "signal_cap"),
-        ({"signal_cap": 0.0}, "signal_cap"),
-        ({"rst_cap": 100.5}, "rst_cap"),
-        ({"rst_cap": float("nan")}, "rst_cap"),
+        ({"ss2_top": float("nan")}, "ss2_top"),
+        ({"ss2_default": 100.5}, "ss2_default"),
+        ({"ss2_step_values": (-0.5, 10.0, 50.0)}, r"ss2_step_values\[0\]"),
+        ({"ss2_step_values": (0.0, float("nan"), 50.0)}, r"ss2_step_values\[1\]"),
         ({"ss2_top": 101.0}, "ss2_top"),
         ({"ss2_default": -1.0}, "ss2_default"),
         ({"ss2_step_values": (0.0, 10.0, 150.0)}, r"ss2_step_values\[2\]"),
@@ -144,8 +144,7 @@ def test_signal_config_rejects_scores_outside_range(kwargs, fragment):
 
 
 def test_signal_config_accepts_range_edges():
-    SignalConfig(signal_cap=100.0, rst_cap=0.5, ss2_top=0.0, ss2_default=100.0,
-                 ss2_step_values=(0.0, 0.0, 100.0))
+    SignalConfig(ss2_top=0.0, ss2_default=100.0, ss2_step_values=(0.0, 0.0, 100.0))
 
 
 def test_signal_vector_range_checks():
@@ -228,8 +227,8 @@ def test_ss2_window_evicts_after_sixty_seconds():
     deriver = SignalDeriver(SignalConfig(ss2_window_seconds=3))
     for sec, size in enumerate((40, 40, 40)):
         deriver.derive(_bucket(sec, [_packet(sec + 0.1, "sent", "udp", None, size)]))
-    assert deriver.state.last_ss2 == 0.0
-    for sec in range(3, 6):
+    assert deriver.derive(_bucket(3)).ss2 == 0.0   # an idle second repeats the last score
+    for sec in range(4, 7):
         sv = deriver.derive(_bucket(sec, [_packet(sec + 0.1, "sent", "udp", None, 90)]))
     assert sv.ss2 == 100.0            # all small-packet seconds have rolled out
 
@@ -246,8 +245,9 @@ def test_ss2_weighting_modes_differ():
         for sec, packets in enumerate(buckets):
             mode.derive(_bucket(sec, packets))
     # Weighted by packets the mean is 46.8; per-second means average to 720.
-    assert by_packets.state.last_ss2 == 10.0
-    assert by_seconds.state.last_ss2 == 100.0
+    # An idle second repeats the last score.
+    assert by_packets.derive(_bucket(2)).ss2 == 10.0
+    assert by_seconds.derive(_bucket(2)).ss2 == 100.0
 
 
 def test_inflammation_sessions():
