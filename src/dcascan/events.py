@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .errors import StreamParseError, ValidationError
+from .errors import StreamParseError
 
 DIRECTIONS = ("sent", "recv")
 PROTOCOLS = ("tcp", "udp", "icmp", "other")
@@ -26,6 +26,8 @@ ICMP_TYPES = ("dest_unreachable", "echo_request", "echo_reply", "time_exceeded",
 PROCESS_KINDS = ("syscall", "login", "logout")
 
 MIN_PACKET_SIZE = 20
+# Longest session, in seconds, that a file or the generator may describe.
+MAX_DURATION = 86_400.0
 
 _DURATION_PREFIX = "# duration="
 
@@ -41,24 +43,6 @@ class PacketEvent:
     size_bytes: int = MIN_PACKET_SIZE
     icmp_type: str | None = None
 
-    def __post_init__(self):
-        if self.timestamp < 0:
-            raise ValidationError(f"negative timestamp {self.timestamp}")
-        if self.direction not in DIRECTIONS:
-            raise ValidationError(f"unknown direction {self.direction!r}")
-        if self.protocol not in PROTOCOLS:
-            raise ValidationError(f"unknown protocol {self.protocol!r}")
-        if (self.tcp_flags is not None) != (self.protocol == "tcp"):
-            raise ValidationError("tcp_flags must be present exactly when protocol is tcp")
-        if self.tcp_flags is not None and not set(self.tcp_flags) <= set(TCP_FLAGS):
-            raise ValidationError(f"unknown tcp flags {sorted(self.tcp_flags)}")
-        if (self.icmp_type is not None) != (self.protocol == "icmp"):
-            raise ValidationError("icmp_type must be present exactly when protocol is icmp")
-        if self.icmp_type is not None and self.icmp_type not in ICMP_TYPES:
-            raise ValidationError(f"unknown icmp type {self.icmp_type!r}")
-        if self.size_bytes < MIN_PACKET_SIZE:
-            raise ValidationError(f"size {self.size_bytes} below minimum {MIN_PACKET_SIZE}")
-
 
 @dataclass(frozen=True, slots=True)
 class ProcessEvent:
@@ -69,38 +53,14 @@ class ProcessEvent:
     process_name: str
     kind: str
 
-    def __post_init__(self):
-        if self.timestamp < 0:
-            raise ValidationError(f"negative timestamp {self.timestamp}")
-        if self.pid <= 0:
-            raise ValidationError(f"pid must be positive, got {self.pid}")
-        if not self.process_name or any(c.isspace() for c in self.process_name):
-            raise ValidationError(f"bad process name {self.process_name!r}")
-        if self.kind not in PROCESS_KINDS:
-            raise ValidationError(f"unknown process event kind {self.kind!r}")
-
 
 @dataclass(slots=True)
 class EventStream:
-    """All events of one monitoring session, each list sorted by timestamp."""
+    """All events of one session, each list sorted by time; a plain record."""
 
     packet_events: list[PacketEvent] = field(default_factory=list)
     process_events: list[ProcessEvent] = field(default_factory=list)
     duration: float = 0.0
-
-    def __post_init__(self):
-        if self.duration < 0:
-            raise ValidationError(f"negative duration {self.duration}")
-        for seq in (self.packet_events, self.process_events):
-            last = -math.inf
-            for ev in seq:
-                if ev.timestamp < last:
-                    raise ValidationError("events are not sorted by timestamp")
-                last = ev.timestamp
-                if ev.timestamp > self.duration:
-                    raise ValidationError(
-                        f"event at {ev.timestamp} exceeds stream duration {self.duration}"
-                    )
 
     @property
     def event_count(self) -> int:
@@ -152,19 +112,23 @@ def _parse_packet(parts: list[str], line_no: int) -> PacketEvent:
         size = int(parts[5])
     except ValueError as exc:
         raise StreamParseError(line_no, f"bad numeric field: {exc}") from None
-    if not math.isfinite(ts):
-        raise StreamParseError(line_no, f"timestamp {ts} is not finite")
-    protocol = parts[3]
-    flags_text = parts[4]
+    direction, protocol, flags_text = parts[2], parts[3], parts[4]
+    if direction not in DIRECTIONS:
+        raise StreamParseError(line_no, f"unknown direction {direction!r}")
+    if protocol not in PROTOCOLS:
+        raise StreamParseError(line_no, f"unknown protocol {protocol!r}")
     if flags_text == "-":
         flags = frozenset() if protocol == "tcp" else None
     else:
         flags = frozenset(flags_text.split(","))
+        if protocol != "tcp" or not flags.issubset(TCP_FLAGS):
+            raise StreamParseError(line_no, f"bad tcp flags {flags_text!r} for protocol {protocol}")
     icmp_type = parts[6] if len(parts) == 7 else None
-    try:
-        return PacketEvent(ts, parts[2], protocol, flags, size, icmp_type)
-    except ValidationError as exc:
-        raise StreamParseError(line_no, str(exc)) from None
+    if icmp_type not in (ICMP_TYPES if protocol == "icmp" else (None,)):
+        raise StreamParseError(line_no, f"bad icmp type {icmp_type!r} for protocol {protocol}")
+    if size < MIN_PACKET_SIZE:
+        raise StreamParseError(line_no, f"size {size} below minimum {MIN_PACKET_SIZE}")
+    return PacketEvent(ts, direction, protocol, flags, size, icmp_type)
 
 
 def _parse_process(parts: list[str], line_no: int) -> ProcessEvent:
@@ -175,50 +139,61 @@ def _parse_process(parts: list[str], line_no: int) -> ProcessEvent:
         pid = int(parts[2])
     except ValueError as exc:
         raise StreamParseError(line_no, f"bad numeric field: {exc}") from None
-    if not math.isfinite(ts):
-        raise StreamParseError(line_no, f"timestamp {ts} is not finite")
-    try:
-        return ProcessEvent(ts, pid, parts[3], parts[4])
-    except ValidationError as exc:
-        raise StreamParseError(line_no, str(exc)) from None
+    if pid <= 0:
+        raise StreamParseError(line_no, f"pid must be positive, got {pid}")
+    if parts[4] not in PROCESS_KINDS:
+        raise StreamParseError(line_no, f"unknown process event kind {parts[4]!r}")
+    return ProcessEvent(ts, pid, parts[3], parts[4])
+
+
+def _time_error(line_no: int, name: str, value: float, last: float, limit: float):
+    """The StreamParseError saying why ``last <= value <= limit`` failed."""
+    if not math.isfinite(value):
+        reason = "is not finite"
+    elif value < 0:
+        reason = "is negative"
+    elif value < last:
+        reason = f"is before the earlier event at {format_time(last)}"
+    else:
+        reason = f"exceeds the {'maximum' if limit == MAX_DURATION else 'duration'} {format_time(limit)}"
+    return StreamParseError(line_no, f"{name} {value} {reason}")
 
 
 def parse_stream(text: str) -> EventStream:
-    """Parse event-file text into an EventStream.
+    """Parse event-file text into an EventStream, checking every field.
 
-    Events are sorted stably by timestamp, so records sharing a timestamp
-    keep their file order.  An empty input yields an empty stream of
-    duration zero.  Timestamps and the duration must be finite numbers.
+    Event times must not decrease and lie in [0, duration], the duration in
+    [0, MAX_DURATION]; without an annotation it is the last event's time.
+    A violation raises a StreamParseError naming its line; nothing is sorted.
     """
     packets: list[PacketEvent] = []
     procs: list[ProcessEvent] = []
-    duration: float | None = None
+    duration, last, limit = None, 0.0, MAX_DURATION
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
+        parts = raw.split()
+        if not parts:
             continue
-        if line.startswith("#"):
-            if line.startswith(_DURATION_PREFIX):
+        tag = parts[0]
+        if tag == "P":
+            packets.append(event := _parse_packet(parts, line_no))
+        elif tag == "E":
+            procs.append(event := _parse_process(parts, line_no))
+        elif tag[0] == "#":
+            if raw.strip().startswith(_DURATION_PREFIX):
                 try:
-                    duration = float(line[len(_DURATION_PREFIX):])
+                    duration = float(raw.partition("=")[2])
                 except ValueError:
                     raise StreamParseError(line_no, "bad duration annotation") from None
-                if not math.isfinite(duration):
-                    raise StreamParseError(line_no, f"duration {duration} is not finite")
+                if not last <= duration <= MAX_DURATION:
+                    raise _time_error(line_no, "duration", duration, last, MAX_DURATION)
+                limit = duration
             continue
-        parts = line.split()
-        if parts[0] == "P":
-            packets.append(_parse_packet(parts, line_no))
-        elif parts[0] == "E":
-            procs.append(_parse_process(parts, line_no))
         else:
-            raise StreamParseError(line_no, f"unknown record tag {parts[0]!r}")
-    packets.sort(key=lambda p: p.timestamp)
-    procs.sort(key=lambda e: e.timestamp)
-    if duration is None:
-        last_ts = [seq[-1].timestamp for seq in (packets, procs) if seq]
-        duration = max(last_ts) if last_ts else 0.0
-    return EventStream(packets, procs, duration)
+            raise StreamParseError(line_no, f"unknown record tag {tag!r}")
+        if not last <= event.timestamp <= limit:
+            raise _time_error(line_no, "timestamp", event.timestamp, last, limit)
+        last = event.timestamp
+    return EventStream(packets, procs, last if duration is None else duration)
 
 
 def load_stream(path) -> EventStream:

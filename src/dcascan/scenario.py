@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass, replace
 
 from .errors import ConfigError
-from .events import EventStream, PacketEvent, ProcessEvent
+from .events import MAX_DURATION, MIN_PACKET_SIZE, EventStream, PacketEvent, ProcessEvent
 
 DATASET_KINDS = ("passive-normal", "active-normal")
 
@@ -44,6 +44,15 @@ def _poisson(rng: random.Random, lam: float) -> int:
         if p <= limit:
             return k
         k += 1
+
+
+def _check_event_fields(**values) -> None:
+    """Reject the pids below 1 and the labels not of one word: events carry both."""
+    for name, value in values.items():
+        if isinstance(value, str) and value.split() != [value]:
+            raise ConfigError(f"{name} must be one word, got {value!r}")
+        if isinstance(value, int) and value <= 0:
+            raise ConfigError(f"{name} must be positive, got {value}")
 
 
 @dataclass(frozen=True)
@@ -83,6 +92,10 @@ class ScanProfile:
             raise ConfigError("salvo_rate must be positive")
         if not 0 <= self.open_port_fraction <= 1 or not 0 <= self.icmp_reply_rate <= 1:
             raise ConfigError("fractions must be in [0, 1]")
+        _check_event_fields(scanner_pid=self.scanner_pid, parent_pid=self.parent_pid,
+                            scanner_label=self.scanner_label, parent_label=self.parent_label)
+        if self.relay_packet_size < MIN_PACKET_SIZE:
+            raise ConfigError(f"relay_packet_size must be at least {MIN_PACKET_SIZE}")
 
 
 @dataclass(frozen=True)
@@ -114,6 +127,8 @@ class NormalProfile:
             raise ConfigError("mean_packet_size must stay in the normal band [70, 90]")
         if self.tcp_fraction + self.udp_fraction > 1:
             raise ConfigError("protocol fractions exceed 1")
+        _check_event_fields(browser_pid=self.browser_pid, browser_label=self.browser_label,
+                            child_pids=min(self.child_pids, default=1))
 
 
 def _scan_syscalls(procs, pid, label, t, count, spread):
@@ -247,6 +262,11 @@ class SessionProfile:
     sshd_syscall_rate: float = 0.2
     login_time: float = 2.0
 
+    def __post_init__(self):
+        _check_event_fields(sshd_pid=self.sshd_pid, sshd_label=self.sshd_label)
+        if not 0 <= self.login_time <= MAX_DURATION:
+            raise ConfigError(f"login_time must lie in [0, {MAX_DURATION:g}]")
+
 
 def gen_dataset(kind: str, duration: float, seed: int, *,
                 scan_start: float | None = None,
@@ -269,8 +289,8 @@ def gen_dataset(kind: str, duration: float, seed: int, *,
                         ("scan_duration", scan_duration)):
         if value is not None and not math.isfinite(value):
             raise ConfigError(f"{name} must be finite, got {value}")
-    if duration <= 0:
-        raise ConfigError("duration must be positive")
+    if not 0 < duration <= MAX_DURATION:
+        raise ConfigError(f"duration must lie in (0, {MAX_DURATION:g}], got {duration}")
     scan = scan or ScanProfile()
     normal = normal or NormalProfile()
     session = session or SessionProfile()
@@ -279,7 +299,9 @@ def gen_dataset(kind: str, duration: float, seed: int, *,
     if scan_start >= duration:
         raise ConfigError("scan_start lies outside the session")
     if scan_duration is None:
-        scan_duration = min(_DEFAULT_SCAN_LEN_FRAC * duration, duration - scan_start)
+        scan_duration = _DEFAULT_SCAN_LEN_FRAC * duration
+    elif scan_duration <= 0:
+        raise ConfigError("scan_duration must be positive")
     scan_duration = min(scan_duration, duration - scan_start)
     if scan.ports_per_host is None and include_scan:
         per_host = max(1, round(scan_duration / scan.probe_interval / scan.target_count))

@@ -58,6 +58,8 @@ class SignalConfig:
             raise ConfigError("ss2 window must cover at least one second")
         if self.ds1_scale <= 0 or self.ds1_input_cap <= 0 or self.ss1_delta_max <= 0:
             raise ConfigError("signal scale parameters must be positive")
+        if not 0.0 <= self.icmp_multiplier < math.inf:
+            raise ConfigError(f"icmp_multiplier={self.icmp_multiplier} must be finite and >= 0")
         # Every signal must land in [0, SIGNAL_MAX]; reject scores that can
         # only break that range here rather than on the first tick.
         scores = {"ss2_default": self.ss2_default, "ss2_top": self.ss2_top}

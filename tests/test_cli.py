@@ -49,6 +49,36 @@ def test_pipeline_rejects_non_finite_scenario_values(tmp_path, capsys, flag):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("flags", [
+    ["--duration", "100", "--scan-duration", "-50"],  # used to generate a scan anyway
+    ["--duration", "1e9"],  # used to loop over a billion seconds
+])
+def test_generate_rejects_bad_session_window(tmp_path, capsys, flags):
+    out = tmp_path / "x.txt"
+    code = main(["generate", "passive-normal", "--seed", "1", "--out", str(out), *flags])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("setting", [
+    "scan.scanner_label = n map",
+    "session.sshd_pid = 0",
+    "signals.icmp_multiplier = -1",
+])
+def test_pipeline_rejects_event_breaking_config_at_load(tmp_path, capsys, setting):
+    conf = tmp_path / "bad.conf"
+    conf.write_text(setting + "\n")
+    out_dir = tmp_path / "run"
+    code = main(["pipeline", "passive-normal", "--duration", "300", "--seed", "7",
+                 "--config", str(conf), "--out-dir", str(out_dir)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error: ")
+    assert not out_dir.exists()
+
+
 def test_generate_without_scan(tmp_path):
     out = tmp_path / "quiet.txt"
     code = main(["generate", "active-normal", "--duration", "60",
@@ -118,6 +148,30 @@ def test_run_rejects_non_finite_times(tmp_path, capsys, text, fragment):
     assert code == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and fragment in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text, fragment",
+    [
+        # an out-of-order file used to be re-sorted silently
+        ("# duration=10\nP 5 sent udp - 60\nP 2 sent udp - 60\n",
+         "line 3: timestamp 2.0 is before the earlier event at 5"),
+        # an event past the duration used to end in an error without a line
+        ("# duration=3\nP 5 sent udp - 60\n", "line 2: timestamp 5.0 exceeds the duration 3"),
+        # a huge duration used to run about a billion ticks
+        ("# duration=1e9\nP 1 sent udp - 60\n",
+         "line 1: duration 1000000000.0 exceeds the maximum 86400"),
+    ],
+)
+def test_run_rejects_invalid_event_files(tmp_path, capsys, text, fragment):
+    events = tmp_path / "events.txt"
+    events.write_text(text)
+    out = tmp_path / "out.csv"
+    code = main(["run", str(events), "--seed", "1", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {fragment}\n"
     assert not out.exists()
 
 

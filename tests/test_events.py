@@ -4,11 +4,15 @@ from __future__ import annotations
 
 import math
 import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dcascan.errors import StreamParseError, ValidationError
+from dcascan.errors import StreamParseError
 from dcascan.events import (
+    MAX_DURATION,
     EventStream,
     PacketEvent,
     ProcessEvent,
@@ -18,6 +22,7 @@ from dcascan.events import (
     parse_stream,
     serialize_stream,
 )
+from dcascan.scenario import DATASET_KINDS, gen_dataset
 
 
 def test_parse_empty_input():
@@ -70,37 +75,92 @@ def test_parse_rejects_unknown_tag():
         parse_stream("X 1.0 what\n")
 
 
-def test_packet_validation():
-    with pytest.raises(ValidationError):
-        PacketEvent(-1.0, "sent", "tcp", frozenset(("syn",)), 40)
-    with pytest.raises(ValidationError):
-        PacketEvent(1.0, "sent", "udp", frozenset(("syn",)), 40)  # flags on non-tcp
-    with pytest.raises(ValidationError):
-        PacketEvent(1.0, "sent", "tcp", None, 40)  # tcp without flags
-    with pytest.raises(ValidationError):
-        PacketEvent(1.0, "sent", "tcp", frozenset(("syn",)), 12)  # below minimum size
-    with pytest.raises(ValidationError):
-        PacketEvent(1.0, "recv", "icmp", None, 56)  # icmp needs a type
-    with pytest.raises(ValidationError):
-        PacketEvent(1.0, "recv", "udp", None, 60, "dest_unreachable")
+@pytest.mark.parametrize(
+    "text, line_no, fragment",
+    [
+        ("P -1 sent tcp syn 40\n", 1, "timestamp -1.0 is negative"),
+        ("P 1 sent udp syn 40\n", 1, "bad tcp flags 'syn' for protocol udp"),
+        ("P 1 sent tcp syn 12\n", 1, "size 12 below minimum 20"),
+        ("P 1 recv icmp - 56\n", 1, "bad icmp type None for protocol icmp"),
+        ("P 1 recv udp - 60 dest_unreachable\n", 1, "bad icmp type 'dest_unreachable'"),
+        ("E 1 0 nmap syscall\n", 1, "pid must be positive, got 0"),
+        ("E 1 5 bad name syscall\n", 1, "process line needs 5 fields, got 6"),
+        ("E 1 5 nmap forked\n", 1, "unknown process event kind 'forked'"),
+        ("P 2 sent udp - 60\nP 1 sent udp - 60\n", 2, "timestamp 1.0 is before the earlier event at 2"),
+        ("# duration=1\nP 2 sent udp - 60\n", 2, "timestamp 2.0 exceeds the duration 1"),
+        ("P 1 up tcp syn 40\n", 1, "unknown direction 'up'"),
+        ("P 1 sent sctp - 40\n", 1, "unknown protocol 'sctp'"),
+        ("P 1 sent tcp syn,urg 40\n", 1, "bad tcp flags 'syn,urg' for protocol tcp"),
+        ("P 1 recv icmp - 56 bogus\n", 1, "bad icmp type 'bogus'"),
+        ("E 2 5 sshd login\nP 1.5 sent udp - 60\n", 2, "before the earlier event at 2"),
+        ("P 5 sent udp - 60\n# duration=3\n", 2, "duration 3.0 is before the earlier event at 5"),
+        ("# duration=-1\n", 1, "duration -1.0 is negative"),
+        ("# duration=1e9\nP 1 sent udp - 60\n", 1, "duration 1000000000.0 exceeds the maximum 86400"),
+        ("P 86400.5 sent udp - 60\n", 1, "timestamp 86400.5 exceeds the maximum 86400"),
+    ],
+)
+def test_parse_rejects_invalid_line(text, line_no, fragment):
+    with pytest.raises(StreamParseError, match=f"^line {line_no}: .*{re.escape(fragment)}") as err:
+        parse_stream(text)
+    assert err.value.line_no == line_no
 
 
-def test_process_validation():
-    with pytest.raises(ValidationError):
-        ProcessEvent(1.0, 0, "nmap", "syscall")
-    with pytest.raises(ValidationError):
-        ProcessEvent(1.0, 5, "bad name", "syscall")
-    with pytest.raises(ValidationError):
-        ProcessEvent(1.0, 5, "nmap", "forked")
+def test_parse_accepts_times_at_the_bounds():
+    text = "# duration=86400\nE 0 5 sshd login\nP 0 sent udp - 60\nP 86400 sent udp - 60\n"
+    stream = parse_stream(text)
+    assert [p.timestamp for p in stream.packet_events] == [0.0, 86400.0]
+    assert stream.duration == MAX_DURATION
+    # without the annotation the duration is the last event's time
+    assert parse_stream("P 3 sent udp - 60\nE 7.5 5 sshd syscall\n").duration == 7.5
 
 
-def test_stream_rejects_unsorted_and_overlong():
-    a = PacketEvent(2.0, "sent", "udp", None, 60)
-    b = PacketEvent(1.0, "sent", "udp", None, 60)
-    with pytest.raises(ValidationError):
-        EventStream([a, b], [], 5.0)
-    with pytest.raises(ValidationError):
-        EventStream([a], [], 1.0)
+# Words of the event format mixed with arbitrary text, so that generated
+# lines reach the field checks and not only the tag check.
+_WORDS = st.one_of(
+    st.sampled_from(["P", "E", "#", "# duration=", "sent", "recv", "tcp", "udp", "icmp",
+                     "other", "-", "syn", "syn,ack", "fin,", "dest_unreachable", "syscall",
+                     "login", "nmap", "0", "-0.0", "nan", "inf", "1e9"]),
+    st.floats().map(repr),
+    st.integers(-3, 2000).map(str),
+    st.text(max_size=4),
+)
+_LINE = st.one_of(st.lists(_WORDS, max_size=8).map(" ".join),
+                  st.floats().map("# duration={!r}".format))
+# Mostly valid event lines whose times rise with the line index.
+_EVENT = st.one_of(
+    st.builds(lambda direction, body, size: f"P {{t}} {direction} {body.format(size)}",
+              st.sampled_from(["sent", "recv", "up"]),
+              st.sampled_from(["tcp syn {}", "tcp - {}", "udp - {}", "icmp - {} dest_unreachable",
+                               "udp syn {}", "icmp - {}"]),
+              st.integers(10, 90)),
+    st.builds("E {{t}} {} nmap {}".format, st.integers(0, 5),
+              st.sampled_from(["syscall", "login", "forked"])),
+)
+_EVENTS = st.lists(_EVENT, max_size=4).map(
+    lambda rows: "\n".join(row.format(t=i / 2) for i, row in enumerate(rows)))
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.one_of(st.text(), st.lists(_LINE, max_size=8).map("\n".join),
+                 st.tuples(_LINE | st.just(""), _EVENTS, _LINE | st.just("")).map("\n".join)))
+def test_parse_returns_or_raises_stream_parse_error(text):
+    try:
+        stream = parse_stream(text)
+    except StreamParseError:
+        return
+    for seq in (stream.packet_events, stream.process_events):
+        times = [ev.timestamp for ev in seq]
+        assert times == sorted(times)
+        assert all(0 <= t <= stream.duration <= MAX_DURATION for t in times)
+
+
+@pytest.mark.parametrize("include_scan", [True, False])
+@pytest.mark.parametrize("kind", DATASET_KINDS)
+@settings(deadline=None, max_examples=3)
+@given(seed=st.integers(0, 2**32))
+def test_generated_session_round_trips(kind, include_scan, seed):
+    stream = gen_dataset(kind, 300, seed, include_scan=include_scan)
+    assert parse_stream(serialize_stream(stream)) == stream
 
 
 def _random_stream(rng: random.Random, duration: float = 30.0) -> EventStream:

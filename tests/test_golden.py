@@ -11,6 +11,7 @@ import hashlib
 import pytest
 
 from dcascan.cli import main
+from dcascan.events import parse_stream, serialize_stream
 
 GOLDEN = {
     "passive-normal": {
@@ -33,3 +34,21 @@ def test_pipeline_output_digests(kind, tmp_path, capsys):
     assert code == 0, capsys.readouterr().err
     digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in GOLDEN[kind]}
     assert digests == GOLDEN[kind]
+
+
+# sha256 of the events.txt that the runs above write; `generate` with the same
+# arguments writes the same file.
+EVENTS_GOLDEN = {
+    "passive-normal": "0d14d102847bb3df92a1ed2960bbd59e8f18eab374feb25de78af9218f33cea5",
+    "active-normal": "da4ba0eac140465deefb01a4a05f389764488f6d8f5894bedb32e9d9b5991e72",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(EVENTS_GOLDEN))
+def test_event_file_digest_and_round_trip(kind, tmp_path):
+    path = tmp_path / "events.txt"
+    assert main(["generate", kind, "--duration", "500", "--seed", "7", "--out", str(path)]) == 0
+    data = path.read_bytes()
+    assert hashlib.sha256(data).hexdigest() == EVENTS_GOLDEN[kind]
+    text = data.decode("utf-8")
+    assert serialize_stream(parse_stream(text)) == text

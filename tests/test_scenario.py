@@ -122,6 +122,17 @@ def test_scan_profile_validation():
         ScanProfile(probe_interval=0.0)
     with pytest.raises(ConfigError):
         ScanProfile(open_port_fraction=1.5)
+    # fields that reach events: checked here, once, instead of on every event
+    with pytest.raises(ConfigError, match="scanner_pid must be positive"):
+        ScanProfile(scanner_pid=0)
+    with pytest.raises(ConfigError, match="parent_pid must be positive"):
+        ScanProfile(parent_pid=-4)
+    with pytest.raises(ConfigError, match="scanner_label must be one word"):
+        ScanProfile(scanner_label="n map")
+    with pytest.raises(ConfigError, match="parent_label must be one word"):
+        ScanProfile(parent_label="")
+    with pytest.raises(ConfigError, match="relay_packet_size must be at least 20"):
+        ScanProfile(relay_packet_size=19)
 
 
 # --------------------------------------------------------------------------
@@ -159,11 +170,29 @@ def test_normal_profile_validation():
         NormalProfile(mean_packet_size=60.0)
     with pytest.raises(ConfigError):
         NormalProfile(tcp_fraction=0.7, udp_fraction=0.4)
+    with pytest.raises(ConfigError, match="browser_pid must be positive"):
+        NormalProfile(browser_pid=0)
+    with pytest.raises(ConfigError, match="child_pids must be positive, got -1"):
+        NormalProfile(child_pids=(2871, -1))
+    with pytest.raises(ConfigError, match="browser_label must be one word"):
+        NormalProfile(browser_label="fire\tfox")
+    NormalProfile(child_pids=())  # the browser may run without children
     NormalProfile(mean_pps=0, mean_packet_size=60.0)  # size band only matters when active
 
 
 # --------------------------------------------------------------------------
 # dataset assembly
+
+
+def test_session_profile_validation():
+    with pytest.raises(ConfigError, match="sshd_pid must be positive"):
+        SessionProfile(sshd_pid=0)
+    with pytest.raises(ConfigError, match="sshd_label must be one word"):
+        SessionProfile(sshd_label="ssh d")
+    for login_time in (-1.0, float("nan"), 86_400.5):
+        with pytest.raises(ConfigError, match="login_time"):
+            SessionProfile(login_time=login_time)
+    SessionProfile(login_time=0.0)
 
 
 def test_dataset_kinds_and_aliases():
@@ -182,6 +211,10 @@ def test_dataset_rejects_bad_arguments():
         gen_dataset("passive_normal", 0, 1)
     with pytest.raises(ConfigError):
         gen_dataset("passive_normal", 100, 1, scan_start=100)
+    with pytest.raises(ConfigError, match="scan_duration must be positive"):
+        gen_dataset("passive_normal", 100, 1, scan_duration=-50)
+    with pytest.raises(ConfigError, match="duration must lie in"):
+        gen_dataset("passive_normal", 86_400.5, 1)
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])

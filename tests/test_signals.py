@@ -136,6 +136,9 @@ def test_signal_config_validation():
         ({"ss2_top": 101.0}, "ss2_top"),
         ({"ss2_default": -1.0}, "ss2_default"),
         ({"ss2_step_values": (0.0, 10.0, 150.0)}, r"ss2_step_values\[2\]"),
+        # a negative multiplier can only push pamp1 below 0 on the first ICMP second
+        ({"icmp_multiplier": -1.0}, "icmp_multiplier=-1.0"),
+        ({"icmp_multiplier": float("nan")}, "icmp_multiplier=nan"),
     ],
 )
 def test_signal_config_rejects_scores_outside_range(kwargs, fragment):
