@@ -19,7 +19,7 @@ from dataclasses import replace
 from . import analysis, pipeline
 from .config import PipelineConfig, build_config
 from .errors import ConfigError, DcaError
-from .events import load_stream, save_stream
+from .events import read_buckets, save_stream
 from .scenario import DATASET_KINDS, gen_dataset
 
 
@@ -135,8 +135,8 @@ def cmd_generate(args) -> int:
 
 
 def _run_and_write(args, config: PipelineConfig, stream, out, trace_out):
-    """Replay the stream with the engine seeded from --seed, write the
-    presentation log and, when ``trace_out`` is set, the signal trace."""
+    """Replay the stream or its buckets with the engine seeded from --seed, write
+    the presentation log and, when ``trace_out`` is set, the signal trace."""
     result = pipeline.run_stream(
         stream,
         replace(config.engine, seed=args.seed),
@@ -152,8 +152,8 @@ def _run_and_write(args, config: PipelineConfig, stream, out, trace_out):
 
 def cmd_run(args) -> int:
     config = build_config(args.config)
-    stream = load_stream(args.events)
-    result = _run_and_write(args, config, stream, args.out, args.signal_trace)
+    with open(args.events, "r", encoding="utf-8") as fh:
+        result = _run_and_write(args, config, read_buckets(fh), args.out, args.signal_trace)
     print(f"replayed {result.ticks} ticks: {len(result.records)} presentations "
           f"({result.audit['ingested']} antigen ingested, "
           f"{result.audit['overwritten']} overwritten) -> {args.out}")

@@ -13,15 +13,18 @@ ignore comments still read the same events.
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass, field
-from typing import Iterator
+from operator import attrgetter
+from typing import Iterable, Iterator
 
 from .errors import StreamParseError
 
 DIRECTIONS = ("sent", "recv")
 PROTOCOLS = ("tcp", "udp", "icmp", "other")
-TCP_FLAGS = ("syn", "ack", "rst", "fin")
+TCP_FLAGS = ("syn", "ack", "rst", "fin")  # also the order flags are written in
+_TCP_FLAG_SET = frozenset(TCP_FLAGS)
 ICMP_TYPES = ("dest_unreachable", "echo_request", "echo_reply", "time_exceeded", "other")
 PROCESS_KINDS = ("syscall", "login", "logout")
 
@@ -121,7 +124,7 @@ def _parse_packet(parts: list[str], line_no: int) -> PacketEvent:
         flags = frozenset() if protocol == "tcp" else None
     else:
         flags = frozenset(flags_text.split(","))
-        if protocol != "tcp" or not flags.issubset(TCP_FLAGS):
+        if protocol != "tcp" or not flags <= _TCP_FLAG_SET:
             raise StreamParseError(line_no, f"bad tcp flags {flags_text!r} for protocol {protocol}")
     icmp_type = parts[6] if len(parts) == 7 else None
     if icmp_type not in (ICMP_TYPES if protocol == "icmp" else (None,)):
@@ -159,41 +162,57 @@ def _time_error(line_no: int, name: str, value: float, last: float, limit: float
     return StreamParseError(line_no, f"{name} {value} {reason}")
 
 
-def parse_stream(text: str) -> EventStream:
-    """Parse event-file text into an EventStream, checking every field.
+class _EventReader:
+    """Parse and check event lines one at a time, yielding each event.
 
     Event times must not decrease and lie in [0, duration], the duration in
     [0, MAX_DURATION]; without an annotation it is the last event's time.
-    A violation raises a StreamParseError naming its line; nothing is sorted.
+    ``duration`` holds the final value once the lines are exhausted.  A
+    violation raises a StreamParseError naming its line; nothing is sorted.
     """
-    packets: list[PacketEvent] = []
-    procs: list[ProcessEvent] = []
-    duration, last, limit = None, 0.0, MAX_DURATION
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        parts = raw.split()
-        if not parts:
-            continue
-        tag = parts[0]
-        if tag == "P":
-            packets.append(event := _parse_packet(parts, line_no))
-        elif tag == "E":
-            procs.append(event := _parse_process(parts, line_no))
-        elif tag[0] == "#":
-            if raw.strip().startswith(_DURATION_PREFIX):
-                try:
-                    duration = float(raw.partition("=")[2])
-                except ValueError:
-                    raise StreamParseError(line_no, "bad duration annotation") from None
-                if not last <= duration <= MAX_DURATION:
-                    raise _time_error(line_no, "duration", duration, last, MAX_DURATION)
-                limit = duration
-            continue
-        else:
-            raise StreamParseError(line_no, f"unknown record tag {tag!r}")
-        if not last <= event.timestamp <= limit:
-            raise _time_error(line_no, "timestamp", event.timestamp, last, limit)
-        last = event.timestamp
-    return EventStream(packets, procs, last if duration is None else duration)
+
+    def __init__(self, lines: Iterable[str]):
+        self.lines = lines
+        self.duration = 0.0
+
+    def __iter__(self) -> Iterator[PacketEvent | ProcessEvent]:
+        duration, last, limit = None, 0.0, MAX_DURATION
+        for line_no, raw in enumerate(self.lines, start=1):
+            parts = raw.split()
+            if not parts:
+                continue
+            tag = parts[0]
+            if tag == "P":
+                event = _parse_packet(parts, line_no)
+            elif tag == "E":
+                event = _parse_process(parts, line_no)
+            elif tag[0] == "#":
+                if raw.strip().startswith(_DURATION_PREFIX):
+                    try:
+                        duration = float(raw.partition("=")[2])
+                    except ValueError:
+                        raise StreamParseError(line_no, "bad duration annotation") from None
+                    if not last <= duration <= MAX_DURATION:
+                        raise _time_error(line_no, "duration", duration, last, MAX_DURATION)
+                    limit = duration
+                continue
+            else:
+                raise StreamParseError(line_no, f"unknown record tag {tag!r}")
+            if not last <= event.timestamp <= limit:
+                raise _time_error(line_no, "timestamp", event.timestamp, last, limit)
+            last = event.timestamp
+            yield event
+        self.duration = last if duration is None else duration
+
+
+def parse_stream(text: str) -> EventStream:
+    """Parse event-file text into an EventStream; every rule of _EventReader applies."""
+    # newline=None ends lines where a file opened in text mode does, so both readers agree.
+    reader = _EventReader(io.StringIO(text, newline=None))
+    packets, procs = [], []
+    for event in reader:
+        (packets if type(event) is PacketEvent else procs).append(event)
+    return EventStream(packets, procs, reader.duration)
 
 
 def load_stream(path) -> EventStream:
@@ -206,35 +225,38 @@ def save_stream(stream: EventStream, path) -> None:
         fh.write(serialize_stream(stream))
 
 
-def bucket_count(stream: EventStream) -> int:
-    """Number of one-second buckets needed to replay the stream.
+def _bucketed(events: Iterable[PacketEvent | ProcessEvent], source) -> Iterator[TickBucket]:
+    """Split time-ordered events into one TickBucket per whole virtual second.
 
-    A final partial second counts as a whole bucket, and an event landing
-    exactly on an integral duration still gets a bucket of its own.
+    Every event lands in the bucket of its floored timestamp; seconds without
+    events get empty buckets, up to ``source.duration`` read at the end.  A
+    final partial second is a whole bucket, and an event exactly on an
+    integral duration gets a bucket of its own.
     """
-    n = math.ceil(stream.duration)
-    last_ts = [seq[-1].timestamp for seq in (stream.packet_events, stream.process_events) if seq]
-    if last_ts:
-        n = max(n, math.floor(max(last_ts)) + 1)
-    return n
+    bucket = TickBucket(0)
+    for event in events:
+        if event.timestamp >= bucket.second + 1:
+            yield bucket
+            second = math.floor(event.timestamp)
+            yield from map(TickBucket, range(bucket.second + 1, second))
+            bucket = TickBucket(second)
+        (bucket.packet_events if type(event) is PacketEvent else bucket.process_events).append(event)
+    end = math.ceil(source.duration)
+    if bucket.second < end or bucket.packet_events or bucket.process_events:
+        yield bucket
+    yield from map(TickBucket, range(bucket.second + 1, end))
 
 
 def iter_buckets(stream: EventStream) -> Iterator[TickBucket]:
-    """Yield one TickBucket per whole virtual second, in order.
+    """Yield one TickBucket per whole virtual second of the stream, in order."""
+    # Sorting the two sorted lists is one stable merge: equal times keep their order.
+    events = sorted(stream.packet_events + stream.process_events, key=attrgetter("timestamp"))
+    yield from _bucketed(events, stream)
 
-    Every event lands in exactly one bucket, chosen by flooring its
-    timestamp; seconds without events yield empty buckets.
-    """
-    n = bucket_count(stream)
-    packets = stream.packet_events
-    procs = stream.process_events
-    pi = ei = 0
-    for second in range(n):
-        bucket = TickBucket(second)
-        while pi < len(packets) and packets[pi].timestamp < second + 1:
-            bucket.packet_events.append(packets[pi])
-            pi += 1
-        while ei < len(procs) and procs[ei].timestamp < second + 1:
-            bucket.process_events.append(procs[ei])
-            ei += 1
-        yield bucket
+
+def read_buckets(lines: Iterable[str]) -> Iterator[TickBucket]:
+    """Parse the lines of an event file straight into the buckets that
+    iter_buckets yields for the parsed stream, holding one second of events
+    at a time; a parse error is raised when its line is reached."""
+    reader = _EventReader(lines)
+    yield from _bucketed(reader, reader)

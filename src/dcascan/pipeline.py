@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from .engine import Antigen, DcaEngine, EngineConfig, PresentationRecord
-from .events import EventStream, iter_buckets
+from .events import EventStream, TickBucket, iter_buckets
 from .signals import SignalConfig, SignalDeriver, SignalVector
 
 
@@ -18,13 +19,14 @@ class RunResult:
     audit: dict[str, int] = field(default_factory=dict)
 
 
-def run_stream(stream: EventStream,
+def run_stream(stream: EventStream | Iterable[TickBucket],
                engine_config: EngineConfig | None = None,
                signal_config: SignalConfig | None = None,
                *,
                audit_every: int = 0,
                collect_trace: bool = False) -> RunResult:
-    """Replay the stream tick by tick through a fresh deriver and engine.
+    """Replay the stream, or its buckets in order as ``events.read_buckets``
+    yields them, tick by tick through a fresh deriver and engine.
 
     ``audit_every`` > 0 re-checks antigen conservation after every that
     many ticks and once more at the end.
@@ -32,7 +34,7 @@ def run_stream(stream: EventStream,
     deriver = SignalDeriver(signal_config)
     engine = DcaEngine(engine_config)
     result = RunResult()
-    for bucket in iter_buckets(stream):
+    for bucket in iter_buckets(stream) if isinstance(stream, EventStream) else stream:
         signals = deriver.derive(bucket)
         antigens = [
             Antigen(ev.pid, ev.process_name, ev.timestamp)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from .errors import ConfigError
 from .events import MAX_DURATION, MIN_PACKET_SIZE, EventStream, PacketEvent, ProcessEvent
@@ -46,13 +46,18 @@ def _poisson(rng: random.Random, lam: float) -> int:
         k += 1
 
 
-def _check_event_fields(**values) -> None:
-    """Reject the pids below 1 and the labels not of one word: events carry both."""
-    for name, value in values.items():
-        if isinstance(value, str) and value.split() != [value]:
-            raise ConfigError(f"{name} must be one word, got {value!r}")
-        if isinstance(value, int) and value <= 0:
-            raise ConfigError(f"{name} must be positive, got {value}")
+def _check_fields(profile, *event_fields: str) -> None:
+    """Reject non-finite floats, which pass every range check, and in the fields
+    that events carry, pids below 1 and labels not of one word."""
+    for f in fields(profile):
+        value = getattr(profile, f.name)
+        for v in value if isinstance(value, tuple) else (value,):
+            if isinstance(v, float) and not math.isfinite(v):
+                raise ConfigError(f"{f.name} must be finite, got {v}")
+            if f.name in event_fields and isinstance(v, str) and v.split() != [v]:
+                raise ConfigError(f"{f.name} must be one word, got {v!r}")
+            if f.name in event_fields and isinstance(v, int) and v <= 0:
+                raise ConfigError(f"{f.name} must be positive, got {v}")
 
 
 @dataclass(frozen=True)
@@ -92,8 +97,7 @@ class ScanProfile:
             raise ConfigError("salvo_rate must be positive")
         if not 0 <= self.open_port_fraction <= 1 or not 0 <= self.icmp_reply_rate <= 1:
             raise ConfigError("fractions must be in [0, 1]")
-        _check_event_fields(scanner_pid=self.scanner_pid, parent_pid=self.parent_pid,
-                            scanner_label=self.scanner_label, parent_label=self.parent_label)
+        _check_fields(self, "scanner_pid", "parent_pid", "scanner_label", "parent_label")
         if self.relay_packet_size < MIN_PACKET_SIZE:
             raise ConfigError(f"relay_packet_size must be at least {MIN_PACKET_SIZE}")
 
@@ -127,8 +131,7 @@ class NormalProfile:
             raise ConfigError("mean_packet_size must stay in the normal band [70, 90]")
         if self.tcp_fraction + self.udp_fraction > 1:
             raise ConfigError("protocol fractions exceed 1")
-        _check_event_fields(browser_pid=self.browser_pid, browser_label=self.browser_label,
-                            child_pids=min(self.child_pids, default=1))
+        _check_fields(self, "browser_pid", "browser_label", "child_pids")
 
 
 def _scan_syscalls(procs, pid, label, t, count, spread):
@@ -263,7 +266,7 @@ class SessionProfile:
     login_time: float = 2.0
 
     def __post_init__(self):
-        _check_event_fields(sshd_pid=self.sshd_pid, sshd_label=self.sshd_label)
+        _check_fields(self, "sshd_pid", "sshd_label")
         if not 0 <= self.login_time <= MAX_DURATION:
             raise ConfigError(f"login_time must lie in [0, {MAX_DURATION:g}]")
 

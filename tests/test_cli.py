@@ -79,6 +79,23 @@ def test_pipeline_rejects_event_breaking_config_at_load(tmp_path, capsys, settin
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("kind, setting", [
+    ("passive-normal", "scan.salvo_rate = nan"),  # used to raise a ValueError traceback
+    ("active-normal", "normal.syscall_rate = inf"),  # used to raise an OverflowError traceback
+    ("active-normal", "normal.mean_pps = nan"),  # used to write a file without desktop packets
+])
+def test_generate_rejects_non_finite_profile_values(tmp_path, capsys, kind, setting):
+    conf = tmp_path / "bad.conf"
+    conf.write_text(setting + "\n")
+    out = tmp_path / "x.txt"
+    code = main(["generate", kind, "--duration", "100", "--seed", "1",
+                 "--config", str(conf), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error: ") and "must be finite" in err
+    assert not out.exists()
+
+
 def test_generate_without_scan(tmp_path):
     out = tmp_path / "quiet.txt"
     code = main(["generate", "active-normal", "--duration", "60",
@@ -172,6 +189,29 @@ def test_run_rejects_invalid_event_files(tmp_path, capsys, text, fragment):
     assert code == 2
     err = capsys.readouterr().err
     assert err == f"error: {fragment}\n"
+    assert not out.exists()
+
+
+def test_run_reports_a_corrupt_line_deep_in_a_valid_file(small_events, tmp_path, capsys):
+    lines = small_events.read_text().splitlines(keepends=True)
+    assert len(lines) > 3000
+    lines[2999] = "P 40.5 sent tcp syn\n"
+    events = tmp_path / "events.txt"
+    events.write_text("".join(lines))
+    out = tmp_path / "out.csv"
+    code = main(["run", str(events), "--seed", "1", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == "error: line 3000: packet line needs 6 or 7 fields, got 5\n"
+    assert not out.exists()
+
+
+def test_run_reports_a_replay_error_before_a_later_parse_error(tmp_path, capsys):
+    # The file is read as it is replayed: second 1 runs once line 2 is read.
+    events = tmp_path / "events.txt"
+    events.write_text("E 1 5 sshd logout\nP 3 sent udp - 60\nP bad\n")
+    out = tmp_path / "out.csv"
+    assert main(["run", str(events), "--seed", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: logout at t=1.0 with no open root session\n"
     assert not out.exists()
 
 

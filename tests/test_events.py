@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import math
 import random
 import re
@@ -17,9 +18,9 @@ from dcascan.events import (
     PacketEvent,
     ProcessEvent,
     TickBucket,
-    bucket_count,
     iter_buckets,
     parse_stream,
+    read_buckets,
     serialize_stream,
 )
 from dcascan.scenario import DATASET_KINDS, gen_dataset
@@ -220,7 +221,7 @@ def test_bucket_boundaries_floor():
 
 def test_bucket_count_long_stream():
     stream = EventStream([PacketEvent(6999.5, "sent", "udp", None, 60)], [], 7000.0)
-    assert bucket_count(stream) == 7000
+    assert len(list(iter_buckets(stream))) == 7000
 
 
 def test_event_at_integral_duration_gets_a_bucket():
@@ -258,3 +259,72 @@ def test_replay_is_pure():
 def test_replay_handler_called_once_per_second():
     stream = EventStream([], [], 12.0)
     assert list(iter_buckets(stream)) == [TickBucket(second) for second in range(12)]
+
+
+# Valid event lines: times drawn from a few integral and fractional values, so
+# that equal timestamps and whole-second boundaries are common.
+_TIMES = st.lists(st.sampled_from([0, 0.25, 1, 1.5, 2, 2.999, 3, 7, 7.5]), max_size=12).map(sorted)
+_BODIES = st.sampled_from(["P {} sent tcp syn 40", "P {} recv udp - 60",
+                           "P {} recv icmp - 56 dest_unreachable", "E {} 41 nmap syscall",
+                           "E {} 7 sshd login"])
+
+
+@st.composite
+def _event_texts(draw):
+    times = draw(_TIMES)
+    lines = [draw(_BODIES).format(t) for t in times]
+    header = draw(st.sampled_from(["absent", "first", "last"]))
+    if header != "absent":
+        line = f"# duration={max([draw(st.sampled_from([0, 7.5, 8, 12.25])), *times])!r}"
+        lines = [line, *lines] if header == "first" else [*lines, line]
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+@settings(deadline=None, max_examples=200)
+@given(_event_texts())
+def test_read_buckets_matches_iter_buckets_and_places_each_event_once(text):
+    stream = parse_stream(text)
+    buckets = list(read_buckets(io.StringIO(text)))
+    assert buckets == list(iter_buckets(stream))
+    assert [b.second for b in buckets] == list(range(len(buckets)))
+    for events, key in ((stream.packet_events, "packet_events"),
+                        (stream.process_events, "process_events")):
+        placed = [(b.second, ev) for b in buckets for ev in getattr(b, key)]
+        assert [ev for _, ev in placed] == events
+        assert all(second == math.floor(ev.timestamp) for second, ev in placed)
+
+
+def test_read_buckets_yields_before_reading_the_whole_file():
+    handed_out = 0
+
+    def lines():
+        nonlocal handed_out
+        for second in range(100):
+            handed_out += 1
+            yield f"P {second}.5 sent udp - 60\n"
+
+    first = next(read_buckets(lines()))
+    assert first == TickBucket(0, [PacketEvent(0.5, "sent", "udp", None, 60)])
+    assert handed_out == 2  # the event of second 1 closes bucket 0
+
+
+@pytest.mark.parametrize("text, events", [
+    ("P 1 sent udp - 60\r\nP 2 sent udp - 60\rE 3 5 sshd syscall", 3),
+    # other str.splitlines separators do not end a line: one 12-field line
+    ("P 1 sent udp - 60\x85P 2 sent udp - 60", None),
+    ("P 1 sent udp - 60\u2028P 2 sent udp - 60", None),
+])
+def test_both_readers_end_lines_where_a_text_file_does(tmp_path, text, events):
+    path = tmp_path / "events.txt"
+    path.write_bytes(text.encode("utf-8"))
+    if events is None:
+        with pytest.raises(StreamParseError, match="^line 1: packet line needs 6 or 7 fields"):
+            parse_stream(text)
+        with pytest.raises(StreamParseError, match="^line 1: packet line needs 6 or 7 fields"):
+            with open(path, encoding="utf-8") as fh:
+                list(read_buckets(fh))
+        return
+    stream = parse_stream(text)
+    assert stream.event_count == events
+    with open(path, encoding="utf-8") as fh:
+        assert list(read_buckets(fh)) == list(iter_buckets(stream))

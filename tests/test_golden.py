@@ -36,6 +36,15 @@ def test_pipeline_output_digests(kind, tmp_path, capsys):
     assert digests == GOLDEN[kind]
 
 
+@pytest.mark.parametrize("kind", sorted(GOLDEN))
+def test_run_reproduces_the_pipeline_presentations(kind, tmp_path, capsys):
+    events, out = tmp_path / "events.txt", tmp_path / "presentations.csv"
+    assert main(["generate", kind, "--duration", "500", "--seed", "7", "--out", str(events)]) == 0
+    code = main(["run", str(events), "--seed", "7", "--out", str(out)])
+    assert code == 0, capsys.readouterr().err
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN[kind]["presentations.csv"]
+
+
 # sha256 of the events.txt that the runs above write; `generate` with the same
 # arguments writes the same file.
 EVENTS_GOLDEN = {

@@ -133,6 +133,10 @@ def test_scan_profile_validation():
         ScanProfile(parent_label="")
     with pytest.raises(ConfigError, match="relay_packet_size must be at least 20"):
         ScanProfile(relay_packet_size=19)
+    # NaN and inf pass the range checks above; they are rejected on their own
+    for name in ("salvo_rate", "probe_interval", "start_time"):
+        with pytest.raises(ConfigError, match=f"{name} must be finite, got nan"):
+            ScanProfile(**{name: float("nan")})
 
 
 # --------------------------------------------------------------------------
@@ -176,6 +180,12 @@ def test_normal_profile_validation():
         NormalProfile(child_pids=(2871, -1))
     with pytest.raises(ConfigError, match="browser_label must be one word"):
         NormalProfile(browser_label="fire\tfox")
+    with pytest.raises(ConfigError, match="mean_pps must be finite, got nan"):
+        NormalProfile(mean_pps=float("nan"))
+    with pytest.raises(ConfigError, match="syscall_rate must be finite, got inf"):
+        NormalProfile(syscall_rate=float("inf"))
+    with pytest.raises(ConfigError, match="download_length must be finite, got inf"):
+        NormalProfile(download_length=(5.0, float("inf")))
     NormalProfile(child_pids=())  # the browser may run without children
     NormalProfile(mean_pps=0, mean_packet_size=60.0)  # size band only matters when active
 
@@ -192,6 +202,8 @@ def test_session_profile_validation():
     for login_time in (-1.0, float("nan"), 86_400.5):
         with pytest.raises(ConfigError, match="login_time"):
             SessionProfile(login_time=login_time)
+    with pytest.raises(ConfigError, match="sshd_syscall_rate must be finite, got inf"):
+        SessionProfile(sshd_syscall_rate=float("inf"))
     SessionProfile(login_time=0.0)
 
 
