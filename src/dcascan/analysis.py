@@ -132,7 +132,7 @@ def classify(summaries: dict[str, LabelSummary],
     """Per-label verdict from mean MCAV and the amount of evidence."""
     verdicts = {}
     for label, summary in summaries.items():
-        if summary.presentations < config.min_confidence:
+        if summary.presentations < config.min_confidence or summary.windows == 0:
             verdicts[label] = VERDICT_INSUFFICIENT
         elif summary.mean_mcav > config.mcav_threshold:
             verdicts[label] = VERDICT_ANOMALOUS

@@ -11,11 +11,13 @@ comment lines.  Sections map onto the dataclasses of the package:
     session.*   monitoring session framing
     analysis.*  window size, verdict thresholds
 
-Tuple-valued fields take comma-separated values.
+Tuple-valued fields take comma-separated values.  Numbers must be finite:
+NaN and infinity pass the sections' range checks, so ``_coerce`` rejects them.
 """
 
 from __future__ import annotations
 
+import math
 import types
 import typing
 from dataclasses import dataclass, field, fields, replace
@@ -63,16 +65,15 @@ def load_flat_config(path) -> dict[str, str]:
 
 
 def _coerce(raw: str, typ, key: str):
-    if typ is int:
+    if typ in (int, float):
         try:
-            return int(raw)
+            value = typ(raw)
         except ValueError:
-            raise ConfigError(f"{key}: expected an integer, got {raw!r}") from None
-    if typ is float:
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(f"{key}: expected a number, got {raw!r}") from None
+            expected = "an integer" if typ is int else "a number"
+            raise ConfigError(f"{key}: expected {expected}, got {raw!r}") from None
+        if typ is float and not math.isfinite(value):
+            raise ConfigError(f"{key} must be finite, got {raw!r}")
+        return value
     if typ is str:
         return raw
     if typ is bool:

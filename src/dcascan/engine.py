@@ -112,6 +112,11 @@ def combine_categories(signals: SignalVector) -> tuple[float, float, float, int]
     )
 
 
+# Upper bound of population_size, tissue_capacity and cell_store_capacity:
+# the engine allocates its cells and tissue slots up front.
+MAX_SIZE = 1_000_000
+
+
 @dataclass(frozen=True)
 class EngineConfig:
     population_size: int = 100
@@ -124,12 +129,11 @@ class EngineConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.population_size <= 0 or self.tissue_capacity <= 0:
-            raise ConfigError("population and tissue capacity must be positive")
+        for name in ("population_size", "tissue_capacity", "cell_store_capacity"):
+            if not 0 < getattr(self, name) <= MAX_SIZE:
+                raise ConfigError(f"{name} must lie in [1, {MAX_SIZE:,}]")
         if self.antigens_per_update <= 0 or self.antigens_per_update > self.tissue_capacity:
             raise ConfigError("antigens_per_update must be in [1, tissue_capacity]")
-        if self.cell_store_capacity <= 0:
-            raise ConfigError("cell store capacity must be positive")
         if self.threshold_min <= 0:
             raise ConfigError("migration thresholds must be positive")
         if self.threshold_min > self.threshold_max:

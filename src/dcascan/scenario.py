@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 from .errors import ConfigError
 from .events import MAX_DURATION, MIN_PACKET_SIZE, EventStream, PacketEvent, ProcessEvent
@@ -47,24 +47,21 @@ def _poisson(rng: random.Random, lam: float) -> int:
 
 
 def _check_fields(profile, *event_fields: str) -> None:
-    """Reject non-finite floats, which pass every range check, and in the fields
-    that events carry, pids below 1 and labels not of one word."""
-    for f in fields(profile):
-        value = getattr(profile, f.name)
+    """Reject, in the named fields that events carry, pids below 1 and labels
+    not of one word."""
+    for name in event_fields:
+        value = getattr(profile, name)
         for v in value if isinstance(value, tuple) else (value,):
-            if isinstance(v, float) and not math.isfinite(v):
-                raise ConfigError(f"{f.name} must be finite, got {v}")
-            if f.name in event_fields and isinstance(v, str) and v.split() != [v]:
-                raise ConfigError(f"{f.name} must be one word, got {v!r}")
-            if f.name in event_fields and isinstance(v, int) and v <= 0:
-                raise ConfigError(f"{f.name} must be positive, got {v}")
+            if isinstance(v, str) and v.split() != [v]:
+                raise ConfigError(f"{name} must be one word, got {v!r}")
+            if isinstance(v, int) and v <= 0:
+                raise ConfigError(f"{name} must be positive, got {v}")
 
 
 @dataclass(frozen=True)
 class ScanProfile:
     """Shape of the synthetic SYN scan."""
 
-    start_time: float = 0.0
     target_count: int = 254
     hosts_up: int = 70
     ports_per_host: int | None = None
@@ -83,8 +80,6 @@ class ScanProfile:
     relay_packet_size: int = 150
 
     def __post_init__(self):
-        if self.start_time < 0:
-            raise ConfigError("scan start_time must be non-negative")
         if self.target_count <= 0:
             raise ConfigError("target_count must be positive")
         if not 0 < self.hosts_up <= self.target_count:
@@ -139,8 +134,8 @@ def _scan_syscalls(procs, pid, label, t, count, spread):
         procs.append(ProcessEvent(round(t + i * spread, 4), pid, label, "syscall"))
 
 
-def gen_syn_scan(profile: ScanProfile, rng: random.Random):
-    """Generate one scan fragment.
+def gen_syn_scan(profile: ScanProfile, rng: random.Random, start: float = 0.0):
+    """Generate one scan fragment whose first salvo is due at ``start``.
 
     Returns (packet_events, process_events, salvo_seconds); lists are in
     emission order, not yet sorted.
@@ -158,7 +153,7 @@ def gen_syn_scan(profile: ScanProfile, rng: random.Random):
     salvo_seconds: list[int] = []
     remaining = total_probes
     for s in range(n_salvos):
-        base = profile.start_time + s * period
+        base = start + s * period
         sec = int(base + rng.uniform(0.0, 0.2 * period))
         salvo_seconds.append(sec)
         probes = min(salvo_size, remaining)
@@ -299,7 +294,7 @@ def gen_dataset(kind: str, duration: float, seed: int, *,
     session = session or SessionProfile()
     if scan_start is None:
         scan_start = round(_DEFAULT_SCAN_START_FRAC * duration, 1)
-    if scan_start >= duration:
+    if not 0 <= scan_start < duration:
         raise ConfigError("scan_start lies outside the session")
     if scan_duration is None:
         scan_duration = _DEFAULT_SCAN_LEN_FRAC * duration
@@ -309,7 +304,6 @@ def gen_dataset(kind: str, duration: float, seed: int, *,
     if scan.ports_per_host is None and include_scan:
         per_host = max(1, round(scan_duration / scan.probe_interval / scan.target_count))
         scan = replace(scan, ports_per_host=per_host)
-    scan = replace(scan, start_time=scan_start)
 
     rng = random.Random(seed)
     packets: list[PacketEvent] = []
@@ -322,7 +316,7 @@ def gen_dataset(kind: str, duration: float, seed: int, *,
                                       session.sshd_label, "syscall"))
     salvo_seconds: list[int] = []
     if include_scan:
-        scan_packets, scan_procs, salvo_seconds = gen_syn_scan(scan, rng)
+        scan_packets, scan_procs, salvo_seconds = gen_syn_scan(scan, rng, scan_start)
         packets += scan_packets
         procs += scan_procs
     if kind == "active-normal":

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from .errors import ConfigError, ValidationError
 from .events import TickBucket
 
-SIZE_WEIGHTINGS = ("packets", "seconds")
 SIGNAL_MAX = 100.0
 
 
@@ -43,13 +42,8 @@ class SignalConfig:
     ss2_step_bounds: tuple[float, ...] = (45.0, 50.0, 60.0)
     ss2_step_values: tuple[float, ...] = (0.0, 10.0, 50.0)
     ss2_top: float = 100.0
-    # "packets" averages sizes over all packets of the window, "seconds"
-    # averages the per-second means.
-    ss2_weighting: str = "packets"
 
     def __post_init__(self):
-        if self.ss2_weighting not in SIZE_WEIGHTINGS:
-            raise ConfigError(f"unknown ss2 weighting {self.ss2_weighting!r}")
         if len(self.ss2_step_bounds) != len(self.ss2_step_values):
             raise ConfigError("ss2 step bounds and values differ in length")
         if any(b >= c for b, c in zip(self.ss2_step_bounds, self.ss2_step_bounds[1:])):
@@ -58,8 +52,8 @@ class SignalConfig:
             raise ConfigError("ss2 window must cover at least one second")
         if self.ds1_scale <= 0 or self.ds1_input_cap <= 0 or self.ss1_delta_max <= 0:
             raise ConfigError("signal scale parameters must be positive")
-        if not 0.0 <= self.icmp_multiplier < math.inf:
-            raise ConfigError(f"icmp_multiplier={self.icmp_multiplier} must be finite and >= 0")
+        if not self.icmp_multiplier >= 0:
+            raise ConfigError(f"icmp_multiplier={self.icmp_multiplier} must be >= 0")
         # Every signal must land in [0, SIGNAL_MAX]; reject scores that can
         # only break that range here rather than on the first tick.
         scores = {"ss2_default": self.ss2_default, "ss2_top": self.ss2_top}
@@ -71,7 +65,7 @@ class SignalConfig:
 
 @dataclass(frozen=True, slots=True)
 class SignalVector:
-    """One second's worth of normalized input signals."""
+    """One second's signals: each in [0, SIGNAL_MAX] under any config that loads."""
 
     pamp1: float
     pamp2: float
@@ -80,14 +74,6 @@ class SignalVector:
     ss1: float
     ss2: float
     inflammation: int
-
-    def __post_init__(self):
-        for name in ("pamp1", "pamp2", "ds1", "ds2", "ss1", "ss2"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= SIGNAL_MAX:
-                raise ValidationError(f"{name}={v} outside [0, 100]")
-        if self.inflammation not in (0, 1):
-            raise ValidationError(f"inflammation must be 0 or 1, got {self.inflammation}")
 
 
 def icmp_unreachable_pamp(rate: float, config: SignalConfig = SignalConfig()) -> float:
@@ -113,7 +99,9 @@ def send_rate_danger(pps: float, config: SignalConfig = SignalConfig()) -> float
     if pps < 0:
         raise ValidationError(f"negative rate {pps}")
     x = min(pps, config.ds1_input_cap)
-    return SIGNAL_MAX / (1.0 + math.exp(-(x - config.ds1_midpoint) / config.ds1_scale))
+    z = (config.ds1_midpoint - x) / config.ds1_scale
+    # Past exp(700) the curve is below 1e-302; stop before exp overflows.
+    return 0.0 if z > 700.0 else SIGNAL_MAX / (1.0 + math.exp(z))
 
 
 def tcp_ratio_danger(tcp_packets: int, all_packets: int) -> float:
@@ -167,13 +155,9 @@ class SignalDeriver:
                 return cfg.ss2_default
             return self._last_ss2
         self._size_window.append((size_sum, packet_count))
-        if cfg.ss2_weighting == "packets":
-            total_bytes = sum(b for b, _ in self._size_window)
-            total_packets = sum(c for _, c in self._size_window)
-            mean = total_bytes / total_packets
-        else:
-            mean = sum(b / c for b, c in self._size_window) / len(self._size_window)
-        value = size_step_safe(mean, cfg)
+        total_bytes = sum(b for b, _ in self._size_window)
+        total_packets = sum(c for _, c in self._size_window)
+        value = size_step_safe(total_bytes / total_packets, cfg)
         self._last_ss2 = value
         return value
 

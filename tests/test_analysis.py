@@ -144,6 +144,15 @@ def test_classify_three_verdicts():
     }
 
 
+def test_classify_without_a_complete_window_is_insufficient():
+    # 6 records never fill a window of 10; mean_mcav 0.0 is a default, not evidence.
+    config = AnalysisConfig(window_size=10, min_confidence=0)
+    records = [_rec("nmap", 1)] * 6
+    summaries = session_summary(records, config)
+    assert summaries["nmap"].windows == 0
+    assert classify(summaries, config) == {"nmap": VERDICT_INSUFFICIENT}
+
+
 def test_classify_threshold_is_strict():
     config = AnalysisConfig(window_size=2, mcav_threshold=0.5, min_confidence=0)
     half = [_rec("even", 1), _rec("even", 0)] * 2

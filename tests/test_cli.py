@@ -96,6 +96,46 @@ def test_generate_rejects_non_finite_profile_values(tmp_path, capsys, kind, sett
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, value", [
+    # each used to run to exit 0 with 0 presentations or every MCAV at 0.000
+    ("engine.threshold_min", "nan"),
+    ("engine.threshold_max", "inf"),
+    ("weights.csm_pamp", "nan"),
+    ("weights.mature_safe", "nan"),
+    ("weights.inflammation_base", "inf"),
+    # used to fail on tick 0, after events.txt was written
+    ("signals.ds1_midpoint", "nan"),
+    ("signals.ds1_scale", "nan"),
+])
+def test_pipeline_rejects_non_finite_config_numbers_at_load(tmp_path, capsys, key, value):
+    conf = tmp_path / "bad.conf"
+    conf.write_text(f"{key} = {value}\n")
+    out_dir = tmp_path / "run"
+    code = main(["pipeline", "passive-normal", "--duration", "300", "--seed", "7",
+                 "--config", str(conf), "--out-dir", str(out_dir)])
+    assert code == 2
+    assert capsys.readouterr().err == f"config error: {key} must be finite, got '{value}'\n"
+    assert not out_dir.exists()
+
+
+def test_pipeline_survives_a_steep_ds1_curve(tmp_path):
+    # ds1_scale = 0.5 used to raise OverflowError in math.exp on an idle second.
+    conf = tmp_path / "steep.conf"
+    conf.write_text("signals.ds1_scale = 0.5\n")
+    code = main(["pipeline", "passive-normal", "--duration", "60", "--seed", "7",
+                 "--config", str(conf), "--out-dir", str(tmp_path / "run")])
+    assert code == 0
+
+
+def test_pipeline_without_a_complete_window_gives_no_verdict(tmp_path, capsys):
+    # 300 s fills no 10,000-record window; this used to print "nmap: normal".
+    code = main(["pipeline", "passive-normal", "--duration", "300", "--seed", "7",
+                 "--out-dir", str(tmp_path / "run")])
+    assert code == 0
+    assert "nmap: insufficient-evidence (mean mcav 0.000 over 5529 presentations)" \
+        in capsys.readouterr().out
+
+
 def test_generate_without_scan(tmp_path):
     out = tmp_path / "quiet.txt"
     code = main(["generate", "active-normal", "--duration", "60",

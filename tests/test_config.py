@@ -1,6 +1,9 @@
 """Flat config parsing and the layered override machinery."""
 
+import re
+import typing
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -11,7 +14,7 @@ from dcascan.config import (
     build_config,
     parse_flat_config,
 )
-from dcascan.engine import EngineConfig, WeightMatrix
+from dcascan.engine import MAX_SIZE, EngineConfig, WeightMatrix
 from dcascan.errors import ConfigError
 from dcascan.scenario import NormalProfile, ScanProfile, SessionProfile
 from dcascan.signals import SignalConfig
@@ -23,12 +26,12 @@ def test_parse_basic_lines():
     engine.population_size = 100
 
     analysis.window_size= 5000
-    signals.ss2_weighting =seconds
+    scan.scanner_label =zmap
     """
     assert parse_flat_config(text) == {
         "engine.population_size": "100",
         "analysis.window_size": "5000",
-        "signals.ss2_weighting": "seconds",
+        "scan.scanner_label": "zmap",
     }
 
 
@@ -85,9 +88,8 @@ EVERY_KEY = {
     "signals": {"icmp_multiplier": 4.0, "ds1_midpoint": 350.0, "ds1_scale": 60.0,
                 "ds1_input_cap": 900.0, "ss1_delta_max": 400.0, "ss2_window_seconds": 30,
                 "ss2_default": 90.0, "ss2_step_bounds": (40.0, 55.0, 70.0),
-                "ss2_step_values": (5.0, 20.0, 60.0), "ss2_top": 95.0,
-                "ss2_weighting": "seconds"},
-    "scan": {"start_time": 5.0, "target_count": 100, "hosts_up": 30, "ports_per_host": 7,
+                "ss2_step_values": (5.0, 20.0, 60.0), "ss2_top": 95.0},
+    "scan": {"target_count": 100, "hosts_up": 30, "ports_per_host": 7,
              "probe_interval": 0.1, "scanner_pid": 4000, "scanner_label": "zmap",
              "parent_pid": 3999, "parent_label": "tty", "open_port_fraction": 0.1,
              "icmp_reply_rate": 0.2, "salvo_rate": 300.0, "syscalls_per_probe": 3,
@@ -117,13 +119,15 @@ def _flat_text(value) -> str:
     return str(value)
 
 
+SECTION_CLASSES = {
+    "engine": EngineConfig, "weights": WeightMatrix, "signals": SignalConfig,
+    "scan": ScanProfile, "normal": NormalProfile, "session": SessionProfile,
+    "analysis": AnalysisConfig,
+}
+
+
 def test_every_field_of_every_section_round_trips():
-    section_classes = {
-        "engine": EngineConfig, "weights": WeightMatrix, "signals": SignalConfig,
-        "scan": ScanProfile, "normal": NormalProfile, "session": SessionProfile,
-        "analysis": AnalysisConfig,
-    }
-    for section, cls in section_classes.items():
+    for section, cls in SECTION_CLASSES.items():
         # engine.weights is a section of its own, not a flat key.
         names = {f.name for f in fields(cls)} - ({"weights"} if cls is EngineConfig else set())
         assert set(EVERY_KEY[section]) == names, section
@@ -158,6 +162,9 @@ def test_override_typed_values():
     [
         ({"nosuch.key": "1"}, "unknown config section"),
         ({"engine.nosuch": "1"}, "unknown config key"),
+        # keys deleted because they had no effect or only one value in use
+        ({"scan.start_time": "5"}, "unknown config key scan.start_time"),
+        ({"signals.ss2_weighting": "packets"}, "unknown config key signals.ss2_weighting"),
         ({"flat": "1"}, "section.key"),
         ({"engine.population_size": "tiny"}, "expected an integer"),
         ({"normal.mean_pps": "fast"}, "expected a number"),
@@ -168,6 +175,52 @@ def test_override_typed_values():
 def test_override_rejects_bad_input(flat, fragment):
     with pytest.raises(ConfigError, match=fragment):
         apply_overrides(PipelineConfig(), flat)
+
+
+def _float_settings():
+    """(key, text with one {} for the bad number) for every float-carrying key;
+    a tuple key keeps its default values but the last."""
+    for section, cls in SECTION_CLASSES.items():
+        hints = typing.get_type_hints(cls)
+        for f in fields(cls):
+            hint = hints[f.name]
+            if hint is float:
+                yield f"{section}.{f.name}", "{}"
+            elif typing.get_origin(hint) is tuple and float in typing.get_args(hint):
+                head = [str(v) for v in getattr(cls(), f.name)[:-1]]
+                yield f"{section}.{f.name}", ", ".join([*head, "{}"])
+
+
+FLOAT_SETTINGS = list(_float_settings())
+
+
+def test_float_settings_cover_every_section():
+    assert {key.partition(".")[0] for key, _ in FLOAT_SETTINGS} == set(SECTION_CLASSES)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key, template", FLOAT_SETTINGS)
+def test_every_float_key_rejects_non_finite_values(key, template, bad):
+    with pytest.raises(ConfigError, match=rf"^{re.escape(key)} must be finite, got '{bad}'$"):
+        apply_overrides(PipelineConfig(), {key: template.format(bad)})
+
+
+@pytest.mark.parametrize("name", ["population_size", "tissue_capacity", "cell_store_capacity"])
+def test_engine_sizes_are_bounded_at_load(name):
+    # Loading only: no engine is built, so nothing of that size is allocated.
+    loaded = apply_overrides(PipelineConfig(), {f"engine.{name}": str(MAX_SIZE)})
+    assert getattr(loaded.engine, name) == MAX_SIZE
+    with pytest.raises(ConfigError, match=f"{name} must lie in"):
+        apply_overrides(PipelineConfig(), {f"engine.{name}": str(MAX_SIZE + 1)})
+
+
+def test_readme_configuration_block_loads():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Configuration\n", 1)[1]
+    block = section.split("```\n", 2)[1]
+    flat = parse_flat_config(block)
+    assert len(flat) >= 5
+    apply_overrides(PipelineConfig(), flat)
 
 
 def test_override_runs_section_validation():

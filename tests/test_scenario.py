@@ -82,6 +82,12 @@ def test_probe_lands_inside_its_salvo_second():
     assert packets[0].timestamp - salvos[0] == pytest.approx(0.02)
 
 
+def test_scan_start_shifts_every_salvo():
+    _, _, at_zero = gen_syn_scan(ScanProfile(ports_per_host=2), random.Random(3))
+    _, _, later = gen_syn_scan(ScanProfile(ports_per_host=2), random.Random(3), start=100)
+    assert later == [sec + 100 for sec in at_zero]
+
+
 def test_gen_scan_requires_ports_per_host():
     with pytest.raises(ConfigError, match="ports_per_host"):
         gen_syn_scan(ScanProfile(), random.Random(0))
@@ -133,10 +139,6 @@ def test_scan_profile_validation():
         ScanProfile(parent_label="")
     with pytest.raises(ConfigError, match="relay_packet_size must be at least 20"):
         ScanProfile(relay_packet_size=19)
-    # NaN and inf pass the range checks above; they are rejected on their own
-    for name in ("salvo_rate", "probe_interval", "start_time"):
-        with pytest.raises(ConfigError, match=f"{name} must be finite, got nan"):
-            ScanProfile(**{name: float("nan")})
 
 
 # --------------------------------------------------------------------------
@@ -180,12 +182,6 @@ def test_normal_profile_validation():
         NormalProfile(child_pids=(2871, -1))
     with pytest.raises(ConfigError, match="browser_label must be one word"):
         NormalProfile(browser_label="fire\tfox")
-    with pytest.raises(ConfigError, match="mean_pps must be finite, got nan"):
-        NormalProfile(mean_pps=float("nan"))
-    with pytest.raises(ConfigError, match="syscall_rate must be finite, got inf"):
-        NormalProfile(syscall_rate=float("inf"))
-    with pytest.raises(ConfigError, match="download_length must be finite, got inf"):
-        NormalProfile(download_length=(5.0, float("inf")))
     NormalProfile(child_pids=())  # the browser may run without children
     NormalProfile(mean_pps=0, mean_packet_size=60.0)  # size band only matters when active
 
@@ -202,8 +198,6 @@ def test_session_profile_validation():
     for login_time in (-1.0, float("nan"), 86_400.5):
         with pytest.raises(ConfigError, match="login_time"):
             SessionProfile(login_time=login_time)
-    with pytest.raises(ConfigError, match="sshd_syscall_rate must be finite, got inf"):
-        SessionProfile(sshd_syscall_rate=float("inf"))
     SessionProfile(login_time=0.0)
 
 
@@ -223,6 +217,8 @@ def test_dataset_rejects_bad_arguments():
         gen_dataset("passive_normal", 0, 1)
     with pytest.raises(ConfigError):
         gen_dataset("passive_normal", 100, 1, scan_start=100)
+    with pytest.raises(ConfigError, match="scan_start lies outside the session"):
+        gen_dataset("passive_normal", 100, 1, scan_start=-5)
     with pytest.raises(ConfigError, match="scan_duration must be positive"):
         gen_dataset("passive_normal", 100, 1, scan_duration=-50)
     with pytest.raises(ConfigError, match="duration must lie in"):

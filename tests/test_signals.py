@@ -10,13 +10,15 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dcascan.config import PipelineConfig, apply_overrides
 from dcascan.errors import ConfigError, ValidationError
 from dcascan.events import PacketEvent, ProcessEvent, TickBucket
 from dcascan.signals import (
     SignalConfig,
     SignalDeriver,
-    SignalVector,
     icmp_unreachable_pamp,
     rate_stability_safe,
     rst_rate_pamp,
@@ -81,6 +83,13 @@ def test_ds1_monotone():
         assert send_rate_danger(a) <= send_rate_danger(b)
 
 
+def test_ds1_steep_curve_does_not_overflow():
+    # (400 - 0) / 0.5 = 800 used to overflow math.exp on an idle second.
+    steep = SignalConfig(ds1_scale=0.5)
+    assert send_rate_danger(0, steep) == 0.0
+    assert send_rate_danger(1000, steep) == 100.0
+
+
 def test_ds2_ratio():
     assert tcp_ratio_danger(0, 0) == 0.0
     assert tcp_ratio_danger(50, 100) == 50.0
@@ -119,8 +128,6 @@ def test_ss2_step_monotone():
 
 def test_signal_config_validation():
     with pytest.raises(ConfigError):
-        SignalConfig(ss2_weighting="bytes")
-    with pytest.raises(ConfigError):
         SignalConfig(ss2_step_bounds=(50.0, 45.0, 60.0))
     with pytest.raises(ConfigError):
         SignalConfig(ds1_scale=0)
@@ -148,13 +155,6 @@ def test_signal_config_rejects_scores_outside_range(kwargs, fragment):
 
 def test_signal_config_accepts_range_edges():
     SignalConfig(ss2_top=0.0, ss2_default=100.0, ss2_step_values=(0.0, 0.0, 100.0))
-
-
-def test_signal_vector_range_checks():
-    with pytest.raises(ValidationError):
-        SignalVector(101, 0, 0, 0, 0, 0, 0)
-    with pytest.raises(ValidationError):
-        SignalVector(0, 0, 0, 0, 0, 0, 2)
 
 
 def _packet(t, direction="sent", proto="tcp", flags=("syn",), size=40, icmp=None):
@@ -236,21 +236,18 @@ def test_ss2_window_evicts_after_sixty_seconds():
     assert sv.ss2 == 100.0            # all small-packet seconds have rolled out
 
 
-def test_ss2_weighting_modes_differ():
+def test_ss2_mean_is_packet_weighted():
     # One second with many small packets, one with a single large packet.
     buckets = [
         [_packet(0.001 * i, "sent", "udp", None, 40) for i in range(199)],
         [_packet(1.5, "sent", "udp", None, 1400)],
     ]
-    by_packets = SignalDeriver(SignalConfig(ss2_weighting="packets"))
-    by_seconds = SignalDeriver(SignalConfig(ss2_weighting="seconds"))
-    for mode in (by_packets, by_seconds):
-        for sec, packets in enumerate(buckets):
-            mode.derive(_bucket(sec, packets))
-    # Weighted by packets the mean is 46.8; per-second means average to 720.
-    # An idle second repeats the last score.
-    assert by_packets.derive(_bucket(2)).ss2 == 10.0
-    assert by_seconds.derive(_bucket(2)).ss2 == 100.0
+    deriver = SignalDeriver()
+    for sec, packets in enumerate(buckets):
+        deriver.derive(_bucket(sec, packets))
+    # Weighted by packets the mean is 46.8, not the 720 of the per-second
+    # means.  An idle second repeats the last score.
+    assert deriver.derive(_bucket(2)).ss2 == 10.0
 
 
 def test_inflammation_sessions():
@@ -296,6 +293,62 @@ def test_all_signals_stay_in_range():
         sv = deriver.derive(_random_bucket(rng, second))
         for name in ("pamp1", "pamp2", "ds1", "ds2", "ss1", "ss2"):
             assert 0.0 <= getattr(sv, name) <= 100.0
+        assert sv.inflammation in (0, 1)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_SCORE = st.floats(min_value=0.0, max_value=100.0)
+
+
+@st.composite
+def _signal_overrides(draw) -> dict[str, str]:
+    """Flat ``signals.*`` settings of random finite values that load."""
+    steps = draw(st.integers(1, 4))
+    values = {
+        "icmp_multiplier": draw(st.floats(min_value=0.0, allow_infinity=False)),
+        "ds1_midpoint": draw(_FINITE),
+        "ds1_scale": draw(_POSITIVE),
+        "ds1_input_cap": draw(_POSITIVE),
+        "ss1_delta_max": draw(_POSITIVE),
+        "ss2_window_seconds": draw(st.integers(1, 120)),
+        "ss2_default": draw(_SCORE),
+        "ss2_step_bounds": sorted(draw(st.lists(_FINITE, min_size=steps, max_size=steps,
+                                                unique=True))),
+        "ss2_step_values": draw(st.lists(_SCORE, min_size=steps, max_size=steps)),
+        "ss2_top": draw(_SCORE),
+    }
+    return {f"signals.{name}": ", ".join(map(str, v)) if isinstance(v, list) else str(v)
+            for name, v in values.items()}
+
+
+_PACKET = st.tuples(st.sampled_from(("sent", "recv")),
+                    st.sampled_from(("tcp", "udp", "icmp", "other")),
+                    st.sampled_from(("syn", "ack", "rst")),
+                    st.sampled_from(("dest_unreachable", "echo_reply")),
+                    st.integers(20, 1500))
+# (distinct packets, copies of each, logins, logouts) per second
+_BUCKET = st.tuples(st.lists(_PACKET, max_size=20), st.integers(1, 100),
+                    st.integers(0, 2), st.integers(0, 2))
+
+
+@settings(deadline=None)
+@given(_signal_overrides(), st.lists(_BUCKET, max_size=8))
+def test_signals_stay_in_range_under_any_loaded_config(overrides, buckets):
+    deriver = SignalDeriver(apply_overrides(PipelineConfig(), overrides).signals)
+    sessions = 0
+    for second, (kinds, copies, logins, logouts) in enumerate(buckets):
+        packets = [PacketEvent(second + 0.5, direction, proto,
+                               frozenset((flag,)) if proto == "tcp" else None, size,
+                               icmp if proto == "icmp" else None)
+                   for direction, proto, flag, icmp, size in kinds] * copies
+        logouts = min(logouts, sessions + logins)
+        sessions += logins - logouts
+        procs = [ProcessEvent(second + 0.5, 1, "sshd", kind)
+                 for kind in ["login"] * logins + ["logout"] * logouts]
+        sv = deriver.derive(_bucket(second, packets, procs))
+        for name in ("pamp1", "pamp2", "ds1", "ds2", "ss1", "ss2"):
+            assert 0.0 <= getattr(sv, name) <= 100.0, (name, sv)
         assert sv.inflammation in (0, 1)
 
 
