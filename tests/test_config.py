@@ -162,14 +162,14 @@ def test_override_typed_values():
     [
         ({"nosuch.key": "1"}, "unknown config section"),
         ({"engine.nosuch": "1"}, "unknown config key"),
-        # keys deleted because they had no effect or only one value in use
-        ({"scan.start_time": "5"}, "unknown config key scan.start_time"),
-        ({"signals.ss2_weighting": "packets"}, "unknown config key signals.ss2_weighting"),
         ({"flat": "1"}, "section.key"),
         ({"engine.population_size": "tiny"}, "expected an integer"),
         ({"normal.mean_pps": "fast"}, "expected a number"),
         ({"analysis.include_partial": "perhaps"}, "expected a boolean"),
         ({"normal.activity_length": "1, 2, 3"}, "comma-separated"),
+        # keys deleted because they had no effect or only one value in use
+        ({"scan.start_time": "5"}, "unknown config key scan.start_time"),
+        ({"signals.ss2_weighting": "packets"}, "unknown config key signals.ss2_weighting"),
     ],
 )
 def test_override_rejects_bad_input(flat, fragment):
