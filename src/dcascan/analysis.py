@@ -13,9 +13,9 @@ import csv
 import statistics
 from dataclasses import dataclass, field
 
-from .engine import Antigen, PresentationRecord
+from .engine import PresentationRecord
 from .errors import ConfigError, ValidationError
-from .events import format_time
+from .events import ProcessEvent, format_time
 
 
 @dataclass(frozen=True)
@@ -78,7 +78,7 @@ def compute_mcav_windows(records: list[PresentationRecord],
         )
         counts: dict[str, list[int]] = {}
         for record in chunk:
-            pair = counts.setdefault(record.antigen.label, [0, 0])
+            pair = counts.setdefault(record.antigen.process_name, [0, 0])
             pair[0] += 1
             pair[1] += record.context
         for label in sorted(counts):
@@ -93,25 +93,23 @@ def compute_mcav_windows(records: list[PresentationRecord],
     return windows
 
 
-def session_summary(records: list[PresentationRecord],
+def session_summary(windows: list[McavWindow],
                     config: AnalysisConfig = AnalysisConfig()) -> dict[str, LabelSummary]:
-    """Average the per-window MCAVs per label over the whole session.
+    """Average the per-window MCAVs of ``compute_mcav_windows`` per label.
 
     Windows where a label never appears do not contribute to its mean, and
     a trailing partial window is left out unless configured otherwise.
-    Proportions cover every record, partial window included.
+    Counts and proportions cover every record, partial window included.
     """
-    windows = compute_mcav_windows(records, config)
-    total_records = len(records)
+    total_records = sum(window.size for window in windows)
     session_counts: dict[str, int] = {}
-    for record in records:
-        session_counts[record.antigen.label] = session_counts.get(record.antigen.label, 0) + 1
-    per_label_mcavs: dict[str, list[float]] = {label: [] for label in session_counts}
+    per_label_mcavs: dict[str, list[float]] = {}
     for window in windows:
-        if window.partial and not config.include_partial:
-            continue
         for label, stats in window.labels.items():
-            per_label_mcavs[label].append(stats.mcav)
+            session_counts[label] = session_counts.get(label, 0) + stats.presentations
+            mcavs = per_label_mcavs.setdefault(label, [])
+            if not window.partial or config.include_partial:
+                mcavs.append(stats.mcav)
     summaries: dict[str, LabelSummary] = {}
     for label in sorted(session_counts):
         mcavs = per_label_mcavs[label]
@@ -122,7 +120,7 @@ def session_summary(records: list[PresentationRecord],
             mean_mcav=mean,
             std_mcav=std,
             presentations=session_counts[label],
-            proportion=session_counts[label] / total_records if total_records else 0.0,
+            proportion=session_counts[label] / total_records,
         )
     return summaries
 
@@ -146,12 +144,12 @@ def write_presentations(records: list[PresentationRecord], path) -> None:
         writer = csv.writer(fh)
         writer.writerow(["presented_at", "pid", "label", "context"])
         for r in records:
-            writer.writerow([format_time(r.presented_at), r.antigen.pid, r.antigen.label, r.context])
+            writer.writerow([format_time(r.presented_at), r.antigen.pid, r.antigen.process_name, r.context])
 
 
 def read_presentations(path) -> list[PresentationRecord]:
-    """Load a presentation log; arrival times are not kept in the log, so
-    the rebuilt antigens reuse the presentation time."""
+    """Load a presentation log; each antigen is rebuilt as a syscall event
+    stamped with its presentation time, since the log keeps no event times."""
     records: list[PresentationRecord] = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -171,7 +169,7 @@ def read_presentations(path) -> list[PresentationRecord]:
                 raise ValidationError(f"row {line_no}: {exc}") from None
             if context not in (0, 1):
                 raise ValidationError(f"row {line_no}: context must be 0 or 1")
-            records.append(PresentationRecord(Antigen(pid, row[2], t), context, t))
+            records.append(PresentationRecord(ProcessEvent(t, pid, row[2], "syscall"), context, t))
     return records
 
 

@@ -19,7 +19,7 @@ from dataclasses import replace
 from . import analysis, pipeline
 from .config import PipelineConfig, build_config
 from .errors import ConfigError, DcaError
-from .events import read_buckets, save_stream
+from .events import iter_buckets, read_buckets, save_stream
 from .scenario import DATASET_KINDS, gen_dataset
 
 
@@ -134,11 +134,11 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _run_and_write(args, config: PipelineConfig, stream, out, trace_out):
-    """Replay the stream or its buckets with the engine seeded from --seed, write
-    the presentation log and, when ``trace_out`` is set, the signal trace."""
+def _run_and_write(args, config: PipelineConfig, buckets, out, trace_out):
+    """Replay the buckets with the engine seeded from --seed, write the
+    presentation log and, when ``trace_out`` is set, the signal trace."""
     result = pipeline.run_stream(
-        stream,
+        buckets,
         replace(config.engine, seed=args.seed),
         config.signals,
         audit_every=args.audit_every,
@@ -162,7 +162,7 @@ def cmd_run(args) -> int:
 
 def _analyze_records(records, out_dir, analysis_config) -> None:
     windows = analysis.compute_mcav_windows(records, analysis_config)
-    summaries = analysis.session_summary(records, analysis_config)
+    summaries = analysis.session_summary(windows, analysis_config)
     verdicts = analysis.classify(summaries, analysis_config)
     os.makedirs(out_dir, exist_ok=True)
     analysis.write_mcav_csv(windows, os.path.join(out_dir, "mcav.csv"))
@@ -192,7 +192,7 @@ def cmd_pipeline(args) -> int:
     save_stream(stream, events_path)
     print(f"generated {events_path}: {stream.event_count} events")
     trace_out = os.path.join(args.out_dir, "signals.csv") if args.signal_trace else None
-    result = _run_and_write(args, config, stream,
+    result = _run_and_write(args, config, iter_buckets(stream),
                             os.path.join(args.out_dir, "presentations.csv"), trace_out)
     print(f"replayed {result.ticks} ticks: {len(result.records)} presentations")
     _analyze_records(result.records, args.out_dir, _analysis_config(config, args))

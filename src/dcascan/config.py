@@ -59,11 +59,6 @@ def parse_flat_config(text: str) -> dict[str, str]:
     return values
 
 
-def load_flat_config(path) -> dict[str, str]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_flat_config(fh.read())
-
-
 def _coerce(raw: str, typ, key: str):
     if typ in (int, float):
         try:
@@ -138,4 +133,5 @@ def build_config(config_path=None) -> PipelineConfig:
     """Defaults, overlaid with an optional config file."""
     if config_path is None:
         return PipelineConfig()
-    return apply_overrides(PipelineConfig(), load_flat_config(config_path))
+    with open(config_path, "r", encoding="utf-8") as fh:
+        return apply_overrides(PipelineConfig(), parse_flat_config(fh.read()))

@@ -1,10 +1,10 @@
 """Dendritic cell population engine.
 
-A tissue compartment buffers suspect items (antigen).  A fixed population
+A tissue compartment buffers suspect items (antigen): each is a syscall
+``events.ProcessEvent``, stored and presented as parsed.  A fixed population
 of cells samples the tissue every tick, fuses the signal vector into three
-cumulative outputs and, once sufficiently stimulated, migrates: every
-stored antigen is presented with a binary context and the cell is
-recycled.
+cumulative outputs and, once sufficiently stimulated, migrates: every stored
+antigen is presented with a binary context and the cell is recycled.
 """
 
 from __future__ import annotations
@@ -15,16 +15,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .errors import ConfigError, EngineInvariantError
+from .events import ProcessEvent
 from .signals import SignalVector
-
-
-@dataclass(frozen=True, slots=True)
-class Antigen:
-    """A suspect item: one system call attributed to a process."""
-
-    pid: int
-    label: str
-    arrival_time: float
 
 
 @dataclass(frozen=True, slots=True)
@@ -34,7 +26,7 @@ class PresentationRecord:
     context is 1 when the cell matured (anomalous surroundings), else 0.
     """
 
-    antigen: Antigen
+    antigen: ProcessEvent
     context: int
     presented_at: float
 
@@ -149,7 +141,7 @@ class TissueCompartment:
 
     def __init__(self, capacity: int):
         self.capacity = capacity
-        self.slots: list[Antigen | None] = [None] * capacity
+        self.slots: list[ProcessEvent | None] = [None] * capacity
         self._free = list(range(capacity - 1, -1, -1))
         self._residents: OrderedDict[int, None] = OrderedDict()
         self.stored_total = 0
@@ -159,10 +151,10 @@ class TissueCompartment:
     def occupied_count(self) -> int:
         return len(self._residents)
 
-    def store(self, antigen: Antigen) -> None:
+    def store(self, antigen: ProcessEvent) -> None:
         self.store_all((antigen,))
 
-    def store_all(self, antigens: Sequence[Antigen]) -> None:
+    def store_all(self, antigens: Sequence[ProcessEvent]) -> None:
         """Store arrivals in order, each overwriting the oldest when full."""
         slots, free, residents = self.slots, self._free, self._residents
         overwritten = 0
@@ -177,7 +169,7 @@ class TissueCompartment:
         self.overwritten_total += overwritten
         self.stored_total += len(antigens)
 
-    def take(self, idx: int) -> Antigen | None:
+    def take(self, idx: int) -> ProcessEvent | None:
         antigen = self.slots[idx]
         if antigen is not None:
             self.slots[idx] = None
@@ -194,7 +186,7 @@ class DendriticCell:
     def __init__(self, store_capacity: int, migration_threshold: float):
         self.store_capacity = store_capacity
         self.migration_threshold = migration_threshold
-        self.antigen_store: list[Antigen] = []
+        self.antigen_store: list[ProcessEvent] = []
         self.csm = 0.0
         self.semi = 0.0
         self.mature = 0.0
@@ -252,7 +244,7 @@ class DcaEngine:
         self.presented_total = 0
         self.ticks_run = 0
 
-    def tick(self, signals: SignalVector, antigens: list[Antigen], now: float) -> list[PresentationRecord]:
+    def tick(self, signals: SignalVector, antigens: list[ProcessEvent], now: float) -> list[PresentationRecord]:
         """Advance one virtual second and return any presentations.
 
         Order is fixed: new antigen enters the tissue, every cell samples

@@ -27,6 +27,8 @@ TCP_FLAGS = ("syn", "ack", "rst", "fin")  # also the order flags are written in
 _TCP_FLAG_SET = frozenset(TCP_FLAGS)
 ICMP_TYPES = ("dest_unreachable", "echo_request", "echo_reply", "time_exceeded", "other")
 PROCESS_KINDS = ("syscall", "login", "logout")
+# Parsed events share these strings, not one fresh copy per line.
+_PROCESS_KIND = {kind: kind for kind in PROCESS_KINDS}
 
 MIN_PACKET_SIZE = 20
 # Longest session, in seconds, that a file or the generator may describe.
@@ -144,9 +146,10 @@ def _parse_process(parts: list[str], line_no: int) -> ProcessEvent:
         raise StreamParseError(line_no, f"bad numeric field: {exc}") from None
     if pid <= 0:
         raise StreamParseError(line_no, f"pid must be positive, got {pid}")
-    if parts[4] not in PROCESS_KINDS:
+    kind = _PROCESS_KIND.get(parts[4])
+    if kind is None:
         raise StreamParseError(line_no, f"unknown process event kind {parts[4]!r}")
-    return ProcessEvent(ts, pid, parts[3], parts[4])
+    return ProcessEvent(ts, pid, parts[3], kind)
 
 
 def _time_error(line_no: int, name: str, value: float, last: float, limit: float):

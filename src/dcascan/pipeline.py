@@ -1,4 +1,4 @@
-"""Glue: replay an event stream through signal derivation and the engine."""
+"""Glue: replay one-second event buckets through signal derivation and the engine."""
 
 from __future__ import annotations
 
@@ -6,8 +6,8 @@ import csv
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .engine import Antigen, DcaEngine, EngineConfig, PresentationRecord
-from .events import EventStream, TickBucket, iter_buckets
+from .engine import DcaEngine, EngineConfig, PresentationRecord
+from .events import TickBucket
 from .signals import SignalConfig, SignalDeriver, SignalVector
 
 
@@ -19,14 +19,15 @@ class RunResult:
     audit: dict[str, int] = field(default_factory=dict)
 
 
-def run_stream(stream: EventStream | Iterable[TickBucket],
+def run_stream(buckets: Iterable[TickBucket],
                engine_config: EngineConfig | None = None,
                signal_config: SignalConfig | None = None,
                *,
                audit_every: int = 0,
                collect_trace: bool = False) -> RunResult:
-    """Replay the stream, or its buckets in order as ``events.read_buckets``
-    yields them, tick by tick through a fresh deriver and engine.
+    """Replay one-second buckets in order, as ``events.iter_buckets`` or
+    ``events.read_buckets`` yields them, tick by tick through a fresh deriver
+    and engine; each bucket's syscall events are the antigens, not copies.
 
     ``audit_every`` > 0 re-checks antigen conservation after every that
     many ticks and once more at the end.
@@ -34,13 +35,9 @@ def run_stream(stream: EventStream | Iterable[TickBucket],
     deriver = SignalDeriver(signal_config)
     engine = DcaEngine(engine_config)
     result = RunResult()
-    for bucket in iter_buckets(stream) if isinstance(stream, EventStream) else stream:
+    for bucket in buckets:
         signals = deriver.derive(bucket)
-        antigens = [
-            Antigen(ev.pid, ev.process_name, ev.timestamp)
-            for ev in bucket.process_events
-            if ev.kind == "syscall"
-        ]
+        antigens = [ev for ev in bucket.process_events if ev.kind == "syscall"]
         result.records.extend(engine.tick(signals, antigens, float(bucket.second)))
         if collect_trace:
             result.signal_trace.append((bucket.second, signals))

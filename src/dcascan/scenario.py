@@ -30,6 +30,12 @@ DATASET_KINDS = ("passive-normal", "active-normal")
 _DEFAULT_SCAN_START_FRAC = 0.093
 _DEFAULT_SCAN_LEN_FRAC = 0.857
 
+# Bounds of what the generator is asked to emit: probes per scan (the default
+# scan over the longest session sends about 1.48M) and events per second for
+# every Poisson rate of a profile, since each event drawn is one loop pass.
+MAX_PROBES = 2_000_000
+MAX_RATE = 10_000.0
+
 
 def _poisson(rng: random.Random, lam: float) -> int:
     if lam <= 0:
@@ -46,9 +52,9 @@ def _poisson(rng: random.Random, lam: float) -> int:
         k += 1
 
 
-def _check_fields(profile, *event_fields: str) -> None:
+def _check_fields(profile, *event_fields: str, rates: tuple[str, ...] = ()) -> None:
     """Reject, in the named fields that events carry, pids below 1 and labels
-    not of one word."""
+    not of one word, and per-second rates outside [0, MAX_RATE]."""
     for name in event_fields:
         value = getattr(profile, name)
         for v in value if isinstance(value, tuple) else (value,):
@@ -56,6 +62,10 @@ def _check_fields(profile, *event_fields: str) -> None:
                 raise ConfigError(f"{name} must be one word, got {v!r}")
             if isinstance(v, int) and v <= 0:
                 raise ConfigError(f"{name} must be positive, got {v}")
+    for name in rates:
+        value = getattr(profile, name)
+        if not 0 <= value <= MAX_RATE:
+            raise ConfigError(f"{name} must lie in [0, {MAX_RATE:g}] per second, got {value}")
 
 
 @dataclass(frozen=True)
@@ -120,13 +130,12 @@ class NormalProfile:
     sent_fraction: float = 0.45
 
     def __post_init__(self):
-        if self.mean_pps < 0 or self.syscall_rate < 0:
-            raise ConfigError("rates must be non-negative")
         if self.mean_pps > 0 and not 70 <= self.mean_packet_size <= 90:
             raise ConfigError("mean_packet_size must stay in the normal band [70, 90]")
         if self.tcp_fraction + self.udp_fraction > 1:
             raise ConfigError("protocol fractions exceed 1")
-        _check_fields(self, "browser_pid", "browser_label", "child_pids")
+        _check_fields(self, "browser_pid", "browser_label", "child_pids", rates=(
+            "mean_pps", "syscall_rate", "activity_pps", "download_pps", "stall_flush_syscalls"))
 
 
 def _scan_syscalls(procs, pid, label, t, count, spread):
@@ -261,7 +270,7 @@ class SessionProfile:
     login_time: float = 2.0
 
     def __post_init__(self):
-        _check_fields(self, "sshd_pid", "sshd_label")
+        _check_fields(self, "sshd_pid", "sshd_label", rates=("sshd_syscall_rate",))
         if not 0 <= self.login_time <= MAX_DURATION:
             raise ConfigError(f"login_time must lie in [0, {MAX_DURATION:g}]")
 
@@ -301,9 +310,13 @@ def gen_dataset(kind: str, duration: float, seed: int, *,
     elif scan_duration <= 0:
         raise ConfigError("scan_duration must be positive")
     scan_duration = min(scan_duration, duration - scan_start)
-    if scan.ports_per_host is None and include_scan:
-        per_host = max(1, round(scan_duration / scan.probe_interval / scan.target_count))
-        scan = replace(scan, ports_per_host=per_host)
+    if include_scan:
+        if scan.ports_per_host is None:
+            per_host = scan_duration / scan.probe_interval / scan.target_count
+            # The clamp keeps round() finite and still fails the bound below.
+            scan = replace(scan, ports_per_host=max(1, round(min(per_host, MAX_PROBES + 1))))
+        if scan.target_count * scan.ports_per_host > MAX_PROBES:
+            raise ConfigError(f"target_count x ports_per_host exceeds {MAX_PROBES:,} probes")
 
     rng = random.Random(seed)
     packets: list[PacketEvent] = []

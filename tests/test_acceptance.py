@@ -14,8 +14,9 @@ import pytest
 
 from dcascan.analysis import AnalysisConfig, compute_mcav_windows, session_summary
 from dcascan.cli import main as cli_main
-from dcascan.engine import Antigen, DcaEngine, DendriticCell, EngineConfig
+from dcascan.engine import DcaEngine, DendriticCell, EngineConfig
 from dcascan.errors import EngineInvariantError
+from dcascan.events import ProcessEvent, iter_buckets
 from dcascan.pipeline import run_stream
 from dcascan.scenario import gen_dataset
 from dcascan.signals import (
@@ -55,7 +56,7 @@ def _window_spans(records, size):
 
 
 def _label_mcav(records, label):
-    mine = [r for r in records if r.antigen.label == label]
+    mine = [r for r in records if r.antigen.process_name == label]
     return sum(r.context for r in mine) / len(mine) if mine else 0.0
 
 
@@ -97,7 +98,7 @@ def test_polar_streams_give_extreme_scores(capsys):
         labels = ("alpha", "beta", "gamma")
         records, n = [], 0
         for t in range(200):
-            antigens = [Antigen(5000 + n + j, labels[(n + j) % 3], float(t))
+            antigens = [ProcessEvent(float(t), 5000 + n + j, labels[(n + j) % 3], "syscall")
                         for j in range(9)]
             n += 9
             records += engine.tick(vector, antigens, float(t))
@@ -108,8 +109,12 @@ def test_polar_streams_give_extreme_scores(capsys):
     pamp = drive(SignalVector(100, 100, 0, 0, 0, 0, 0))
     elapsed = time.perf_counter() - start
     scoring = AnalysisConfig(window_size=50, include_partial=True)
-    safe_means = {lb: s.mean_mcav for lb, s in session_summary(safe, scoring).items()}
-    pamp_means = {lb: s.mean_mcav for lb, s in session_summary(pamp, scoring).items()}
+
+    def means(records):
+        windows = compute_mcav_windows(records, scoring)
+        return {lb: s.mean_mcav for lb, s in session_summary(windows, scoring).items()}
+
+    safe_means, pamp_means = means(safe), means(pamp)
     checks = [
         (len(safe_means) == 3 and len(pamp_means) == 3, "some label never presented"),
         (all(v == 0.0 for v in safe_means.values()),
@@ -128,7 +133,7 @@ def full_scale_run():
     start = time.perf_counter()
     error, result = None, None
     try:
-        result = run_stream(stream, audit_every=100)
+        result = run_stream(iter_buckets(stream), audit_every=100)
     except EngineInvariantError as exc:
         error = exc
     return result, time.perf_counter() - start, error
@@ -151,7 +156,7 @@ def test_lone_scan_windows_all_flagged(capsys):
     start = time.perf_counter()
     stream = gen_dataset("passive_normal", DESK_DURATION, 1,
                          scan_start=SCAN_START, scan_duration=SCAN_LENGTH)
-    result = run_stream(stream)
+    result = run_stream(iter_buckets(stream))
     elapsed = time.perf_counter() - start
     records = result.records
     windows = compute_mcav_windows(records, DESK_WINDOWS)
@@ -163,7 +168,7 @@ def test_lone_scan_windows_all_flagged(capsys):
         and "nmap" in w.labels
     ]
     scan_share = sum(1 for r in records
-                     if r.antigen.label in ("nmap", "pts")) / len(records)
+                     if r.antigen.process_name in ("nmap", "pts")) / len(records)
     checks = [
         (len(overlap_mcavs) >= 3, f"only {len(overlap_mcavs)} windows overlap the scan"),
         (all(v > 0.5 for v in overlap_mcavs),
@@ -181,7 +186,7 @@ def test_browsing_co_elevates_only_during_scan(capsys):
     start = time.perf_counter()
     stream = gen_dataset("active_normal", DESK_DURATION, 1,
                          scan_start=SCAN_START, scan_duration=SCAN_LENGTH)
-    result = run_stream(stream)
+    result = run_stream(iter_buckets(stream))
     elapsed = time.perf_counter() - start
     records = result.records
     windows = compute_mcav_windows(records, DESK_WINDOWS)

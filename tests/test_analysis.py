@@ -16,12 +16,17 @@ from dcascan.analysis import (
     write_mcav_csv,
     write_presentations,
 )
-from dcascan.engine import Antigen, PresentationRecord
+from dcascan.engine import PresentationRecord
 from dcascan.errors import ConfigError, ValidationError
+from dcascan.events import ProcessEvent
 
 
 def _rec(label, context, t=0.0, pid=1):
-    return PresentationRecord(Antigen(pid, label, t), context, t)
+    return PresentationRecord(ProcessEvent(t, pid, label, "syscall"), context, t)
+
+
+def _summarize(records, config):
+    return session_summary(compute_mcav_windows(records, config), config)
 
 
 def _example_records():
@@ -71,7 +76,7 @@ def test_windows_match_brute_force_recount():
     for w in windows:
         chunk = records[w.index * size:(w.index + 1) * size]
         for label, stats in w.labels.items():
-            mine = [r for r in chunk if r.antigen.label == label]
+            mine = [r for r in chunk if r.antigen.process_name == label]
             assert stats.presentations == len(mine)
             assert stats.mature == sum(r.context for r in mine)
             assert stats.mcav == pytest.approx(sum(r.context for r in mine) / len(mine))
@@ -91,7 +96,7 @@ def test_scores_ignore_order_within_a_window():
 def test_summary_uses_population_std():
     # one label, two full windows with MCAV 0 and 1
     records = [_rec("nmap", 0)] * 4 + [_rec("nmap", 1)] * 4
-    summary = session_summary(records, AnalysisConfig(window_size=4))["nmap"]
+    summary = _summarize(records, AnalysisConfig(window_size=4))["nmap"]
     assert summary.windows == 2
     assert summary.mean_mcav == 0.5
     assert summary.std_mcav == 0.5  # population form; the sample form gives ~0.707
@@ -101,7 +106,7 @@ def test_summary_uses_population_std():
 
 def test_summary_skips_windows_where_label_is_absent():
     records = [_rec("rare", 1)] * 2 + [_rec("common", 0)] * 2 + [_rec("common", 0)] * 4
-    summaries = session_summary(records, AnalysisConfig(window_size=4))
+    summaries = _summarize(records, AnalysisConfig(window_size=4))
     assert summaries["rare"].windows == 1
     assert summaries["rare"].mean_mcav == 1.0
     assert summaries["common"].windows == 2
@@ -109,21 +114,21 @@ def test_summary_skips_windows_where_label_is_absent():
 
 def test_summary_partial_window_excluded_by_default():
     records = _example_records()
-    default = session_summary(records, AnalysisConfig(window_size=10))
+    default = _summarize(records, AnalysisConfig(window_size=10))
     assert default["nmap"].windows == 2
     assert default["nmap"].mean_mcav == pytest.approx(0.8)
     assert default["nmap"].std_mcav == pytest.approx(0.2)
     assert default["nmap"].presentations == 16
     assert default["nmap"].proportion == pytest.approx(16 / 25)
 
-    kept = session_summary(records, AnalysisConfig(window_size=10, include_partial=True))
+    kept = _summarize(records, AnalysisConfig(window_size=10, include_partial=True))
     assert kept["nmap"].windows == 3
     assert kept["nmap"].mean_mcav == pytest.approx((1.0 + 0.6 + 0.0) / 3)
 
 
 def test_summary_label_only_in_partial_window():
     records = [_rec("a", 0)] * 4 + [_rec("tail", 1)] * 2
-    summaries = session_summary(records, AnalysisConfig(window_size=4))
+    summaries = _summarize(records, AnalysisConfig(window_size=4))
     assert summaries["tail"].windows == 0
     assert summaries["tail"].mean_mcav == 0.0
     assert summaries["tail"].presentations == 2
@@ -136,7 +141,7 @@ def test_classify_three_verdicts():
         + [_rec("cold", 0)] * 8       # mean MCAV 0.0
         + [_rec("thin", 1)] * 4       # anomalous-looking but too few records
     )
-    verdicts = classify(session_summary(records, config), config)
+    verdicts = classify(_summarize(records, config), config)
     assert verdicts == {
         "hot": VERDICT_ANOMALOUS,
         "cold": VERDICT_NORMAL,
@@ -148,7 +153,7 @@ def test_classify_without_a_complete_window_is_insufficient():
     # 6 records never fill a window of 10; mean_mcav 0.0 is a default, not evidence.
     config = AnalysisConfig(window_size=10, min_confidence=0)
     records = [_rec("nmap", 1)] * 6
-    summaries = session_summary(records, config)
+    summaries = _summarize(records, config)
     assert summaries["nmap"].windows == 0
     assert classify(summaries, config) == {"nmap": VERDICT_INSUFFICIENT}
 
@@ -156,7 +161,7 @@ def test_classify_without_a_complete_window_is_insufficient():
 def test_classify_threshold_is_strict():
     config = AnalysisConfig(window_size=2, mcav_threshold=0.5, min_confidence=0)
     half = [_rec("even", 1), _rec("even", 0)] * 2
-    verdicts = classify(session_summary(half, config), config)
+    verdicts = classify(_summarize(half, config), config)
     assert verdicts["even"] == VERDICT_NORMAL  # 0.5 is not above 0.5
 
 
@@ -187,7 +192,7 @@ def test_presentation_log_round_trip(tmp_path):
     assert len(loaded) == 3
     for orig, back in zip(records, loaded):
         assert back.antigen.pid == orig.antigen.pid
-        assert back.antigen.label == orig.antigen.label
+        assert back.antigen.process_name == orig.antigen.process_name
         assert back.context == orig.context
         assert back.presented_at == orig.presented_at
 

@@ -4,11 +4,12 @@ import pytest
 
 from dcascan.analysis import write_presentations
 from dcascan.cli import main
-from dcascan.engine import Antigen, PresentationRecord
+from dcascan.engine import PresentationRecord
+from dcascan.events import ProcessEvent
 
 
 def _rec(label, context, t, pid=1):
-    return PresentationRecord(Antigen(pid, label, t), context, t)
+    return PresentationRecord(ProcessEvent(t, pid, label, "syscall"), context, t)
 
 
 # --------------------------------------------------------------------------
@@ -93,6 +94,31 @@ def test_generate_rejects_non_finite_profile_values(tmp_path, capsys, kind, sett
     assert code == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("config error: ") and "must be finite" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind, setting", [
+    ("passive-normal", "scan.probe_interval = 0.000001"),  # about 86M probes: MemoryError
+    ("passive-normal", "scan.probe_interval = 5e-324"),  # an infinite port count: OverflowError
+    ("passive-normal", "scan.target_count = 1000000000"),  # one port on each of 1e9 targets
+    ("passive-normal", "scan.ports_per_host = 100000"),
+    # each looped about 1e9 times per virtual second
+    ("passive-normal", "session.sshd_syscall_rate = 1e9"),
+    ("active-normal", "normal.syscall_rate = 1e9"),
+    ("active-normal", "normal.mean_pps = 1e9"),
+    ("active-normal", "normal.activity_pps = 1e9"),
+    ("active-normal", "normal.download_pps = 1e9"),
+    ("active-normal", "normal.stall_flush_syscalls = 1e9"),
+])
+def test_generate_rejects_unbounded_output(tmp_path, capsys, kind, setting):
+    conf = tmp_path / "big.conf"
+    conf.write_text(setting + "\n")
+    out = tmp_path / "x.txt"
+    code = main(["generate", kind, "--duration", "100", "--seed", "1",
+                 "--config", str(conf), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error: ")
     assert not out.exists()
 
 

@@ -1,5 +1,6 @@
 """Tissue, cell, and population engine behaviour."""
 
+import io
 import math
 import random
 
@@ -8,7 +9,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dcascan.engine import (
-    Antigen,
     DcaEngine,
     DendriticCell,
     EngineConfig,
@@ -18,6 +18,9 @@ from dcascan.engine import (
     draw_slots,
 )
 from dcascan.errors import ConfigError, EngineInvariantError
+from dcascan.events import ProcessEvent, read_buckets, serialize_stream
+from dcascan.pipeline import run_stream
+from dcascan.scenario import gen_dataset
 from dcascan.signals import SignalVector
 
 
@@ -26,7 +29,7 @@ def _vector(pamp1=0.0, pamp2=0.0, ds1=0.0, ds2=0.0, ss1=0.0, ss2=0.0, inflammati
 
 
 def _antigen(i, label="proc"):
-    return Antigen(pid=1000 + i, label=label, arrival_time=float(i))
+    return ProcessEvent(float(i), 1000 + i, label, "syscall")
 
 
 # --------------------------------------------------------------------------
@@ -420,3 +423,22 @@ def test_same_seed_same_presentations():
     third = drive(DcaEngine(EngineConfig(seed=18)))
     assert first == second
     assert first != third
+
+
+# --------------------------------------------------------------------------
+# replay
+
+
+def test_presented_antigens_are_the_parsed_syscall_events():
+    text = serialize_stream(gen_dataset("passive-normal", 300, 7))
+    syscalls = []
+
+    def noting_syscalls(buckets):
+        for bucket in buckets:
+            syscalls.extend(ev for ev in bucket.process_events if ev.kind == "syscall")
+            yield bucket
+
+    result = run_stream(noting_syscalls(read_buckets(io.StringIO(text))))
+    parsed = {id(ev) for ev in syscalls}
+    assert result.records
+    assert all(id(record.antigen) in parsed for record in result.records)

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from dcascan.errors import StreamParseError
 from dcascan.events import (
     MAX_DURATION,
+    PROCESS_KINDS,
     EventStream,
     PacketEvent,
     ProcessEvent,
@@ -50,6 +51,16 @@ def test_parse_icmp_and_process_lines():
     assert stream.packet_events[0].tcp_flags is None
     e = stream.process_events[0]
     assert (e.pid, e.process_name, e.kind) == (4122, "nmap", "syscall")
+
+
+def test_parsed_process_kinds_are_the_shared_constants():
+    # One string per kind, not one per line: a presented event stays alive.
+    text = "E 1 5 sshd login\nE 2 5 sshd syscall\nE 3 5 sshd logout\n"
+    parsed = parse_stream(text).process_events
+    streamed = [ev for b in read_buckets(io.StringIO(text)) for ev in b.process_events]
+    assert [ev.kind for ev in parsed] == ["login", "syscall", "logout"]
+    for ev in parsed + streamed:
+        assert ev.kind is PROCESS_KINDS[PROCESS_KINDS.index(ev.kind)]
 
 
 def test_parse_reports_line_number():

@@ -5,9 +5,13 @@ from collections import Counter, defaultdict
 
 import pytest
 
+from dcascan import scenario
 from dcascan.errors import ConfigError
+from dcascan.events import MAX_DURATION
 from dcascan.scenario import (
     DATASET_KINDS,
+    MAX_PROBES,
+    MAX_RATE,
     NormalProfile,
     ScanProfile,
     SessionProfile,
@@ -184,6 +188,12 @@ def test_normal_profile_validation():
         NormalProfile(browser_label="fire\tfox")
     NormalProfile(child_pids=())  # the browser may run without children
     NormalProfile(mean_pps=0, mean_packet_size=60.0)  # size band only matters when active
+    for name in ("mean_pps", "syscall_rate", "activity_pps", "download_pps",
+                 "stall_flush_syscalls"):
+        NormalProfile(**{name: MAX_RATE})
+        for value in (-0.5, MAX_RATE + 1):
+            with pytest.raises(ConfigError, match=f"{name} must lie in \\[0, 10000\\]"):
+                NormalProfile(**{name: value})
 
 
 # --------------------------------------------------------------------------
@@ -199,6 +209,10 @@ def test_session_profile_validation():
         with pytest.raises(ConfigError, match="login_time"):
             SessionProfile(login_time=login_time)
     SessionProfile(login_time=0.0)
+    SessionProfile(sshd_syscall_rate=MAX_RATE)
+    for rate in (-0.5, MAX_RATE + 1):
+        with pytest.raises(ConfigError, match="sshd_syscall_rate must lie in"):
+            SessionProfile(sshd_syscall_rate=rate)
 
 
 def test_dataset_kinds_and_aliases():
@@ -223,6 +237,26 @@ def test_dataset_rejects_bad_arguments():
         gen_dataset("passive_normal", 100, 1, scan_duration=-50)
     with pytest.raises(ConfigError, match="duration must lie in"):
         gen_dataset("passive_normal", 86_400.5, 1)
+    too_wide = ScanProfile(target_count=MAX_PROBES + 1, hosts_up=1)
+    with pytest.raises(ConfigError, match="exceeds 2,000,000 probes"):
+        gen_dataset("passive_normal", 100, 1, scan=too_wide)
+    gen_dataset("passive_normal", 100, 1, scan=too_wide, include_scan=False)
+    with pytest.raises(ConfigError, match="exceeds 2,000,000 probes"):
+        gen_dataset("passive_normal", 100, 1, scan=ScanProfile(probe_interval=5e-324))
+
+
+def test_probe_bound_admits_the_default_scan_over_the_longest_session(monkeypatch):
+    class Generated(Exception):
+        pass
+
+    def note_profile(profile, rng, start):
+        raise Generated(profile)
+
+    monkeypatch.setattr(scenario, "gen_syn_scan", note_profile)
+    with pytest.raises(Generated) as generated:
+        gen_dataset("passive-normal", MAX_DURATION, 1)
+    scan = generated.value.args[0]
+    assert 1_400_000 < scan.target_count * scan.ports_per_host <= MAX_PROBES
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
