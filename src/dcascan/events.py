@@ -14,6 +14,7 @@ ignore comments still read the same events.
 from __future__ import annotations
 
 import io
+import itertools
 import math
 from dataclasses import dataclass, field
 from operator import attrgetter
@@ -25,6 +26,9 @@ DIRECTIONS = ("sent", "recv")
 PROTOCOLS = ("tcp", "udp", "icmp", "other")
 TCP_FLAGS = ("syn", "ack", "rst", "fin")  # also the order flags are written in
 _TCP_FLAG_SET = frozenset(TCP_FLAGS)
+# Every tcp flag set keyed by its written text, "-" for none; events share these sets.
+TCP_FLAG_SETS = {",".join(c) or "-": frozenset(c)
+                 for n in range(5) for c in itertools.combinations(TCP_FLAGS, n)}
 ICMP_TYPES = ("dest_unreachable", "echo_request", "echo_reply", "time_exceeded", "other")
 PROCESS_KINDS = ("syscall", "login", "logout")
 # Parsed events share these strings, not one fresh copy per line.
@@ -86,27 +90,35 @@ def format_time(t: float) -> str:
     return repr(t) if t != int(t) else str(int(t))
 
 
+def _flags_text(flags: frozenset[str]) -> str:
+    return ",".join(f for f in TCP_FLAGS if f in flags)
+
+
 def _packet_line(p: PacketEvent) -> str:
-    if p.tcp_flags:
-        flags = ",".join(f for f in TCP_FLAGS if f in p.tcp_flags)
-    else:
-        flags = "-"
+    flags = _flags_text(p.tcp_flags) if p.tcp_flags else "-"
     tail = f" {p.icmp_type}" if p.icmp_type is not None else ""
-    return f"P {format_time(p.timestamp)} {p.direction} {p.protocol} {flags} {p.size_bytes}{tail}"
+    return f"P {format_time(p.timestamp)} {p.direction} {p.protocol} {flags} {p.size_bytes}{tail}\n"
 
 
 def _process_line(e: ProcessEvent) -> str:
-    return f"E {format_time(e.timestamp)} {e.pid} {e.process_name} {e.kind}"
+    return f"E {format_time(e.timestamp)} {e.pid} {e.process_name} {e.kind}\n"
+
+
+def _merged(stream: EventStream) -> list[PacketEvent | ProcessEvent]:
+    """Both sorted event lists in time order, by one stable merge: packets first at equal times."""
+    return sorted(stream.packet_events + stream.process_events, key=attrgetter("timestamp"))
+
+
+def _lines(stream: EventStream) -> Iterator[str]:
+    """The lines of the event file, each ending in a newline, one at a time."""
+    yield f"{_DURATION_PREFIX}{stream.duration!r}\n"
+    for event in _merged(stream):
+        yield _packet_line(event) if type(event) is PacketEvent else _process_line(event)
 
 
 def serialize_stream(stream: EventStream) -> str:
     """Render a stream as event-file text.  Inverse of parse_stream."""
-    lines = [f"{_DURATION_PREFIX}{stream.duration!r}"]
-    merged: list[tuple[float, str]] = [(p.timestamp, _packet_line(p)) for p in stream.packet_events]
-    merged += [(e.timestamp, _process_line(e)) for e in stream.process_events]
-    merged.sort(key=lambda pair: pair[0])
-    lines.extend(text for _, text in merged)
-    return "\n".join(lines) + "\n"
+    return "".join(_lines(stream))
 
 
 def _parse_packet(parts: list[str], line_no: int) -> PacketEvent:
@@ -122,12 +134,13 @@ def _parse_packet(parts: list[str], line_no: int) -> PacketEvent:
         raise StreamParseError(line_no, f"unknown direction {direction!r}")
     if protocol not in PROTOCOLS:
         raise StreamParseError(line_no, f"unknown protocol {protocol!r}")
-    if flags_text == "-":
-        flags = frozenset() if protocol == "tcp" else None
-    else:
+    if flags_text == "-" and protocol != "tcp":
+        flags = None
+    elif protocol != "tcp" or (flags := TCP_FLAG_SETS.get(flags_text)) is None:
         flags = frozenset(flags_text.split(","))
         if protocol != "tcp" or not flags <= _TCP_FLAG_SET:
             raise StreamParseError(line_no, f"bad tcp flags {flags_text!r} for protocol {protocol}")
+        flags = TCP_FLAG_SETS[_flags_text(flags)]
     icmp_type = parts[6] if len(parts) == 7 else None
     if icmp_type not in (ICMP_TYPES if protocol == "icmp" else (None,)):
         raise StreamParseError(line_no, f"bad icmp type {icmp_type!r} for protocol {protocol}")
@@ -224,8 +237,9 @@ def load_stream(path) -> EventStream:
 
 
 def save_stream(stream: EventStream, path) -> None:
+    """Write a stream's event file line by line, never holding its whole text."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize_stream(stream))
+        fh.writelines(_lines(stream))
 
 
 def _bucketed(events: Iterable[PacketEvent | ProcessEvent], source) -> Iterator[TickBucket]:
@@ -252,9 +266,7 @@ def _bucketed(events: Iterable[PacketEvent | ProcessEvent], source) -> Iterator[
 
 def iter_buckets(stream: EventStream) -> Iterator[TickBucket]:
     """Yield one TickBucket per whole virtual second of the stream, in order."""
-    # Sorting the two sorted lists is one stable merge: equal times keep their order.
-    events = sorted(stream.packet_events + stream.process_events, key=attrgetter("timestamp"))
-    yield from _bucketed(events, stream)
+    yield from _bucketed(_merged(stream), stream)
 
 
 def read_buckets(lines: Iterable[str]) -> Iterator[TickBucket]:

@@ -21,7 +21,8 @@ import random
 from dataclasses import dataclass, replace
 
 from .errors import ConfigError
-from .events import MAX_DURATION, MIN_PACKET_SIZE, EventStream, PacketEvent, ProcessEvent
+from .events import (MAX_DURATION, MIN_PACKET_SIZE, TCP_FLAG_SETS, EventStream, PacketEvent,
+                     ProcessEvent)
 
 DATASET_KINDS = ("passive-normal", "active-normal")
 
@@ -31,10 +32,12 @@ _DEFAULT_SCAN_START_FRAC = 0.093
 _DEFAULT_SCAN_LEN_FRAC = 0.857
 
 # Bounds of what the generator is asked to emit: probes per scan (the default
-# scan over the longest session sends about 1.48M) and events per second for
-# every Poisson rate of a profile, since each event drawn is one loop pass.
+# scan over the longest session sends about 1.48M), events per second for
+# every Poisson rate of a profile, since each event drawn is one loop pass,
+# and events per probe, reply or salvo for each burst count of the scan.
 MAX_PROBES = 2_000_000
 MAX_RATE = 10_000.0
+MAX_BURST = 1_000
 
 
 def _poisson(rng: random.Random, lam: float) -> int:
@@ -103,6 +106,10 @@ class ScanProfile:
         if not 0 <= self.open_port_fraction <= 1 or not 0 <= self.icmp_reply_rate <= 1:
             raise ConfigError("fractions must be in [0, 1]")
         _check_fields(self, "scanner_pid", "parent_pid", "scanner_label", "parent_label")
+        for name in ("syscalls_per_probe", "syscalls_per_reply", "relay_syscalls_per_reply",
+                     "relay_packets_per_salvo"):
+            if not 0 <= getattr(self, name) <= MAX_BURST:
+                raise ConfigError(f"{name} must lie in [0, {MAX_BURST:,}], got {getattr(self, name)}")
         if self.relay_packet_size < MIN_PACKET_SIZE:
             raise ConfigError(f"relay_packet_size must be at least {MIN_PACKET_SIZE}")
 
@@ -170,17 +177,17 @@ def gen_syn_scan(profile: ScanProfile, rng: random.Random, start: float = 0.0):
         step = 0.92 / max(probes, 1)
         for j in range(probes):
             pt = round(sec + 0.02 + j * step, 4)
-            packets.append(PacketEvent(pt, "sent", "tcp", frozenset(("syn",)), 40))
+            packets.append(PacketEvent(pt, "sent", "tcp", TCP_FLAG_SETS["syn"], 40))
             _scan_syscalls(procs, profile.scanner_pid, profile.scanner_label,
                            pt, profile.syscalls_per_probe, 0.0002)
             if rng.random() < up_fraction:
                 rt = round(pt + 0.004, 4)
                 if rng.random() < profile.open_port_fraction:
-                    packets.append(PacketEvent(rt, "recv", "tcp", frozenset(("syn", "ack")), 44))
+                    packets.append(PacketEvent(rt, "recv", "tcp", TCP_FLAG_SETS["syn,ack"], 44))
                     packets.append(PacketEvent(round(rt + 0.002, 4), "sent", "tcp",
-                                               frozenset(("rst",)), 40))
+                                               TCP_FLAG_SETS["rst"], 40))
                 else:
-                    packets.append(PacketEvent(rt, "recv", "tcp", frozenset(("rst", "ack")), 40))
+                    packets.append(PacketEvent(rt, "recv", "tcp", TCP_FLAG_SETS["ack,rst"], 40))
                 _scan_syscalls(procs, profile.scanner_pid, profile.scanner_label,
                                rt, profile.syscalls_per_reply, 0.0002)
                 _scan_syscalls(procs, profile.parent_pid, profile.parent_label,
@@ -192,11 +199,11 @@ def gen_syn_scan(profile: ScanProfile, rng: random.Random, start: float = 0.0):
         n_relay = profile.relay_packets_per_salvo
         for m in range(n_relay):
             mt = round(sec + 0.05 + m * 0.9 / max(n_relay, 1), 4)
-            packets.append(PacketEvent(mt, "sent", "tcp", frozenset(("ack",)),
+            packets.append(PacketEvent(mt, "sent", "tcp", TCP_FLAG_SETS["ack"],
                                        profile.relay_packet_size))
             if m % 3 == 0:
                 packets.append(PacketEvent(round(mt + 0.003, 4), "recv", "tcp",
-                                           frozenset(("ack",)), 52))
+                                           TCP_FLAG_SETS["ack"], 52))
     return packets, procs, salvo_seconds
 
 
@@ -240,11 +247,11 @@ def gen_normal(profile: NormalProfile, duration: float, rng: random.Random,
                 if roll < profile.tcp_fraction:
                     flag_roll = rng.random()
                     if flag_roll < 0.05:
-                        flags = frozenset(("syn",))
+                        flags = TCP_FLAG_SETS["syn"]
                     elif flag_roll < 0.08:
-                        flags = frozenset(("fin", "ack"))
+                        flags = TCP_FLAG_SETS["ack,fin"]
                     else:
-                        flags = frozenset(("ack",))
+                        flags = TCP_FLAG_SETS["ack"]
                     packets.append(PacketEvent(ts, direction, "tcp", flags, size))
                 elif roll < profile.tcp_fraction + profile.udp_fraction:
                     packets.append(PacketEvent(ts, direction, "udp", None, size))

@@ -1,5 +1,9 @@
 """End-to-end behaviour of the dcascan command line."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from dcascan.analysis import write_presentations
@@ -119,6 +123,29 @@ def test_generate_rejects_unbounded_output(tmp_path, capsys, kind, setting):
     assert code == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("config error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("setting", [
+    # each used to loop until a MemoryError, so the command runs in a child with a timeout
+    "scan.syscalls_per_probe = 1000000000",
+    "scan.syscalls_per_reply = 1000000000",
+    "scan.relay_syscalls_per_reply = 1000000000",
+    "scan.relay_packets_per_salvo = 1000000000",
+])
+def test_generate_rejects_unbounded_scan_bursts(tmp_path, setting):
+    conf = tmp_path / "big.conf"
+    conf.write_text(setting + "\n")
+    out = tmp_path / "x.txt"
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from dcascan.cli import main; sys.exit(main())",
+         "generate", "passive-normal", "--duration", "100", "--seed", "1",
+         "--config", str(conf), "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("config error: ")
     assert not out.exists()
 
 

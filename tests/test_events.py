@@ -6,6 +6,7 @@ import io
 import math
 import random
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +23,7 @@ from dcascan.events import (
     iter_buckets,
     parse_stream,
     read_buckets,
+    save_stream,
     serialize_stream,
 )
 from dcascan.scenario import DATASET_KINDS, gen_dataset
@@ -339,3 +341,40 @@ def test_both_readers_end_lines_where_a_text_file_does(tmp_path, text, events):
     assert stream.event_count == events
     with open(path, encoding="utf-8") as fh:
         assert list(read_buckets(fh)) == list(iter_buckets(stream))
+
+
+@pytest.mark.parametrize("include_scan", [True, False])
+@pytest.mark.parametrize("kind", DATASET_KINDS)
+def test_saved_file_holds_the_serialized_text(tmp_path, kind, include_scan):
+    stream = gen_dataset(kind, 300, 7, include_scan=include_scan)
+    path = tmp_path / "events.txt"
+    save_stream(stream, path)
+    assert path.read_bytes() == serialize_stream(stream).encode("utf-8")
+
+
+@pytest.mark.parametrize("kind", DATASET_KINDS)
+def test_save_stream_writes_line_by_line(tmp_path, kind):
+    stream = gen_dataset(kind, 300, 7)
+    path = tmp_path / "events.txt"
+    tracemalloc.start()
+    try:
+        save_stream(stream, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Building the whole text first peaked at about 7x the file's size.
+    assert peak < 1.5 * path.stat().st_size
+
+
+def test_both_readers_share_one_set_per_flag_text(tmp_path):
+    text = ("P 1 sent tcp syn,ack 44\nP 2 recv tcp ack,syn 44\nP 3 sent tcp syn,ack 44\n"
+            "P 4 sent tcp - 40\nP 5 recv tcp - 40\n")
+    path = tmp_path / "events.txt"
+    path.write_text(text, encoding="utf-8")
+    with open(path, encoding="utf-8") as fh:
+        streamed = [p for b in read_buckets(fh) for p in b.packet_events]
+    parsed = parse_stream(text).packet_events
+    flags = [p.tcp_flags for p in parsed + streamed]
+    assert flags[:5] == [frozenset(("syn", "ack"))] * 3 + [frozenset()] * 2
+    assert len({id(f) for f in flags[:3] + flags[5:8]}) == 1
+    assert len({id(f) for f in flags[3:5] + flags[8:]}) == 1

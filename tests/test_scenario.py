@@ -7,9 +7,10 @@ import pytest
 
 from dcascan import scenario
 from dcascan.errors import ConfigError
-from dcascan.events import MAX_DURATION
+from dcascan.events import MAX_DURATION, parse_stream, serialize_stream
 from dcascan.scenario import (
     DATASET_KINDS,
+    MAX_BURST,
     MAX_PROBES,
     MAX_RATE,
     NormalProfile,
@@ -143,6 +144,16 @@ def test_scan_profile_validation():
         ScanProfile(parent_label="")
     with pytest.raises(ConfigError, match="relay_packet_size must be at least 20"):
         ScanProfile(relay_packet_size=19)
+
+
+@pytest.mark.parametrize("name", ["syscalls_per_probe", "syscalls_per_reply",
+                                  "relay_syscalls_per_reply", "relay_packets_per_salvo"])
+def test_scan_burst_counts_are_bounded(name):
+    ScanProfile(**{name: 0})
+    ScanProfile(**{name: MAX_BURST})
+    for value in (-1, MAX_BURST + 1):
+        with pytest.raises(ConfigError, match=f"^{name} must lie in \\[0, 1,000\\], got {value}$"):
+            ScanProfile(**{name: value})
 
 
 # --------------------------------------------------------------------------
@@ -323,3 +334,10 @@ def test_session_profile_defaults():
     assert len(logins) == 1
     assert logins[0].timestamp == session.login_time
     assert logins[0].process_name == "sshd"
+
+
+def test_generated_packets_share_their_flag_sets():
+    stream = gen_dataset("active-normal", 300, 7)
+    flags = [p.tcp_flags for p in stream.packet_events]
+    assert len({id(f) for f in flags if f is not None}) <= 6
+    assert [p.tcp_flags for p in parse_stream(serialize_stream(stream)).packet_events] == flags
