@@ -153,23 +153,27 @@ def read_presentations(path) -> list[PresentationRecord]:
     records: list[PresentationRecord] = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["presented_at", "pid", "label", "context"]:
-            raise ValidationError(f"unexpected presentation log header: {header}")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise ValidationError(f"row {line_no}: expected 4 columns, got {len(row)}")
-            try:
-                t = float(row[0])
-                pid = int(row[1])
-                context = int(row[3])
-            except ValueError as exc:
-                raise ValidationError(f"row {line_no}: {exc}") from None
-            if context not in (0, 1):
-                raise ValidationError(f"row {line_no}: context must be 0 or 1")
-            records.append(PresentationRecord(ProcessEvent(t, pid, row[2], "syscall"), context, t))
+        try:
+            header = next(reader, None)
+            if header != ["presented_at", "pid", "label", "context"]:
+                raise ValidationError(f"unexpected presentation log header: {header}")
+            for line_no, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != 4:
+                    raise ValidationError(f"row {line_no}: expected 4 columns, got {len(row)}")
+                try:
+                    t = float(row[0])
+                    pid = int(row[1])
+                    context = int(row[3])
+                except ValueError as exc:
+                    raise ValidationError(f"row {line_no}: {exc}") from None
+                if context not in (0, 1):
+                    raise ValidationError(f"row {line_no}: context must be 0 or 1")
+                records.append(PresentationRecord(ProcessEvent(t, pid, row[2], "syscall"), context, t))
+        except csv.Error as exc:
+            # A line csv cannot read, the header included, e.g. a field over its size limit.
+            raise ValidationError(f"row {reader.line_num}: {exc}") from None
     return records
 
 

@@ -19,7 +19,7 @@ from dataclasses import replace
 from . import analysis, pipeline
 from .config import PipelineConfig, build_config
 from .errors import ConfigError, DcaError
-from .events import iter_buckets, read_buckets, save_stream
+from .events import PacketEvent, iter_buckets, read_buckets, save_stream
 from .scenario import DATASET_KINDS, gen_dataset
 
 
@@ -129,8 +129,9 @@ def cmd_generate(args) -> int:
     config = build_config(args.config)
     stream = _generate_stream(args, config)
     save_stream(stream, args.out)
-    print(f"wrote {args.out}: {len(stream.packet_events)} packet events, "
-          f"{len(stream.process_events)} process events, duration {stream.duration:g}s")
+    packets = sum(type(event) is PacketEvent for event in stream.events)
+    print(f"wrote {args.out}: {packets} packet events, "
+          f"{stream.event_count - packets} process events, duration {stream.duration:g}s")
     return 0
 
 
@@ -139,8 +140,9 @@ def _run_and_write(args, config: PipelineConfig, buckets, out, trace_out):
     presentation log and, when ``trace_out`` is set, the signal trace."""
     result = pipeline.run_stream(
         buckets,
-        replace(config.engine, seed=args.seed),
+        config.engine,
         config.signals,
+        seed=args.seed,
         audit_every=args.audit_every,
         collect_trace=trace_out is not None,
     )

@@ -3,7 +3,7 @@
 A config file holds one ``section.key = value`` pair per line, with ``#``
 comment lines.  Sections map onto the dataclasses of the package:
 
-    engine.*    population sizing, thresholds, seed
+    engine.*    population sizing, thresholds
     weights.*   signal fusion weight matrix
     signals.*   signal normalization constants
     scan.*      synthetic scan shape

@@ -118,7 +118,6 @@ class EngineConfig:
     threshold_min: float = 100.0
     threshold_max: float = 300.0
     weights: WeightMatrix = field(default_factory=WeightMatrix)
-    seed: int = 0
 
     def __post_init__(self):
         for name in ("population_size", "tissue_capacity", "cell_store_capacity"):
@@ -150,9 +149,6 @@ class TissueCompartment:
     @property
     def occupied_count(self) -> int:
         return len(self._residents)
-
-    def store(self, antigen: ProcessEvent) -> None:
-        self.store_all((antigen,))
 
     def store_all(self, antigens: Sequence[ProcessEvent]) -> None:
         """Store arrivals in order, each overwriting the oldest when full."""
@@ -228,11 +224,11 @@ class DendriticCell:
 
 
 class DcaEngine:
-    """Deterministic driver of the tissue and the cell population."""
+    """Deterministic driver of the tissue and the cell population; ``seed`` fixes every draw."""
 
-    def __init__(self, config: EngineConfig | None = None):
+    def __init__(self, config: EngineConfig | None = None, seed: int = 0):
         self.config = config or EngineConfig()
-        self.rng = random.Random(self.config.seed)
+        self.rng = random.Random(seed)
         self.tissue = TissueCompartment(self.config.tissue_capacity)
         self.cells = [
             DendriticCell(

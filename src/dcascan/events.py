@@ -17,7 +17,6 @@ import io
 import itertools
 import math
 from dataclasses import dataclass, field
-from operator import attrgetter
 from typing import Iterable, Iterator
 
 from .errors import StreamParseError
@@ -35,6 +34,7 @@ PROCESS_KINDS = ("syscall", "login", "logout")
 _PROCESS_KIND = {kind: kind for kind in PROCESS_KINDS}
 
 MIN_PACKET_SIZE = 20
+MAX_PACKET_SIZE = 65_535  # the IPv4 total-length limit
 # Longest session, in seconds, that a file or the generator may describe.
 MAX_DURATION = 86_400.0
 
@@ -65,15 +65,14 @@ class ProcessEvent:
 
 @dataclass(slots=True)
 class EventStream:
-    """All events of one session, each list sorted by time; a plain record."""
+    """All events of one session in file order: by time, packets first at equal times."""
 
-    packet_events: list[PacketEvent] = field(default_factory=list)
-    process_events: list[ProcessEvent] = field(default_factory=list)
+    events: list[PacketEvent | ProcessEvent] = field(default_factory=list)
     duration: float = 0.0
 
     @property
     def event_count(self) -> int:
-        return len(self.packet_events) + len(self.process_events)
+        return len(self.events)
 
 
 @dataclass(slots=True)
@@ -104,15 +103,10 @@ def _process_line(e: ProcessEvent) -> str:
     return f"E {format_time(e.timestamp)} {e.pid} {e.process_name} {e.kind}\n"
 
 
-def _merged(stream: EventStream) -> list[PacketEvent | ProcessEvent]:
-    """Both sorted event lists in time order, by one stable merge: packets first at equal times."""
-    return sorted(stream.packet_events + stream.process_events, key=attrgetter("timestamp"))
-
-
 def _lines(stream: EventStream) -> Iterator[str]:
     """The lines of the event file, each ending in a newline, one at a time."""
     yield f"{_DURATION_PREFIX}{stream.duration!r}\n"
-    for event in _merged(stream):
+    for event in stream.events:
         yield _packet_line(event) if type(event) is PacketEvent else _process_line(event)
 
 
@@ -146,6 +140,8 @@ def _parse_packet(parts: list[str], line_no: int) -> PacketEvent:
         raise StreamParseError(line_no, f"bad icmp type {icmp_type!r} for protocol {protocol}")
     if size < MIN_PACKET_SIZE:
         raise StreamParseError(line_no, f"size {size} below minimum {MIN_PACKET_SIZE}")
+    if size > MAX_PACKET_SIZE:
+        raise StreamParseError(line_no, f"size {size} above maximum {MAX_PACKET_SIZE}")
     return PacketEvent(ts, direction, protocol, flags, size, icmp_type)
 
 
@@ -225,10 +221,7 @@ def parse_stream(text: str) -> EventStream:
     """Parse event-file text into an EventStream; every rule of _EventReader applies."""
     # newline=None ends lines where a file opened in text mode does, so both readers agree.
     reader = _EventReader(io.StringIO(text, newline=None))
-    packets, procs = [], []
-    for event in reader:
-        (packets if type(event) is PacketEvent else procs).append(event)
-    return EventStream(packets, procs, reader.duration)
+    return EventStream(list(reader), reader.duration)
 
 
 def load_stream(path) -> EventStream:
@@ -266,7 +259,7 @@ def _bucketed(events: Iterable[PacketEvent | ProcessEvent], source) -> Iterator[
 
 def iter_buckets(stream: EventStream) -> Iterator[TickBucket]:
     """Yield one TickBucket per whole virtual second of the stream, in order."""
-    yield from _bucketed(_merged(stream), stream)
+    yield from _bucketed(stream.events, stream)
 
 
 def read_buckets(lines: Iterable[str]) -> Iterator[TickBucket]:

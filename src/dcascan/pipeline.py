@@ -23,17 +23,19 @@ def run_stream(buckets: Iterable[TickBucket],
                engine_config: EngineConfig | None = None,
                signal_config: SignalConfig | None = None,
                *,
+               seed: int = 0,
                audit_every: int = 0,
                collect_trace: bool = False) -> RunResult:
     """Replay one-second buckets in order, as ``events.iter_buckets`` or
     ``events.read_buckets`` yields them, tick by tick through a fresh deriver
-    and engine; each bucket's syscall events are the antigens, not copies.
+    and an engine seeded with ``seed``; each bucket's syscall events are the
+    antigens, not copies.
 
     ``audit_every`` > 0 re-checks antigen conservation after every that
     many ticks and once more at the end.
     """
     deriver = SignalDeriver(signal_config)
-    engine = DcaEngine(engine_config)
+    engine = DcaEngine(engine_config, seed)
     result = RunResult()
     for bucket in buckets:
         signals = deriver.derive(bucket)

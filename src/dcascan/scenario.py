@@ -21,8 +21,8 @@ import random
 from dataclasses import dataclass, replace
 
 from .errors import ConfigError
-from .events import (MAX_DURATION, MIN_PACKET_SIZE, TCP_FLAG_SETS, EventStream, PacketEvent,
-                     ProcessEvent)
+from .events import (MAX_DURATION, MAX_PACKET_SIZE, MIN_PACKET_SIZE, TCP_FLAG_SETS, EventStream,
+                     PacketEvent, ProcessEvent)
 
 DATASET_KINDS = ("passive-normal", "active-normal")
 
@@ -110,8 +110,8 @@ class ScanProfile:
                      "relay_packets_per_salvo"):
             if not 0 <= getattr(self, name) <= MAX_BURST:
                 raise ConfigError(f"{name} must lie in [0, {MAX_BURST:,}], got {getattr(self, name)}")
-        if self.relay_packet_size < MIN_PACKET_SIZE:
-            raise ConfigError(f"relay_packet_size must be at least {MIN_PACKET_SIZE}")
+        if not MIN_PACKET_SIZE <= self.relay_packet_size <= MAX_PACKET_SIZE:
+            raise ConfigError(f"relay_packet_size must be at least {MIN_PACKET_SIZE} and at most {MAX_PACKET_SIZE}")
 
 
 @dataclass(frozen=True)
@@ -141,6 +141,8 @@ class NormalProfile:
             raise ConfigError("mean_packet_size must stay in the normal band [70, 90]")
         if self.tcp_fraction + self.udp_fraction > 1:
             raise ConfigError("protocol fractions exceed 1")
+        if not MIN_PACKET_SIZE <= self.download_size <= MAX_PACKET_SIZE:
+            raise ConfigError(f"download_size must be at least {MIN_PACKET_SIZE} and at most {MAX_PACKET_SIZE}")
         _check_fields(self, "browser_pid", "browser_label", "child_pids", rates=(
             "mean_pps", "syscall_rate", "activity_pps", "download_pps", "stall_flush_syscalls"))
 
@@ -243,7 +245,7 @@ def gen_normal(profile: NormalProfile, duration: float, rng: random.Random,
                 ts = round(sec + rng.random(), 4)
                 direction = "sent" if rng.random() < profile.sent_fraction else "recv"
                 roll = rng.random()
-                size = max(40, round(rng.gauss(size_mean, 0.15 * size_mean)))
+                size = min(MAX_PACKET_SIZE, max(40, round(rng.gauss(size_mean, 0.15 * size_mean))))
                 if roll < profile.tcp_fraction:
                     flag_roll = rng.random()
                     if flag_roll < 0.05:
@@ -345,8 +347,7 @@ def gen_dataset(kind: str, duration: float, seed: int, *,
         packets += normal_packets
         procs += normal_procs
 
-    packets = [p for p in packets if p.timestamp <= duration]
-    procs = [e for e in procs if e.timestamp <= duration]
-    packets.sort(key=lambda p: p.timestamp)
-    procs.sort(key=lambda e: e.timestamp)
-    return EventStream(packets, procs, float(duration))
+    # One stable sort puts packets first at equal times, since they come first here.
+    events = [e for e in packets + procs if e.timestamp <= duration]
+    events.sort(key=lambda e: e.timestamp)
+    return EventStream(events, float(duration))

@@ -14,7 +14,7 @@ import pytest
 
 from dcascan.analysis import AnalysisConfig, compute_mcav_windows, session_summary
 from dcascan.cli import main as cli_main
-from dcascan.engine import DcaEngine, DendriticCell, EngineConfig
+from dcascan.engine import DcaEngine, DendriticCell
 from dcascan.errors import EngineInvariantError
 from dcascan.events import ProcessEvent, iter_buckets
 from dcascan.pipeline import run_stream
@@ -94,7 +94,7 @@ def test_context_requires_strictly_more_mature(capsys):
 
 def test_polar_streams_give_extreme_scores(capsys):
     def drive(vector):
-        engine = DcaEngine(EngineConfig(seed=101))
+        engine = DcaEngine(seed=101)
         labels = ("alpha", "beta", "gamma")
         records, n = [], 0
         for t in range(200):

@@ -272,6 +272,8 @@ def test_run_rejects_non_finite_times(tmp_path, capsys, text, fragment):
         # a huge duration used to run about a billion ticks
         ("# duration=1e9\nP 1 sent udp - 60\n",
          "line 1: duration 1000000000.0 exceeds the maximum 86400"),
+        # a size past float range used to end in an OverflowError traceback in ss2
+        (f"P 1 sent udp - {10**309}\n", f"line 1: size {10**309} above maximum 65535"),
     ],
 )
 def test_run_rejects_invalid_event_files(tmp_path, capsys, text, fragment):
@@ -387,11 +389,24 @@ def test_analyze_empty_log_warns(tmp_path, capsys):
     assert "empty" in capsys.readouterr().err
 
 
-def test_analyze_corrupt_log(tmp_path, capsys):
+_HEADER = "presented_at,pid,label,context\n"
+_HUGE_FIELD = "x" * 131_073  # one past csv's default field size limit
+
+
+@pytest.mark.parametrize("text, fragment", [
+    (_HEADER + "1.0,x,y,1\n", "row 2: invalid literal for int()"),
+    # an oversized field used to end in an uncaught _csv.Error traceback
+    (_HEADER + f"1.0,5,{_HUGE_FIELD},1\n", "row 2: field larger than field limit (131072)"),
+    (_HUGE_FIELD + "\n", "row 1: field larger than field limit (131072)"),
+], ids=["bad-number", "huge-field", "huge-header"])
+def test_analyze_corrupt_log(tmp_path, capsys, text, fragment):
     log = tmp_path / "bad.csv"
-    log.write_text("presented_at,pid,label,context\n1.0,x,y,1\n")
+    log.write_text(text)
     code = main(["analyze", str(log), "--out-dir", str(tmp_path / "scores")])
     assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {fragment}") and err.count("\n") == 1
+    assert not (tmp_path / "scores" / "mcav.csv").exists()
 
 
 # --------------------------------------------------------------------------

@@ -57,7 +57,6 @@ def test_parse_error_carries_line_number():
 def test_overrides_reach_every_section():
     config = apply_overrides(PipelineConfig(), {
         "engine.population_size": "64",
-        "engine.seed": "9",
         "weights.semi_safe": "4",
         "signals.icmp_multiplier": "2.5",
         "scan.target_count": "64",
@@ -67,7 +66,6 @@ def test_overrides_reach_every_section():
         "analysis.mcav_threshold": "0.4",
     })
     assert config.engine.population_size == 64
-    assert config.engine.seed == 9
     assert config.engine.weights.semi_safe == 4.0
     assert config.engine.weights.csm_pamp == 2.0  # untouched default
     assert config.signals.icmp_multiplier == 2.5
@@ -80,8 +78,7 @@ def test_overrides_reach_every_section():
 # A value other than the default for every field of every section.
 EVERY_KEY = {
     "engine": {"population_size": 64, "tissue_capacity": 400, "antigens_per_update": 8,
-               "cell_store_capacity": 40, "threshold_min": 90.0, "threshold_max": 250.0,
-               "seed": 9},
+               "cell_store_capacity": 40, "threshold_min": 90.0, "threshold_max": 250.0},
     "weights": {"csm_pamp": 2.5, "csm_danger": 1.5, "csm_safe": 1.0, "semi_pamp": 0.5,
                 "semi_danger": 0.25, "semi_safe": 2.0, "mature_pamp": 3.0,
                 "mature_danger": 1.25, "mature_safe": -2.0, "inflammation_base": 1.5},
@@ -170,6 +167,7 @@ def test_override_typed_values():
         # keys deleted because they had no effect or only one value in use
         ({"scan.start_time": "5"}, "unknown config key scan.start_time"),
         ({"signals.ss2_weighting": "packets"}, "unknown config key signals.ss2_weighting"),
+        ({"engine.seed": "5"}, "unknown config key engine.seed"),
     ],
 )
 def test_override_rejects_bad_input(flat, fragment):
@@ -233,13 +231,13 @@ def test_override_runs_section_validation():
 def test_build_config_layers_file_then_overrides(tmp_path):
     path = tmp_path / "run.conf"
     path.write_text(
-        "engine.seed = 5\n"
+        "engine.population_size = 50\n"
         "analysis.window_size = 2000\n"
     )
-    config = apply_overrides(build_config(path), {"engine.seed": "9"})
-    assert config.engine.seed == 9          # explicit override wins
+    config = apply_overrides(build_config(path), {"engine.population_size": "64"})
+    assert config.engine.population_size == 64   # explicit override wins
     assert config.analysis.window_size == 2000  # file survives elsewhere
-    assert build_config().engine.seed == 0  # plain defaults
+    assert build_config().engine.population_size == 100  # plain defaults
 
 
 def test_build_config_missing_file(tmp_path):

@@ -39,7 +39,7 @@ def _antigen(i, label="proc"):
 def test_tissue_store_and_take():
     tissue = TissueCompartment(4)
     a = _antigen(0)
-    tissue.store(a)
+    tissue.store_all((a,))
     assert tissue.occupied_count == 1
     idx = next(i for i, slot in enumerate(tissue.slots) if slot is a)
     assert tissue.take(idx) is a
@@ -50,8 +50,7 @@ def test_tissue_store_and_take():
 def test_tissue_overflow_evicts_longest_resident():
     tissue = TissueCompartment(3)
     items = [_antigen(i) for i in range(4)]
-    for item in items:
-        tissue.store(item)
+    tissue.store_all(items)
     remaining = {slot for slot in tissue.slots if slot is not None}
     assert remaining == set(items[1:])  # the first arrival was overwritten
     assert tissue.overwritten_total == 1
@@ -61,8 +60,7 @@ def test_tissue_overflow_evicts_longest_resident():
 def test_tissue_sustained_overflow_behaves_like_ring():
     tissue = TissueCompartment(5)
     items = [_antigen(i) for i in range(23)]
-    for item in items:
-        tissue.store(item)
+    tissue.store_all(items)
     remaining = {slot for slot in tissue.slots if slot is not None}
     assert remaining == set(items[-5:])
     assert tissue.overwritten_total == 18
@@ -171,8 +169,7 @@ def test_context_decision_random_states():
 
 def test_sampling_full_tissue_moves_exactly_k():
     tissue = TissueCompartment(500)
-    for i in range(500):
-        tissue.store(_antigen(i))
+    tissue.store_all([_antigen(i) for i in range(500)])
     cell = DendriticCell(50, 150.0)
     cell.sample(tissue, random.Random(1), 10)
     assert len(cell.antigen_store) == 10
@@ -181,8 +178,7 @@ def test_sampling_full_tissue_moves_exactly_k():
 
 def test_sampling_stops_at_store_capacity():
     tissue = TissueCompartment(500)
-    for i in range(500):
-        tissue.store(_antigen(i))
+    tissue.store_all([_antigen(i) for i in range(500)])
     cell = DendriticCell(50, 150.0)
     cell.antigen_store = [_antigen(1000 + i) for i in range(48)]
     cell.sample(tissue, random.Random(1), 10)
@@ -213,8 +209,7 @@ def test_draw_slots_gives_k_distinct_indices(seed, n, data):
 
 def test_full_store_still_makes_every_draw():
     tissue = TissueCompartment(500)
-    for i in range(500):
-        tissue.store(_antigen(i))
+    tissue.store_all([_antigen(i) for i in range(500)])
     full, empty = DendriticCell(50, 150.0), DendriticCell(50, 150.0)
     full.antigen_store = [_antigen(1000 + i) for i in range(50)]
     full_rng, empty_rng = random.Random(3), random.Random(3)
@@ -227,10 +222,10 @@ def test_full_store_still_makes_every_draw():
 
 def test_tick_matches_cell_methods():
     """The inlined tick equals sample-then-update on each cell in turn."""
-    config = EngineConfig(tissue_capacity=200, cell_store_capacity=5, seed=4)
-    engine = DcaEngine(config)
+    config = EngineConfig(tissue_capacity=200, cell_store_capacity=5)
+    engine = DcaEngine(config, seed=4)
     tissue = TissueCompartment(config.tissue_capacity)
-    rng = random.Random(config.seed)
+    rng = random.Random(4)
     cells = [DendriticCell(config.cell_store_capacity,
                            rng.uniform(config.threshold_min, config.threshold_max))
              for _ in range(config.population_size)]
@@ -243,7 +238,7 @@ def test_tick_matches_cell_methods():
         records = engine.tick(sv, arrivals, float(t))
         expected = []
         for antigen in arrivals:
-            tissue.store(antigen)
+            tissue.store_all((antigen,))
         for cell in cells:
             cell.sample(tissue, rng, config.antigens_per_update)
             cell.update_signals(*combine_categories(sv), config.weights)
@@ -307,7 +302,7 @@ def test_weight_matrix_rejects_bad_values(kwargs):
 
 
 def test_zero_signals_never_present():
-    engine = DcaEngine(EngineConfig(seed=3))
+    engine = DcaEngine(seed=3)
     total = []
     for t in range(200):
         total += engine.tick(_vector(), [_antigen(t)], float(t))
@@ -319,7 +314,7 @@ def test_zero_signals_never_present():
 
 
 def test_safe_only_engine_presents_all_normal():
-    engine = DcaEngine(EngineConfig(seed=5))
+    engine = DcaEngine(seed=5)
     records = []
     for t in range(60):
         antigens = [_antigen(10 * t + j) for j in range(10)]
@@ -329,7 +324,7 @@ def test_safe_only_engine_presents_all_normal():
 
 
 def test_pamp_only_engine_presents_all_anomalous():
-    engine = DcaEngine(EngineConfig(seed=5))
+    engine = DcaEngine(seed=5)
     records = []
     for t in range(60):
         antigens = [_antigen(10 * t + j) for j in range(10)]
@@ -339,7 +334,7 @@ def test_pamp_only_engine_presents_all_anomalous():
 
 
 def test_tick_overflow_keeps_audit_balanced():
-    engine = DcaEngine(EngineConfig(tissue_capacity=5, antigens_per_update=2, seed=1))
+    engine = DcaEngine(EngineConfig(tissue_capacity=5, antigens_per_update=2), seed=1)
     engine.tick(_vector(), [_antigen(i) for i in range(12)], 0.0)
     counts = engine.audit()
     assert counts["balanced"] == 1
@@ -350,7 +345,7 @@ def test_tick_overflow_keeps_audit_balanced():
 
 def test_conservation_holds_under_random_stimulus():
     rng = random.Random(99)
-    engine = DcaEngine(EngineConfig(seed=7))
+    engine = DcaEngine(seed=7)
     serial = 0
     for t in range(300):
         sv = _vector(
@@ -375,7 +370,7 @@ def test_conservation_holds_under_random_stimulus():
 
 
 def test_conservation_error_reports_counts():
-    engine = DcaEngine(EngineConfig(seed=0))
+    engine = DcaEngine(seed=0)
     engine.tick(_vector(), [_antigen(0)], 0.0)
     engine.presented_total += 1  # corrupt the books
     with pytest.raises(EngineInvariantError, match="conservation"):
@@ -383,7 +378,7 @@ def test_conservation_error_reports_counts():
 
 
 def test_population_size_is_constant():
-    engine = DcaEngine(EngineConfig(seed=2))
+    engine = DcaEngine(seed=2)
     assert len(engine.cells) == 100
     for t in range(80):
         engine.tick(_vector(pamp1=100, pamp2=100), [_antigen(t)], float(t))
@@ -394,7 +389,7 @@ def test_population_size_is_constant():
 
 def test_csm_never_decreases_within_a_lifetime():
     rng = random.Random(11)
-    engine = DcaEngine(EngineConfig(seed=13))
+    engine = DcaEngine(seed=13)
     for t in range(150):
         before = [cell.csm for cell in engine.cells]
         sv = _vector(
@@ -418,9 +413,9 @@ def test_same_seed_same_presentations():
             out += engine.tick(sv, antigens, float(t))
         return out
 
-    first = drive(DcaEngine(EngineConfig(seed=17)))
-    second = drive(DcaEngine(EngineConfig(seed=17)))
-    third = drive(DcaEngine(EngineConfig(seed=18)))
+    first = drive(DcaEngine(seed=17))
+    second = drive(DcaEngine(seed=17))
+    third = drive(DcaEngine(seed=18))
     assert first == second
     assert first != third
 

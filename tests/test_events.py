@@ -37,8 +37,8 @@ def test_parse_empty_input():
 
 def test_parse_single_packet_line():
     stream = parse_stream("P 1.5 sent tcp syn 40\n")
-    assert len(stream.packet_events) == 1
-    p = stream.packet_events[0]
+    assert len(stream.events) == 1
+    p = stream.events[0]
     assert p.timestamp == 1.5
     assert p.direction == "sent"
     assert p.protocol == "tcp"
@@ -48,17 +48,16 @@ def test_parse_single_packet_line():
 
 def test_parse_icmp_and_process_lines():
     text = "# a comment\nP 3.25 recv icmp - 56 dest_unreachable\nE 3.5 4122 nmap syscall\n"
-    stream = parse_stream(text)
-    assert stream.packet_events[0].icmp_type == "dest_unreachable"
-    assert stream.packet_events[0].tcp_flags is None
-    e = stream.process_events[0]
+    p, e = parse_stream(text).events
+    assert p.icmp_type == "dest_unreachable"
+    assert p.tcp_flags is None
     assert (e.pid, e.process_name, e.kind) == (4122, "nmap", "syscall")
 
 
 def test_parsed_process_kinds_are_the_shared_constants():
     # One string per kind, not one per line: a presented event stays alive.
     text = "E 1 5 sshd login\nE 2 5 sshd syscall\nE 3 5 sshd logout\n"
-    parsed = parse_stream(text).process_events
+    parsed = parse_stream(text).events
     streamed = [ev for b in read_buckets(io.StringIO(text)) for ev in b.process_events]
     assert [ev.kind for ev in parsed] == ["login", "syscall", "logout"]
     for ev in parsed + streamed:
@@ -111,6 +110,7 @@ def test_parse_rejects_unknown_tag():
         ("# duration=-1\n", 1, "duration -1.0 is negative"),
         ("# duration=1e9\nP 1 sent udp - 60\n", 1, "duration 1000000000.0 exceeds the maximum 86400"),
         ("P 86400.5 sent udp - 60\n", 1, "timestamp 86400.5 exceeds the maximum 86400"),
+        ("P 1 sent udp - 65536\n", 1, "size 65536 above maximum 65535"),
     ],
 )
 def test_parse_rejects_invalid_line(text, line_no, fragment):
@@ -122,7 +122,8 @@ def test_parse_rejects_invalid_line(text, line_no, fragment):
 def test_parse_accepts_times_at_the_bounds():
     text = "# duration=86400\nE 0 5 sshd login\nP 0 sent udp - 60\nP 86400 sent udp - 60\n"
     stream = parse_stream(text)
-    assert [p.timestamp for p in stream.packet_events] == [0.0, 86400.0]
+    assert [type(ev) for ev in stream.events] == [ProcessEvent, PacketEvent, PacketEvent]
+    assert [ev.timestamp for ev in stream.events] == [0.0, 0.0, 86400.0]
     assert stream.duration == MAX_DURATION
     # without the annotation the duration is the last event's time
     assert parse_stream("P 3 sent udp - 60\nE 7.5 5 sshd syscall\n").duration == 7.5
@@ -162,10 +163,9 @@ def test_parse_returns_or_raises_stream_parse_error(text):
         stream = parse_stream(text)
     except StreamParseError:
         return
-    for seq in (stream.packet_events, stream.process_events):
-        times = [ev.timestamp for ev in seq]
-        assert times == sorted(times)
-        assert all(0 <= t <= stream.duration <= MAX_DURATION for t in times)
+    times = [ev.timestamp for ev in stream.events]
+    assert times == sorted(times)
+    assert all(0 <= t <= stream.duration <= MAX_DURATION for t in times)
 
 
 @pytest.mark.parametrize("include_scan", [True, False])
@@ -175,6 +175,12 @@ def test_parse_returns_or_raises_stream_parse_error(text):
 def test_generated_session_round_trips(kind, include_scan, seed):
     stream = gen_dataset(kind, 300, seed, include_scan=include_scan)
     assert parse_stream(serialize_stream(stream)) == stream
+
+
+def _kinds(events):
+    """The packet events and the process events of ``events``, each in their order."""
+    return ([ev for ev in events if type(ev) is PacketEvent],
+            [ev for ev in events if type(ev) is ProcessEvent])
 
 
 def _random_stream(rng: random.Random, duration: float = 30.0) -> EventStream:
@@ -191,9 +197,9 @@ def _random_stream(rng: random.Random, duration: float = 30.0) -> EventStream:
     for _ in range(rng.randrange(0, 80)):
         procs.append(ProcessEvent(round(rng.uniform(0, duration), 4),
                                   rng.randrange(1, 5000), "proc", "syscall"))
-    packets.sort(key=lambda p: p.timestamp)
-    procs.sort(key=lambda e: e.timestamp)
-    return EventStream(packets, procs, duration)
+    events = packets + procs
+    events.sort(key=lambda ev: ev.timestamp)
+    return EventStream(events, duration)
 
 
 def test_round_trip_random_streams():
@@ -201,21 +207,20 @@ def test_round_trip_random_streams():
     for _ in range(25):
         stream = _random_stream(rng)
         again = parse_stream(serialize_stream(stream))
-        assert again.packet_events == stream.packet_events
-        assert again.process_events == stream.process_events
+        assert again.events == stream.events
         assert again.duration == stream.duration
 
 
 def test_round_trip_preserves_duration_without_events():
-    stream = EventStream([], [], 123.5)
+    stream = EventStream([], 123.5)
     assert parse_stream(serialize_stream(stream)).duration == 123.5
 
 
 def test_equal_timestamps_keep_original_order():
     procs = [ProcessEvent(1.0, pid, "proc", "syscall") for pid in (7, 8, 9)]
-    stream = EventStream([], procs, 2.0)
+    stream = EventStream(procs, 2.0)
     again = parse_stream(serialize_stream(stream))
-    assert [e.pid for e in again.process_events] == [7, 8, 9]
+    assert [e.pid for e in again.events] == [7, 8, 9]
 
 
 def test_bucket_boundaries_floor():
@@ -224,7 +229,7 @@ def test_bucket_boundaries_floor():
         PacketEvent(0.9, "sent", "udp", None, 60),
         PacketEvent(3.0, "sent", "udp", None, 60),
     ]
-    stream = EventStream(packets, [], 4.0)
+    stream = EventStream(packets, 4.0)
     buckets = list(iter_buckets(stream))
     assert len(buckets) == 4
     assert len(buckets[0].packet_events) == 2
@@ -233,12 +238,12 @@ def test_bucket_boundaries_floor():
 
 
 def test_bucket_count_long_stream():
-    stream = EventStream([PacketEvent(6999.5, "sent", "udp", None, 60)], [], 7000.0)
+    stream = EventStream([PacketEvent(6999.5, "sent", "udp", None, 60)], 7000.0)
     assert len(list(iter_buckets(stream))) == 7000
 
 
 def test_event_at_integral_duration_gets_a_bucket():
-    stream = EventStream([PacketEvent(5.0, "sent", "udp", None, 60)], [], 5.0)
+    stream = EventStream([PacketEvent(5.0, "sent", "udp", None, 60)], 5.0)
     buckets = list(iter_buckets(stream))
     assert len(buckets) == 6
     assert len(buckets[5].packet_events) == 1
@@ -252,8 +257,7 @@ def test_bucket_partition_property():
         assert len(buckets) == math.ceil(stream.duration)
         collected_p = [p for b in buckets for p in b.packet_events]
         collected_e = [e for b in buckets for e in b.process_events]
-        assert collected_p == stream.packet_events
-        assert collected_e == stream.process_events
+        assert (collected_p, collected_e) == _kinds(stream.events)
         for b in buckets:
             for p in b.packet_events:
                 assert math.floor(p.timestamp) == b.second or (
@@ -270,7 +274,7 @@ def test_replay_is_pure():
 
 
 def test_replay_handler_called_once_per_second():
-    stream = EventStream([], [], 12.0)
+    stream = EventStream([], 12.0)
     assert list(iter_buckets(stream)) == [TickBucket(second) for second in range(12)]
 
 
@@ -300,8 +304,7 @@ def test_read_buckets_matches_iter_buckets_and_places_each_event_once(text):
     buckets = list(read_buckets(io.StringIO(text)))
     assert buckets == list(iter_buckets(stream))
     assert [b.second for b in buckets] == list(range(len(buckets)))
-    for events, key in ((stream.packet_events, "packet_events"),
-                        (stream.process_events, "process_events")):
+    for events, key in zip(_kinds(stream.events), ("packet_events", "process_events")):
         placed = [(b.second, ev) for b in buckets for ev in getattr(b, key)]
         assert [ev for _, ev in placed] == events
         assert all(second == math.floor(ev.timestamp) for second, ev in placed)
@@ -373,7 +376,7 @@ def test_both_readers_share_one_set_per_flag_text(tmp_path):
     path.write_text(text, encoding="utf-8")
     with open(path, encoding="utf-8") as fh:
         streamed = [p for b in read_buckets(fh) for p in b.packet_events]
-    parsed = parse_stream(text).packet_events
+    parsed = parse_stream(text).events
     flags = [p.tcp_flags for p in parsed + streamed]
     assert flags[:5] == [frozenset(("syn", "ack"))] * 3 + [frozenset()] * 2
     assert len({id(f) for f in flags[:3] + flags[5:8]}) == 1

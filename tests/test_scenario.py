@@ -4,10 +4,13 @@ import random
 from collections import Counter, defaultdict
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dcascan import scenario
 from dcascan.errors import ConfigError
-from dcascan.events import MAX_DURATION, parse_stream, serialize_stream
+from dcascan.events import (MAX_DURATION, MAX_PACKET_SIZE, PacketEvent, ProcessEvent,
+                            parse_stream, serialize_stream)
 from dcascan.scenario import (
     DATASET_KINDS,
     MAX_BURST,
@@ -144,6 +147,9 @@ def test_scan_profile_validation():
         ScanProfile(parent_label="")
     with pytest.raises(ConfigError, match="relay_packet_size must be at least 20"):
         ScanProfile(relay_packet_size=19)
+    with pytest.raises(ConfigError, match="relay_packet_size must be .* at most 65535"):
+        ScanProfile(relay_packet_size=MAX_PACKET_SIZE + 1)
+    ScanProfile(relay_packet_size=MAX_PACKET_SIZE)
 
 
 @pytest.mark.parametrize("name", ["syscalls_per_probe", "syscalls_per_reply",
@@ -205,6 +211,16 @@ def test_normal_profile_validation():
         for value in (-0.5, MAX_RATE + 1):
             with pytest.raises(ConfigError, match=f"{name} must lie in \\[0, 10000\\]"):
                 NormalProfile(**{name: value})
+    for size in (19.5, MAX_PACKET_SIZE + 0.5):
+        with pytest.raises(ConfigError, match="download_size must be at least 20 and at most 65535"):
+            NormalProfile(download_size=size)
+
+
+def test_normal_download_sizes_stay_within_the_packet_size_bound():
+    prof = NormalProfile(download_size=MAX_PACKET_SIZE, download_period=1.0)
+    packets, _ = gen_normal(prof, 60, random.Random(3))
+    sizes = [p.size_bytes for p in packets]
+    assert max(sizes) == MAX_PACKET_SIZE  # draws above the bound are clamped to it
 
 
 # --------------------------------------------------------------------------
@@ -278,15 +294,34 @@ def test_dataset_rejects_non_finite_values(name, value):
         gen_dataset("passive-normal", seed=1, **kwargs)
 
 
+def _packets(stream):
+    return [ev for ev in stream.events if type(ev) is PacketEvent]
+
+
+def _procs(stream):
+    return [ev for ev in stream.events if type(ev) is ProcessEvent]
+
+
 def test_dataset_event_ordering_and_bounds():
     stream = gen_dataset("active_normal", 300, 6)
-    times = [p.timestamp for p in stream.packet_events]
+    times = [ev.timestamp for ev in stream.events]
     assert times == sorted(times)
     assert all(t <= 300 for t in times)
-    proc_times = [e.timestamp for e in stream.process_events]
-    assert proc_times == sorted(proc_times)
-    assert all(t <= 300 for t in proc_times)
-    assert any(e.kind == "login" for e in stream.process_events)
+    assert _packets(stream) and _procs(stream)
+    assert any(e.kind == "login" for e in _procs(stream))
+
+
+@pytest.mark.parametrize("include_scan", [True, False])
+@pytest.mark.parametrize("kind", DATASET_KINDS)
+@settings(deadline=None, max_examples=5)
+@given(seed=st.integers(0, 2**32), duration=st.floats(1, 240))
+def test_dataset_events_are_in_file_order(kind, include_scan, seed, duration):
+    # The order the event file is written in: by time, packets first at equal times.
+    events = gen_dataset(kind, duration, seed, include_scan=include_scan).events
+    for before, after in zip(events, events[1:]):
+        assert before.timestamp <= after.timestamp
+        if before.timestamp == after.timestamp:
+            assert not (type(before) is ProcessEvent and type(after) is PacketEvent)
 
 
 def test_dataset_same_seed_reproduces_exactly():
@@ -299,8 +334,7 @@ def test_dataset_same_seed_reproduces_exactly():
 
 def test_passive_dataset_is_dominated_by_scanner_syscalls():
     stream = gen_dataset("passive_normal", 600, 11)
-    by_name = Counter(e.process_name for e in stream.process_events
-                      if e.kind == "syscall")
+    by_name = Counter(e.process_name for e in _procs(stream) if e.kind == "syscall")
     share = (by_name["nmap"] + by_name["pts"]) / sum(by_name.values())
     assert share >= 0.95
     assert by_name["sshd"] > 0  # the session shell stays faintly alive
@@ -310,27 +344,26 @@ def test_dataset_derives_port_count_from_window():
     # 1000 s session: scan window 857 s at 0.05 s/probe over 254 targets
     # works out to 67 ports each, hence exactly 254 * 67 first contacts.
     stream = gen_dataset("passive_normal", 1000, 4)
-    syns = sum(1 for p in stream.packet_events
+    syns = sum(1 for p in _packets(stream)
                if p.direction == "sent" and p.tcp_flags == frozenset(("syn",)))
     assert syns == 254 * 67
 
 
 def test_dataset_without_scan_has_no_probe_flood():
     stream = gen_dataset("active_normal", 200, 9, include_scan=False)
-    per_second = Counter(int(p.timestamp) for p in stream.packet_events
-                         if p.direction == "sent")
+    packets = _packets(stream)
+    per_second = Counter(int(p.timestamp) for p in packets if p.direction == "sent")
     assert max(per_second.values(), default=0) < 300
-    syn_only = sum(1 for p in stream.packet_events
-                   if p.tcp_flags == frozenset(("syn",)))
+    syn_only = sum(1 for p in packets if p.tcp_flags == frozenset(("syn",)))
     # ordinary handshakes only: a few percent of traffic, never a sweep
-    assert syn_only / len(stream.packet_events) < 0.1
+    assert syn_only / len(packets) < 0.1
 
 
 def test_session_profile_defaults():
     session = SessionProfile()
     stream = gen_dataset("passive_normal", 60, 2, session=session,
                          include_scan=False)
-    logins = [e for e in stream.process_events if e.kind == "login"]
+    logins = [e for e in _procs(stream) if e.kind == "login"]
     assert len(logins) == 1
     assert logins[0].timestamp == session.login_time
     assert logins[0].process_name == "sshd"
@@ -338,6 +371,6 @@ def test_session_profile_defaults():
 
 def test_generated_packets_share_their_flag_sets():
     stream = gen_dataset("active-normal", 300, 7)
-    flags = [p.tcp_flags for p in stream.packet_events]
+    flags = [p.tcp_flags for p in _packets(stream)]
     assert len({id(f) for f in flags if f is not None}) <= 6
-    assert [p.tcp_flags for p in parse_stream(serialize_stream(stream)).packet_events] == flags
+    assert [p.tcp_flags for p in _packets(parse_stream(serialize_stream(stream)))] == flags
