@@ -10,11 +10,12 @@ by n), as noted in the output headers.
 from __future__ import annotations
 
 import csv
+import math
 import statistics
 from dataclasses import dataclass, field
 
 from .engine import PresentationRecord
-from .errors import ConfigError, ValidationError
+from .errors import ValidationError, check_fields
 from .events import ProcessEvent, format_time
 
 
@@ -26,12 +27,8 @@ class AnalysisConfig:
     include_partial: bool = False
 
     def __post_init__(self):
-        if self.window_size <= 0:
-            raise ConfigError("window_size must be positive")
-        if not 0.0 <= self.mcav_threshold <= 1.0:
-            raise ConfigError("mcav_threshold must lie in [0, 1]")
-        if self.min_confidence < 0:
-            raise ConfigError("min_confidence must be non-negative")
+        check_fields(self, positive=("window_size",), mcav_threshold=(0, 1),
+                     min_confidence=(0, math.inf))
 
 
 @dataclass(frozen=True)

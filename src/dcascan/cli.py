@@ -46,13 +46,6 @@ def _add_scan_args(sub):
                      help="leave the scan out (benign traffic only)")
 
 
-def non_negative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {value}")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="dcascan", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -75,8 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", default="presentations.csv", metavar="FILE")
     run.add_argument("--signal-trace", default=None, metavar="FILE",
                      help="also write the per-second signal vectors")
-    run.add_argument("--audit-every", type=non_negative_int, default=0, metavar="N",
-                     help="verify antigen accounting every N ticks")
     _add_config_arg(run)
     run.set_defaults(func=cmd_run)
 
@@ -97,7 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
     pipe.add_argument("--out-dir", required=True, metavar="DIR")
     pipe.add_argument("--signal-trace", action="store_true",
                       help="also write signals.csv")
-    pipe.add_argument("--audit-every", type=non_negative_int, default=0, metavar="N")
     _add_scan_args(pipe)
     _add_config_arg(pipe)
     pipe.set_defaults(func=cmd_pipeline)
@@ -143,7 +133,6 @@ def _run_and_write(args, config: PipelineConfig, buckets, out, trace_out):
         config.engine,
         config.signals,
         seed=args.seed,
-        audit_every=args.audit_every,
         collect_trace=trace_out is not None,
     )
     analysis.write_presentations(result.records, out)

@@ -11,8 +11,10 @@ comment lines.  Sections map onto the dataclasses of the package:
     session.*   monitoring session framing
     analysis.*  window size, verdict thresholds
 
-Tuple-valued fields take comma-separated values.  Numbers must be finite:
-NaN and infinity pass the sections' range checks, so ``_coerce`` rejects them.
+Tuple-valued fields take comma-separated values.  Each section bounds its
+fields with ``errors.check_fields``, whose range checks NaN fails; infinity
+passes a range open above and fields with no range take any number, so
+``_coerce`` rejects every non-finite number.
 """
 
 from __future__ import annotations

@@ -9,12 +9,13 @@ antigen is presented with a binary context and the cell is recycled.
 
 from __future__ import annotations
 
+import math
 import random
 from collections import OrderedDict
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
-from .errors import ConfigError, EngineInvariantError
+from .errors import ConfigError, EngineInvariantError, check_fields
 from .events import ProcessEvent
 from .signals import SignalVector
 
@@ -52,12 +53,11 @@ class WeightMatrix:
     inflammation_base: float = 1.0
 
     def __post_init__(self):
-        if min(self.csm_pamp, self.csm_danger, self.csm_safe) < 0:
-            raise ConfigError("csm weights must be non-negative")
-        if self.mature_safe >= 0:
-            raise ConfigError("safe weight on the mature output must be negative")
-        if self.inflammation_base <= 0:
-            raise ConfigError("inflammation base must be positive")
+        non_negative = (0, math.inf)
+        check_fields(self, positive=("inflammation_base",), csm_pamp=non_negative,
+                     csm_danger=non_negative, csm_safe=non_negative)
+        if not self.mature_safe < 0:
+            raise ConfigError(f"mature_safe must be negative, got {self.mature_safe}")
 
 
 def draw_slots(rng: random.Random, n: int, k: int) -> list[int]:
@@ -120,15 +120,10 @@ class EngineConfig:
     weights: WeightMatrix = field(default_factory=WeightMatrix)
 
     def __post_init__(self):
-        for name in ("population_size", "tissue_capacity", "cell_store_capacity"):
-            if not 0 < getattr(self, name) <= MAX_SIZE:
-                raise ConfigError(f"{name} must lie in [1, {MAX_SIZE:,}]")
-        if self.antigens_per_update <= 0 or self.antigens_per_update > self.tissue_capacity:
-            raise ConfigError("antigens_per_update must be in [1, tissue_capacity]")
-        if self.threshold_min <= 0:
-            raise ConfigError("migration thresholds must be positive")
-        if self.threshold_min > self.threshold_max:
-            raise ConfigError("threshold range is inverted")
+        size = (1, MAX_SIZE)
+        check_fields(self, positive=("threshold_min",), population_size=size, tissue_capacity=size,
+                     cell_store_capacity=size, antigens_per_update=(1, self.tissue_capacity),
+                     threshold_max=(self.threshold_min, math.inf))
 
 
 class TissueCompartment:

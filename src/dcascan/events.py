@@ -161,6 +161,14 @@ def _parse_process(parts: list[str], line_no: int) -> ProcessEvent:
     return ProcessEvent(ts, pid, parts[3], kind)
 
 
+def _check_numerals(parts: list[str], line_no: int) -> None:
+    """Reject underscores and non-ASCII digits in the numeric fields of a
+    parsed record: int() and float() read them, the writer never writes them."""
+    for text in (parts[1], parts[5] if parts[0] == "P" else parts[2]):
+        if "_" in text or not text.isascii():
+            raise StreamParseError(line_no, f"bad numeric field: {text!r}")
+
+
 def _time_error(line_no: int, name: str, value: float, last: float, limit: float):
     """The StreamParseError saying why ``last <= value <= limit`` failed."""
     if not math.isfinite(value):
@@ -200,8 +208,11 @@ class _EventReader:
                 event = _parse_process(parts, line_no)
             elif tag[0] == "#":
                 if raw.strip().startswith(_DURATION_PREFIX):
+                    text = raw.partition("=")[2]
+                    if "_" in text or not text.isascii():
+                        raise StreamParseError(line_no, "bad duration annotation")
                     try:
-                        duration = float(raw.partition("=")[2])
+                        duration = float(text)
                     except ValueError:
                         raise StreamParseError(line_no, "bad duration annotation") from None
                     if not last <= duration <= MAX_DURATION:
@@ -210,6 +221,8 @@ class _EventReader:
                 continue
             else:
                 raise StreamParseError(line_no, f"unknown record tag {tag!r}")
+            if "_" in raw or not raw.isascii():  # one cheap test of the whole line first
+                _check_numerals(parts, line_no)
             if not last <= event.timestamp <= limit:
                 raise _time_error(line_no, "timestamp", event.timestamp, last, limit)
             last = event.timestamp

@@ -24,15 +24,11 @@ def run_stream(buckets: Iterable[TickBucket],
                signal_config: SignalConfig | None = None,
                *,
                seed: int = 0,
-               audit_every: int = 0,
                collect_trace: bool = False) -> RunResult:
     """Replay one-second buckets in order, as ``events.iter_buckets`` or
     ``events.read_buckets`` yields them, tick by tick through a fresh deriver
     and an engine seeded with ``seed``; each bucket's syscall events are the
-    antigens, not copies.
-
-    ``audit_every`` > 0 re-checks antigen conservation after every that
-    many ticks and once more at the end.
+    antigens, not copies.  Antigen conservation is checked after every tick.
     """
     deriver = SignalDeriver(signal_config)
     engine = DcaEngine(engine_config, seed)
@@ -41,12 +37,9 @@ def run_stream(buckets: Iterable[TickBucket],
         signals = deriver.derive(bucket)
         antigens = [ev for ev in bucket.process_events if ev.kind == "syscall"]
         result.records.extend(engine.tick(signals, antigens, float(bucket.second)))
+        engine.check_conservation()
         if collect_trace:
             result.signal_trace.append((bucket.second, signals))
-        if audit_every and (bucket.second + 1) % audit_every == 0:
-            engine.check_conservation()
-    if audit_every:
-        engine.check_conservation()
     result.ticks = engine.ticks_run
     result.audit = engine.audit()
     return result

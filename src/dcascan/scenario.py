@@ -20,7 +20,7 @@ import math
 import random
 from dataclasses import dataclass, replace
 
-from .errors import ConfigError
+from .errors import ConfigError, check_fields
 from .events import (MAX_DURATION, MAX_PACKET_SIZE, MIN_PACKET_SIZE, TCP_FLAG_SETS, EventStream,
                      PacketEvent, ProcessEvent)
 
@@ -55,22 +55,6 @@ def _poisson(rng: random.Random, lam: float) -> int:
         k += 1
 
 
-def _check_fields(profile, *event_fields: str, rates: tuple[str, ...] = ()) -> None:
-    """Reject, in the named fields that events carry, pids below 1 and labels
-    not of one word, and per-second rates outside [0, MAX_RATE]."""
-    for name in event_fields:
-        value = getattr(profile, name)
-        for v in value if isinstance(value, tuple) else (value,):
-            if isinstance(v, str) and v.split() != [v]:
-                raise ConfigError(f"{name} must be one word, got {v!r}")
-            if isinstance(v, int) and v <= 0:
-                raise ConfigError(f"{name} must be positive, got {v}")
-    for name in rates:
-        value = getattr(profile, name)
-        if not 0 <= value <= MAX_RATE:
-            raise ConfigError(f"{name} must lie in [0, {MAX_RATE:g}] per second, got {value}")
-
-
 @dataclass(frozen=True)
 class ScanProfile:
     """Shape of the synthetic SYN scan."""
@@ -93,25 +77,14 @@ class ScanProfile:
     relay_packet_size: int = 150
 
     def __post_init__(self):
-        if self.target_count <= 0:
-            raise ConfigError("target_count must be positive")
-        if not 0 < self.hosts_up <= self.target_count:
-            raise ConfigError("hosts_up must be in [1, target_count]")
-        if self.ports_per_host is not None and self.ports_per_host <= 0:
-            raise ConfigError("ports_per_host must be positive")
-        if self.probe_interval <= 0:
-            raise ConfigError("probe_interval must be positive")
-        if self.salvo_rate <= 0:
-            raise ConfigError("salvo_rate must be positive")
-        if not 0 <= self.open_port_fraction <= 1 or not 0 <= self.icmp_reply_rate <= 1:
-            raise ConfigError("fractions must be in [0, 1]")
-        _check_fields(self, "scanner_pid", "parent_pid", "scanner_label", "parent_label")
-        for name in ("syscalls_per_probe", "syscalls_per_reply", "relay_syscalls_per_reply",
-                     "relay_packets_per_salvo"):
-            if not 0 <= getattr(self, name) <= MAX_BURST:
-                raise ConfigError(f"{name} must lie in [0, {MAX_BURST:,}], got {getattr(self, name)}")
-        if not MIN_PACKET_SIZE <= self.relay_packet_size <= MAX_PACKET_SIZE:
-            raise ConfigError(f"relay_packet_size must be at least {MIN_PACKET_SIZE} and at most {MAX_PACKET_SIZE}")
+        burst = (0, MAX_BURST)
+        check_fields(self, positive=("target_count", "ports_per_host", "probe_interval",
+                                     "salvo_rate", "scanner_pid", "parent_pid"),
+                     words=("scanner_label", "parent_label"),
+                     hosts_up=(1, self.target_count), open_port_fraction=(0, 1),
+                     icmp_reply_rate=(0, 1), syscalls_per_probe=burst, syscalls_per_reply=burst,
+                     relay_syscalls_per_reply=burst, relay_packets_per_salvo=burst,
+                     relay_packet_size=(MIN_PACKET_SIZE, MAX_PACKET_SIZE))
 
 
 @dataclass(frozen=True)
@@ -137,14 +110,15 @@ class NormalProfile:
     sent_fraction: float = 0.45
 
     def __post_init__(self):
+        rate = (0, MAX_RATE)
+        check_fields(self, positive=("browser_pid", "child_pids"), words=("browser_label",),
+                     mean_pps=rate, syscall_rate=rate, activity_pps=rate, download_pps=rate,
+                     stall_flush_syscalls=rate, tcp_fraction=(0, 1), udp_fraction=(0, 1),
+                     sent_fraction=(0, 1), download_size=(MIN_PACKET_SIZE, MAX_PACKET_SIZE))
         if self.mean_pps > 0 and not 70 <= self.mean_packet_size <= 90:
             raise ConfigError("mean_packet_size must stay in the normal band [70, 90]")
-        if self.tcp_fraction + self.udp_fraction > 1:
+        if not self.tcp_fraction + self.udp_fraction <= 1:
             raise ConfigError("protocol fractions exceed 1")
-        if not MIN_PACKET_SIZE <= self.download_size <= MAX_PACKET_SIZE:
-            raise ConfigError(f"download_size must be at least {MIN_PACKET_SIZE} and at most {MAX_PACKET_SIZE}")
-        _check_fields(self, "browser_pid", "browser_label", "child_pids", rates=(
-            "mean_pps", "syscall_rate", "activity_pps", "download_pps", "stall_flush_syscalls"))
 
 
 def _scan_syscalls(procs, pid, label, t, count, spread):
@@ -279,9 +253,8 @@ class SessionProfile:
     login_time: float = 2.0
 
     def __post_init__(self):
-        _check_fields(self, "sshd_pid", "sshd_label", rates=("sshd_syscall_rate",))
-        if not 0 <= self.login_time <= MAX_DURATION:
-            raise ConfigError(f"login_time must lie in [0, {MAX_DURATION:g}]")
+        check_fields(self, positive=("sshd_pid",), words=("sshd_label",),
+                     sshd_syscall_rate=(0, MAX_RATE), login_time=(0, MAX_DURATION))
 
 
 def gen_dataset(kind: str, duration: float, seed: int, *,

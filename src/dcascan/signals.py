@@ -20,7 +20,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError, ValidationError, check_fields
 from .events import TickBucket
 
 SIGNAL_MAX = 100.0
@@ -46,21 +46,15 @@ class SignalConfig:
     def __post_init__(self):
         if len(self.ss2_step_bounds) != len(self.ss2_step_values):
             raise ConfigError("ss2 step bounds and values differ in length")
-        if any(b >= c for b, c in zip(self.ss2_step_bounds, self.ss2_step_bounds[1:])):
+        if not all(b < c for b, c in zip(self.ss2_step_bounds, self.ss2_step_bounds[1:])):
             raise ConfigError("ss2 step bounds must increase")
-        if self.ss2_window_seconds <= 0:
-            raise ConfigError("ss2 window must cover at least one second")
-        if self.ds1_scale <= 0 or self.ds1_input_cap <= 0 or self.ss1_delta_max <= 0:
-            raise ConfigError("signal scale parameters must be positive")
-        if not self.icmp_multiplier >= 0:
-            raise ConfigError(f"icmp_multiplier={self.icmp_multiplier} must be >= 0")
         # Every signal must land in [0, SIGNAL_MAX]; reject scores that can
         # only break that range here rather than on the first tick.
-        scores = {"ss2_default": self.ss2_default, "ss2_top": self.ss2_top}
-        scores.update((f"ss2_step_values[{i}]", v) for i, v in enumerate(self.ss2_step_values))
-        for name, value in scores.items():
-            if not 0.0 <= value <= SIGNAL_MAX:
-                raise ConfigError(f"{name}={value} outside [0, 100]")
+        score = (0, SIGNAL_MAX)
+        check_fields(self, positive=("ss2_window_seconds", "ds1_scale", "ds1_input_cap",
+                                     "ss1_delta_max"),
+                     icmp_multiplier=(0, math.inf), ss2_default=score, ss2_top=score,
+                     ss2_step_values=score)
 
 
 @dataclass(frozen=True, slots=True)

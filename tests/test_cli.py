@@ -213,7 +213,7 @@ def test_run_writes_presentations_and_trace(small_events, tmp_path, capsys):
     out = tmp_path / "presentations.csv"
     trace = tmp_path / "signals.csv"
     code = main(["run", str(small_events), "--seed", "7", "--out", str(out),
-                 "--signal-trace", str(trace), "--audit-every", "10"])
+                 "--signal-trace", str(trace)])
     assert code == 0
     assert out.read_text().splitlines()[0] == "presented_at,pid,label,context"
     trace_lines = trace.read_text().splitlines()
@@ -320,15 +320,31 @@ def test_run_rejects_out_of_range_signal_config(small_events, tmp_path, capsys):
     assert capsys.readouterr().err == "config error: unknown config key signals.signal_cap\n"
 
 
+def _run_or_pipeline_argv(tmp_path, command):
+    return (["run", str(tmp_path / "events.txt"), "--out", str(tmp_path / "p.csv")]
+            if command == "run" else
+            ["pipeline", "passive-normal", "--out-dir", str(tmp_path / "run")])
+
+
+@pytest.mark.parametrize("command", ["run", "pipeline"])
+def test_audit_every_is_not_an_option(tmp_path, capsys, command):
+    # Conservation is checked on every tick, so there is no interval to set.
+    argv = _run_or_pipeline_argv(tmp_path, command)
+    assert main(argv + ["--seed", "1", "--audit-every", "10"]) == 1
+    err = capsys.readouterr().err
+    assert err == "usage error: unrecognized arguments: --audit-every 10\n"
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("flag", ["--audit-every=-7", "--audit-every=x"])
 @pytest.mark.parametrize("command", ["run", "pipeline"])
 def test_audit_every_must_be_a_non_negative_integer(tmp_path, capsys, command, flag):
-    argv = (["run", str(tmp_path / "events.txt"), "--out", str(tmp_path / "p.csv")]
-            if command == "run" else
-            ["pipeline", "passive-normal", "--out-dir", str(tmp_path / "run")])
+    # The flag is gone, so a value that was once out of range is refused as
+    # an unknown argument, still with one usage line and no files written.
+    argv = _run_or_pipeline_argv(tmp_path, command)
     assert main(argv + ["--seed", "1", flag]) == 1
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "usage error: argument --audit-every" in err
+    assert err == f"usage error: unrecognized arguments: {flag}\n"
     assert not list(tmp_path.iterdir())
 
 

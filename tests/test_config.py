@@ -1,5 +1,6 @@
 """Flat config parsing and the layered override machinery."""
 
+import math
 import re
 import typing
 from dataclasses import fields
@@ -243,3 +244,51 @@ def test_build_config_layers_file_then_overrides(tmp_path):
 def test_build_config_missing_file(tmp_path):
     with pytest.raises(OSError):
         build_config(tmp_path / "absent.conf")
+
+
+# Float fields with no rule of their own: any finite value loads.
+UNRANGED = {"weights.semi_pamp", "weights.semi_danger", "weights.semi_safe",
+            "weights.mature_pamp", "weights.mature_danger", "signals.ds1_midpoint",
+            "normal.activity_period", "normal.activity_length", "normal.download_period",
+            "normal.download_length"}
+
+
+@pytest.mark.parametrize("key", [key for key, _ in FLOAT_SETTINGS if key not in UNRANGED])
+def test_ranged_float_fields_reject_nan_in_a_direct_build(key):
+    assert UNRANGED <= {key for key, _ in FLOAT_SETTINGS}
+    section, _, name = key.partition(".")
+    cls = SECTION_CLASSES[section]
+    default = getattr(cls(), name)
+    nan = (*default[:-1], math.nan) if isinstance(default, tuple) else math.nan
+    with pytest.raises(ConfigError):
+        cls(**{name: nan})
+
+
+@pytest.mark.parametrize(
+    "key, lo, hi, outside, bounds",
+    [
+        ("engine.population_size", "1", "1000000", ("0", "1000001"), "[1, 1,000,000]"),
+        ("scan.open_port_fraction", "0", "1", ("-0.01", "1.01"), "[0, 1]"),
+        ("scan.syscalls_per_reply", "0", "1000", ("-1", "1001"), "[0, 1,000]"),
+        ("scan.relay_packet_size", "20", "65535", ("19", "65536"), "[20, 65,535]"),
+        ("normal.mean_pps", "0", "10000", ("-0.5", "10000.5"), "[0, 10000]"),
+        ("normal.sent_fraction", "0", "1", ("-0.01", "1.01"), "[0, 1]"),
+        ("session.login_time", "0", "86400", ("-0.5", "86400.5"), "[0, 86400]"),
+        ("signals.ss2_top", "0", "100", ("-0.5", "100.5"), "[0, 100]"),
+        ("analysis.mcav_threshold", "0", "1", ("-0.01", "1.01"), "[0, 1]"),
+        ("analysis.min_confidence", "0", None, ("-1",), "[0, inf]"),
+        # bounds taken from another field of the section
+        ("scan.hosts_up", "1", "254", ("0", "255"), "[1, 254]"),
+        ("engine.antigens_per_update", "1", "500", ("0", "501"), "[1, 500]"),
+        ("engine.threshold_max", "100", None, ("99.5",), "[100, inf]"),
+    ],
+)
+def test_override_ranges_hold_at_both_edges(key, lo, hi, outside, bounds):
+    section, _, name = key.partition(".")
+    for edge in (lo, hi):
+        if edge is not None:
+            config = apply_overrides(PipelineConfig(), {key: edge})
+            assert getattr(_section(config, section), name) == float(edge)
+    for value in outside:
+        with pytest.raises(ConfigError, match=f"^{re.escape(f'{name} must lie in {bounds}, got ')}"):
+            apply_overrides(PipelineConfig(), {key: value})

@@ -18,7 +18,7 @@ from dcascan.engine import (
     draw_slots,
 )
 from dcascan.errors import ConfigError, EngineInvariantError
-from dcascan.events import ProcessEvent, read_buckets, serialize_stream
+from dcascan.events import ProcessEvent, TickBucket, read_buckets, serialize_stream
 from dcascan.pipeline import run_stream
 from dcascan.scenario import gen_dataset
 from dcascan.signals import SignalVector
@@ -375,6 +375,27 @@ def test_conservation_error_reports_counts():
     engine.presented_total += 1  # corrupt the books
     with pytest.raises(EngineInvariantError, match="conservation"):
         engine.check_conservation()
+
+
+def test_run_stream_checks_conservation_on_every_tick(monkeypatch):
+    real_tick = DcaEngine.tick
+
+    def leaky_tick(self, *args):
+        records = real_tick(self, *args)
+        self.presented_total += 1  # corrupt the books
+        return records
+
+    monkeypatch.setattr(DcaEngine, "tick", leaky_tick)
+    handed_out = []
+
+    def buckets():
+        for second in range(5):
+            handed_out.append(second)
+            yield TickBucket(second)
+
+    with pytest.raises(EngineInvariantError, match="conservation"):
+        run_stream(buckets())
+    assert handed_out == [0]
 
 
 def test_population_size_is_constant():

@@ -111,12 +111,23 @@ def test_parse_rejects_unknown_tag():
         ("# duration=1e9\nP 1 sent udp - 60\n", 1, "duration 1000000000.0 exceeds the maximum 86400"),
         ("P 86400.5 sent udp - 60\n", 1, "timestamp 86400.5 exceeds the maximum 86400"),
         ("P 1 sent udp - 65536\n", 1, "size 65536 above maximum 65535"),
+        # int() and float() read these spellings; the writer never writes them
+        ("P 1_0.5 sent udp - 60\n", 1, "bad numeric field: '1_0.5'"),
+        ("P 1 sent udp - 1_000\n", 1, "bad numeric field: '1_000'"),
+        ("E 1 5 sshd syscall\nE 11 \u0663 sshd syscall\n", 2, "bad numeric field: '\u0663'"),
+        ("P \u0661\u0660 sent udp - 60\n", 1, "bad numeric field: '\u0661\u0660'"),
+        ("# duration=1_000\n", 1, "bad duration annotation"),
     ],
 )
 def test_parse_rejects_invalid_line(text, line_no, fragment):
     with pytest.raises(StreamParseError, match=f"^line {line_no}: .*{re.escape(fragment)}") as err:
         parse_stream(text)
     assert err.value.line_no == line_no
+
+
+def test_parse_keeps_every_written_number_spelling():
+    text = "# duration=10.5\nP 1e-05 sent udp - 60\nE 10 7 fire_f\u00f6x syscall\nP 10.5 sent udp - 60\n"
+    assert serialize_stream(parse_stream(text)) == text
 
 
 def test_parse_accepts_times_at_the_bounds():

@@ -145,9 +145,9 @@ def test_scan_profile_validation():
         ScanProfile(scanner_label="n map")
     with pytest.raises(ConfigError, match="parent_label must be one word"):
         ScanProfile(parent_label="")
-    with pytest.raises(ConfigError, match="relay_packet_size must be at least 20"):
+    with pytest.raises(ConfigError, match=r"^relay_packet_size must lie in \[20, 65,535\], got 19$"):
         ScanProfile(relay_packet_size=19)
-    with pytest.raises(ConfigError, match="relay_packet_size must be .* at most 65535"):
+    with pytest.raises(ConfigError, match=r"^relay_packet_size must lie in \[20, 65,535\], got 65536$"):
         ScanProfile(relay_packet_size=MAX_PACKET_SIZE + 1)
     ScanProfile(relay_packet_size=MAX_PACKET_SIZE)
 
@@ -199,7 +199,7 @@ def test_normal_profile_validation():
         NormalProfile(tcp_fraction=0.7, udp_fraction=0.4)
     with pytest.raises(ConfigError, match="browser_pid must be positive"):
         NormalProfile(browser_pid=0)
-    with pytest.raises(ConfigError, match="child_pids must be positive, got -1"):
+    with pytest.raises(ConfigError, match=r"^child_pids\[1\] must be positive, got -1$"):
         NormalProfile(child_pids=(2871, -1))
     with pytest.raises(ConfigError, match="browser_label must be one word"):
         NormalProfile(browser_label="fire\tfox")
@@ -212,8 +212,14 @@ def test_normal_profile_validation():
             with pytest.raises(ConfigError, match=f"{name} must lie in \\[0, 10000\\]"):
                 NormalProfile(**{name: value})
     for size in (19.5, MAX_PACKET_SIZE + 0.5):
-        with pytest.raises(ConfigError, match="download_size must be at least 20 and at most 65535"):
+        with pytest.raises(ConfigError, match=rf"^download_size must lie in \[20, 65,535\], got {size}$"):
             NormalProfile(download_size=size)
+    for name in ("tcp_fraction", "udp_fraction", "sent_fraction"):
+        for value in (-0.5, 1.5):
+            with pytest.raises(ConfigError, match=rf"^{name} must lie in \[0, 1\], got {value}$"):
+                NormalProfile(**{name: value})
+    NormalProfile(tcp_fraction=1.0, udp_fraction=0.0, sent_fraction=0.0)
+    NormalProfile(tcp_fraction=0.0, udp_fraction=1.0, sent_fraction=1.0)
 
 
 def test_normal_download_sizes_stay_within_the_packet_size_bound():

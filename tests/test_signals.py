@@ -131,6 +131,10 @@ def test_signal_config_validation():
         SignalConfig(ss2_step_bounds=(50.0, 45.0, 60.0))
     with pytest.raises(ConfigError):
         SignalConfig(ds1_scale=0)
+    with pytest.raises(ConfigError, match="^ss2_window_seconds must be positive, got 0$"):
+        SignalConfig(ss2_window_seconds=0)
+    with pytest.raises(ConfigError, match="^ss2 step bounds must increase$"):
+        SignalConfig(ss2_step_bounds=(45.0, float("nan"), 60.0))
 
 
 @pytest.mark.parametrize(
@@ -144,8 +148,8 @@ def test_signal_config_validation():
         ({"ss2_default": -1.0}, "ss2_default"),
         ({"ss2_step_values": (0.0, 10.0, 150.0)}, r"ss2_step_values\[2\]"),
         # a negative multiplier can only push pamp1 below 0 on the first ICMP second
-        ({"icmp_multiplier": -1.0}, "icmp_multiplier=-1.0"),
-        ({"icmp_multiplier": float("nan")}, "icmp_multiplier=nan"),
+        ({"icmp_multiplier": -1.0}, r"icmp_multiplier must lie in \[0, inf\], got -1.0"),
+        ({"icmp_multiplier": float("nan")}, r"icmp_multiplier must lie in \[0, inf\], got nan"),
     ],
 )
 def test_signal_config_rejects_scores_outside_range(kwargs, fragment):
