@@ -39,11 +39,13 @@ MAX_PACKET_SIZE = 65_535  # the IPv4 total-length limit
 MAX_DURATION = 86_400.0
 
 _DURATION_PREFIX = "# duration="
+MAX_TAILS = 4_096  # distinct line tails, the text after the time, that one reader keeps
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class PacketEvent:
-    """One packet seen on the wire, in either direction."""
+    """One packet seen on the wire, in either direction.  Events compare and hash
+    by value and parsed ones share field objects, so no code may mutate one."""
 
     timestamp: float
     direction: str
@@ -53,9 +55,10 @@ class PacketEvent:
     icmp_type: str | None = None
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ProcessEvent:
-    """One monitored process action: a system call or a remote root login/logout."""
+    """One monitored process action: a system call or a remote root login/logout.
+    Like a PacketEvent it compares and hashes by value, so no code may mutate one."""
 
     timestamp: float
     pid: int
@@ -86,7 +89,7 @@ class TickBucket:
 
 def format_time(t: float) -> str:
     """Shortest text of a time: integral values without a trailing ``.0``."""
-    return repr(t) if t != int(t) else str(int(t))
+    return str(int(t)) if t.is_integer() else repr(t)
 
 
 def _flags_text(flags: frozenset[str]) -> str:
@@ -115,14 +118,21 @@ def serialize_stream(stream: EventStream) -> str:
     return "".join(_lines(stream))
 
 
-def _parse_packet(parts: list[str], line_no: int) -> PacketEvent:
-    if len(parts) not in (6, 7):
-        raise StreamParseError(line_no, f"packet line needs 6 or 7 fields, got {len(parts)}")
+def _number(text: str, line_no: int, parse=int, spell=str):
+    """A numeric field, spelled exactly as the writer writes it."""
     try:
-        ts = float(parts[1])
-        size = int(parts[5])
+        value = parse(text)
     except ValueError as exc:
         raise StreamParseError(line_no, f"bad numeric field: {exc}") from None
+    if spell(value) != text:
+        raise StreamParseError(line_no, f"bad numeric field: {text!r}")
+    return value
+
+
+def _parse_packet(parts: list[str], line_no: int) -> tuple:
+    if len(parts) not in (6, 7):
+        raise StreamParseError(line_no, f"packet line needs 6 or 7 fields, got {len(parts)}")
+    size = _number(parts[5], line_no)
     direction, protocol, flags_text = parts[2], parts[3], parts[4]
     if direction not in DIRECTIONS:
         raise StreamParseError(line_no, f"unknown direction {direction!r}")
@@ -142,31 +152,19 @@ def _parse_packet(parts: list[str], line_no: int) -> PacketEvent:
         raise StreamParseError(line_no, f"size {size} below minimum {MIN_PACKET_SIZE}")
     if size > MAX_PACKET_SIZE:
         raise StreamParseError(line_no, f"size {size} above maximum {MAX_PACKET_SIZE}")
-    return PacketEvent(ts, direction, protocol, flags, size, icmp_type)
+    return direction, protocol, flags, size, icmp_type
 
 
-def _parse_process(parts: list[str], line_no: int) -> ProcessEvent:
+def _parse_process(parts: list[str], line_no: int) -> tuple:
     if len(parts) != 5:
         raise StreamParseError(line_no, f"process line needs 5 fields, got {len(parts)}")
-    try:
-        ts = float(parts[1])
-        pid = int(parts[2])
-    except ValueError as exc:
-        raise StreamParseError(line_no, f"bad numeric field: {exc}") from None
+    pid = _number(parts[2], line_no)
     if pid <= 0:
         raise StreamParseError(line_no, f"pid must be positive, got {pid}")
     kind = _PROCESS_KIND.get(parts[4])
     if kind is None:
         raise StreamParseError(line_no, f"unknown process event kind {parts[4]!r}")
-    return ProcessEvent(ts, pid, parts[3], kind)
-
-
-def _check_numerals(parts: list[str], line_no: int) -> None:
-    """Reject underscores and non-ASCII digits in the numeric fields of a
-    parsed record: int() and float() read them, the writer never writes them."""
-    for text in (parts[1], parts[5] if parts[0] == "P" else parts[2]):
-        if "_" in text or not text.isascii():
-            raise StreamParseError(line_no, f"bad numeric field: {text!r}")
+    return pid, parts[3], kind
 
 
 def _time_error(line_no: int, name: str, value: float, last: float, limit: float):
@@ -189,23 +187,36 @@ class _EventReader:
     [0, MAX_DURATION]; without an annotation it is the last event's time.
     ``duration`` holds the final value once the lines are exhausted.  A
     violation raises a StreamParseError naming its line; nothing is sorted.
+    ``tails`` keeps the checked fields of up to MAX_TAILS distinct line
+    tails after the time, so a repeated tail costs only the time check.
     """
 
     def __init__(self, lines: Iterable[str]):
         self.lines = lines
         self.duration = 0.0
+        self.tails: dict[tuple[str, str], tuple] = {}
 
     def __iter__(self) -> Iterator[PacketEvent | ProcessEvent]:
-        duration, last, limit = None, 0.0, MAX_DURATION
+        duration, last, last_text, limit, tails = None, 0.0, None, MAX_DURATION, self.tails
         for line_no, raw in enumerate(self.lines, start=1):
-            parts = raw.split()
-            if not parts:
+            head = raw.split(None, 2)
+            if not head:
                 continue
-            tag = parts[0]
-            if tag == "P":
-                event = _parse_packet(parts, line_no)
-            elif tag == "E":
-                event = _parse_process(parts, line_no)
+            tag = head[0]
+            if tag == "P" or tag == "E":
+                key = (tag, head[2] if len(head) == 3 else "")
+                fields = tails.get(key)
+                if fields is None:
+                    fields = (_parse_packet if tag == "P" else _parse_process)(raw.split(), line_no)
+                    if len(tails) == MAX_TAILS:
+                        tails.clear()
+                    tails[key] = fields
+                if head[1] != last_text:  # a repeated time passed every check already
+                    ts = _number(head[1], line_no, float, format_time)
+                    if not last <= ts <= limit:
+                        raise _time_error(line_no, "timestamp", ts, last, limit)
+                    last, last_text = ts, head[1]
+                yield (PacketEvent if tag == "P" else ProcessEvent)(last, *fields)
             elif tag[0] == "#":
                 if raw.strip().startswith(_DURATION_PREFIX):
                     text = raw.partition("=")[2]
@@ -218,15 +229,8 @@ class _EventReader:
                     if not last <= duration <= MAX_DURATION:
                         raise _time_error(line_no, "duration", duration, last, MAX_DURATION)
                     limit = duration
-                continue
             else:
                 raise StreamParseError(line_no, f"unknown record tag {tag!r}")
-            if "_" in raw or not raw.isascii():  # one cheap test of the whole line first
-                _check_numerals(parts, line_no)
-            if not last <= event.timestamp <= limit:
-                raise _time_error(line_no, "timestamp", event.timestamp, last, limit)
-            last = event.timestamp
-            yield event
         self.duration = last if duration is None else duration
 
 

@@ -34,10 +34,12 @@ _DEFAULT_SCAN_LEN_FRAC = 0.857
 # Bounds of what the generator is asked to emit: probes per scan (the default
 # scan over the longest session sends about 1.48M), events per second for
 # every Poisson rate of a profile, since each event drawn is one loop pass,
-# and events per probe, reply or salvo for each burst count of the scan.
+# events per probe, reply or salvo for each burst count of the scan, and the
+# events a whole session is expected to hold (about 20M by default at most).
 MAX_PROBES = 2_000_000
 MAX_RATE = 10_000.0
 MAX_BURST = 1_000
+MAX_EVENTS = 25_000_000
 
 
 def _poisson(rng: random.Random, lam: float) -> int:
@@ -292,13 +294,27 @@ def gen_dataset(kind: str, duration: float, seed: int, *,
     elif scan_duration <= 0:
         raise ConfigError("scan_duration must be positive")
     scan_duration = min(scan_duration, duration - scan_start)
+    # The events the session is expected to hold: rates times seconds, bursts times their causes.
+    expected, salvos = session.sshd_syscall_rate * duration, 0
     if include_scan:
         if scan.ports_per_host is None:
             per_host = scan_duration / scan.probe_interval / scan.target_count
             # The clamp keeps round() finite and still fails the bound below.
             scan = replace(scan, ports_per_host=max(1, round(min(per_host, MAX_PROBES + 1))))
-        if scan.target_count * scan.ports_per_host > MAX_PROBES:
+        if (probes := scan.target_count * scan.ports_per_host) > MAX_PROBES:
             raise ConfigError(f"target_count x ports_per_host exceeds {MAX_PROBES:,} probes")
+        salvos = math.ceil(probes / max(1, round(scan.salvo_rate)))
+        per_probe = 1 + scan.syscalls_per_probe + scan.icmp_reply_rate + scan.hosts_up * (
+            2 + scan.syscalls_per_reply + scan.relay_syscalls_per_reply) / scan.target_count
+        expected += probes * per_probe + salvos * 2 * scan.relay_packets_per_salvo
+    if kind == "active-normal":
+        bursts = ((normal.activity_pps, normal.activity_length, normal.activity_period),
+                  (normal.download_pps, normal.download_length, normal.download_period))
+        pps = normal.mean_pps + sum(rate * min(1.0, max(0.0, *length) / period)
+                                    for rate, length, period in bursts if period > 0)
+        expected += (pps + normal.syscall_rate) * duration + normal.stall_flush_syscalls * salvos
+    if expected > MAX_EVENTS:
+        raise ConfigError(f"the session would hold about {expected:,.0f} events, above {MAX_EVENTS:,}")
 
     rng = random.Random(seed)
     packets: list[PacketEvent] = []

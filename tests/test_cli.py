@@ -126,6 +126,20 @@ def test_generate_rejects_unbounded_output(tmp_path, capsys, kind, setting):
     assert not out.exists()
 
 
+def test_generate_rejects_a_session_past_the_event_bound(tmp_path, capsys):
+    # 10,000 packets a second pass the rate bound, but 3000 s of them are about
+    # 30M packets: this used to end in a MemoryError
+    conf = tmp_path / "busy.conf"
+    conf.write_text("normal.mean_pps = 10000\n")
+    out = tmp_path / "x.txt"
+    code = main(["generate", "active-normal", "--duration", "3000", "--seed", "1",
+                 "--config", str(conf), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error: ") and "above 25,000,000" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("setting", [
     # each used to loop until a MemoryError, so the command runs in a child with a timeout
     "scan.syscalls_per_probe = 1000000000",
@@ -244,8 +258,8 @@ def test_run_missing_events_file(tmp_path, capsys):
         # a leading NaN used to stall bucketing and drop every packet silently
         ("P nan sent tcp syn 40\nP 1.0 sent tcp syn 40\n", "line 1: timestamp nan"),
         # a trailing NaN used to end in a raw ValueError traceback
-        ("P 1.0 sent tcp syn 40\nP nan sent tcp syn 40\n", "line 2: timestamp nan"),
-        ("E 1.0 5 nmap syscall\nE nan 5 nmap syscall\n", "line 2: timestamp nan"),
+        ("P 1.5 sent tcp syn 40\nP nan sent tcp syn 40\n", "line 2: timestamp nan"),
+        ("E 1 5 nmap syscall\nE nan 5 nmap syscall\n", "line 2: timestamp nan"),
         # an infinite duration used to end in a raw OverflowError traceback
         ("# duration=inf\nP 1.0 sent tcp syn 40\n", "line 1: duration inf"),
     ],

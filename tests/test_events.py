@@ -15,11 +15,14 @@ from hypothesis import strategies as st
 from dcascan.errors import StreamParseError
 from dcascan.events import (
     MAX_DURATION,
+    MAX_TAILS,
+    MIN_PACKET_SIZE,
     PROCESS_KINDS,
     EventStream,
     PacketEvent,
     ProcessEvent,
     TickBucket,
+    _EventReader,
     iter_buckets,
     parse_stream,
     read_buckets,
@@ -66,7 +69,7 @@ def test_parsed_process_kinds_are_the_shared_constants():
 
 def test_parse_reports_line_number():
     with pytest.raises(StreamParseError) as err:
-        parse_stream("P 1.0 sent tcp syn 40\nP nonsense\n")
+        parse_stream("P 1 sent tcp syn 40\nP nonsense\n")
     assert "line 2" in str(err.value)
 
 
@@ -117,6 +120,13 @@ def test_parse_rejects_unknown_tag():
         ("E 1 5 sshd syscall\nE 11 \u0663 sshd syscall\n", 2, "bad numeric field: '\u0663'"),
         ("P \u0661\u0660 sent udp - 60\n", 1, "bad numeric field: '\u0661\u0660'"),
         ("# duration=1_000\n", 1, "bad duration annotation"),
+        # nor these: every number must be spelled as the writer writes it
+        ("P +1.50 sent udp - 60\n", 1, "bad numeric field: '+1.50'"),
+        ("P 1 sent udp - 060\n", 1, "bad numeric field: '060'"),
+        ("E 1E1 7 sshd syscall\n", 1, "bad numeric field: '1E1'"),
+        ("E 1 +07 sshd syscall\n", 1, "bad numeric field: '+07'"),
+        ("P -0 sent udp - 60\n", 1, "bad numeric field: '-0'"),
+        ("P 1.0 sent udp - 60\n", 1, "bad numeric field: '1.0'"),
     ],
 )
 def test_parse_rejects_invalid_line(text, line_no, fragment):
@@ -128,6 +138,67 @@ def test_parse_rejects_invalid_line(text, line_no, fragment):
 def test_parse_keeps_every_written_number_spelling():
     text = "# duration=10.5\nP 1e-05 sent udp - 60\nE 10 7 fire_f\u00f6x syscall\nP 10.5 sent udp - 60\n"
     assert serialize_stream(parse_stream(text)) == text
+
+
+@pytest.mark.parametrize("time_text, fragment", [
+    ("0.5", "timestamp 0.5 is before the earlier event at 1"),
+    ("9", "timestamp 9.0 exceeds the duration 8"),
+    ("1_0", "bad numeric field: '1_0'"),
+    ("+1", "bad numeric field: '+1'"),
+])
+def test_a_remembered_tail_still_checks_its_time(time_text, fragment):
+    # Line 2 puts the tail of line 3 in the reader's memo, or a different one.
+    line = f"P {time_text} sent udp - 60\n"
+    errors = []
+    for seen in ("P 1 sent udp - 60\n", "P 1 sent udp - 61\n"):
+        with pytest.raises(StreamParseError) as err:
+            parse_stream("# duration=8\n" + seen + line)
+        errors.append(str(err.value))
+        assert err.value.line_no == 3
+    assert errors == [f"line 3: {fragment}"] * 2
+
+
+def test_reader_bounds_its_tail_memo_and_round_trips_many_tails():
+    sizes = [*range(MIN_PACKET_SIZE, 5_001), *range(MIN_PACKET_SIZE, 100)]
+    text = f"# duration={float(len(sizes))!r}\n" + "".join(
+        f"P {i} sent udp - {size}\n" for i, size in enumerate(sizes))
+    reader = _EventReader(io.StringIO(text))
+    memo_sizes = [len(reader.tails) for _ in reader]
+    assert max(memo_sizes) == MAX_TAILS and memo_sizes[-1] < MAX_TAILS
+    assert serialize_stream(parse_stream(text)) == text
+
+
+_TAIL_POOL = [("sent", "udp", None, 60, None), ("recv", "tcp", frozenset(("ack",)), 40, None),
+              ("recv", "icmp", None, 56, "dest_unreachable"), (5, "sshd", "syscall"),
+              (3411, "nmap", "syscall"), (5, "sshd", "login")]
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.lists(st.tuples(st.sampled_from([0.0, 0.0, 0.0002, 0.25, 1.0, 2.5]),
+                          st.sampled_from(_TAIL_POOL)), max_size=60),
+       st.sampled_from([0.0, 0.5, 3.0]))
+def test_read_buckets_with_repeated_tails_matches_iter_buckets(steps, extra):
+    events, t = [], 0.0
+    for step, fields in steps:
+        t = round(t + step, 4)
+        events.append((PacketEvent if len(fields) == 5 else ProcessEvent)(t, *fields))
+    stream = EventStream(events, t + extra)
+    lines = serialize_stream(stream).splitlines(True)
+    assert list(read_buckets(lines)) == list(iter_buckets(stream))
+
+
+def test_events_are_values_and_parsed_tails_share_their_fields():
+    for make in (lambda: PacketEvent(1.5, "sent", "udp", None, 60),
+                 lambda: ProcessEvent(1.5, 5, "sshd", "syscall")):
+        a, b = make(), make()
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    text = "P 1 sent udp - 60\nE 1 5 sshd syscall\nP 2 sent udp - 60\nE 2 5 sshd syscall\n"
+    for events in (parse_stream(text).events,
+                   [ev for b in read_buckets(io.StringIO(text))
+                    for ev in b.packet_events + b.process_events]):
+        p1, e1, p2, e2 = sorted(events, key=lambda ev: (ev.timestamp, type(ev) is ProcessEvent))
+        assert (p1.timestamp, p2.timestamp) == (1.0, 2.0)
+        assert p2.direction is p1.direction and e2.process_name is e1.process_name
 
 
 def test_parse_accepts_times_at_the_bounds():

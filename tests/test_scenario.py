@@ -292,6 +292,32 @@ def test_probe_bound_admits_the_default_scan_over_the_longest_session(monkeypatc
     assert 1_400_000 < scan.target_count * scan.ports_per_host <= MAX_PROBES
 
 
+@pytest.mark.parametrize("include_scan", [True, False])
+@pytest.mark.parametrize("kind", DATASET_KINDS)
+def test_event_bound_admits_every_default_session_of_the_longest_duration(
+        monkeypatch, kind, include_scan):
+    class Generating(Exception):
+        pass
+
+    def stop(rng, lam):
+        raise Generating
+
+    monkeypatch.setattr(scenario, "_poisson", stop)
+    with pytest.raises(Generating):
+        gen_dataset(kind, MAX_DURATION, 1, include_scan=include_scan)
+
+
+@pytest.mark.parametrize("kind, duration, profiles", [
+    ("active-normal", 3000, {"normal": NormalProfile(mean_pps=MAX_RATE)}),  # about 30M
+    ("active-normal", MAX_DURATION,
+     {"normal": NormalProfile(activity_pps=MAX_RATE, activity_period=10.0)}),  # about 366M
+    ("passive-normal", MAX_DURATION, {"scan": ScanProfile(syscalls_per_reply=MAX_BURST)}),  # 415M
+])
+def test_event_bound_rejects_sessions_whose_rates_pass_one_by_one(kind, duration, profiles):
+    with pytest.raises(ConfigError, match=r"^the session would hold about [\d,]+ events, above 25,000,000$"):
+        gen_dataset(kind, duration, 1, **profiles)
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
 @pytest.mark.parametrize("name", ["duration", "scan_start", "scan_duration"])
 def test_dataset_rejects_non_finite_values(name, value):
