@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 usage, 2 invalid data or configuration, 3 I/O.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from dataclasses import replace
@@ -191,9 +192,12 @@ def cmd_pipeline(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    # Apart from the argument parser, nothing a command builds forms a reference
+    # cycle, so reference counting frees it; the collector would only rescan events.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
@@ -207,6 +211,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 3
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -146,9 +146,19 @@ class TissueCompartment:
         return len(self._residents)
 
     def store_all(self, antigens: Sequence[ProcessEvent]) -> None:
-        """Store arrivals in order, each overwriting the oldest when full."""
+        """Store arrivals in order, each overwriting the oldest when full.
+
+        Once the free slots are filled, arrivals overwrite the slots in one
+        ring order that a whole lap of ``capacity`` arrivals leaves as it
+        was.  So every lap but the last after the free slots fill is counted
+        as overwritten without being stored; the result is the same.
+        """
         slots, free, residents = self.slots, self._free, self._residents
-        overwritten = 0
+        total, head, capacity = len(antigens), len(free), self.capacity
+        laps = max(0, (total - head) // capacity - 1)
+        if laps:
+            antigens = antigens[:head] + antigens[head + laps * capacity:]
+        overwritten = laps * capacity
         for antigen in antigens:
             if free:
                 idx = free.pop()
@@ -158,7 +168,7 @@ class TissueCompartment:
             slots[idx] = antigen
             residents[idx] = None
         self.overwritten_total += overwritten
-        self.stored_total += len(antigens)
+        self.stored_total += total
 
     def take(self, idx: int) -> ProcessEvent | None:
         antigen = self.slots[idx]
@@ -283,7 +293,8 @@ class DcaEngine:
                 migrating.append(cell)
         records: list[PresentationRecord] = []
         for cell in migrating:
-            records.extend(cell.present(now))
+            if cell.antigen_store:
+                records.extend(cell.present(now))
             cell.reset(rng, self.config.threshold_min, self.config.threshold_max)
         self.presented_total += len(records)
         self.ticks_run += 1

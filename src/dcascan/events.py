@@ -219,15 +219,15 @@ class _EventReader:
                 yield (PacketEvent if tag == "P" else ProcessEvent)(last, *fields)
             elif tag[0] == "#":
                 if raw.strip().startswith(_DURATION_PREFIX):
-                    text = raw.partition("=")[2]
-                    if "_" in text or not text.isascii():
-                        raise StreamParseError(line_no, "bad duration annotation")
+                    text = raw.partition("=")[2].strip()
                     try:
                         duration = float(text)
                     except ValueError:
                         raise StreamParseError(line_no, "bad duration annotation") from None
                     if not last <= duration <= MAX_DURATION:
                         raise _time_error(line_no, "duration", duration, last, MAX_DURATION)
+                    if text != repr(duration) and text != format_time(duration):
+                        raise StreamParseError(line_no, "bad duration annotation")
                     limit = duration
             else:
                 raise StreamParseError(line_no, f"unknown record tag {tag!r}")

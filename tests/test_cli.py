@@ -1,5 +1,7 @@
 """End-to-end behaviour of the dcascan command line."""
 
+import argparse
+import gc
 import os
 import subprocess
 import sys
@@ -518,3 +520,49 @@ def test_missing_config_file_exits_3(small_events, tmp_path):
                  "--out", str(tmp_path / "o.csv"),
                  "--config", str(tmp_path / "absent.conf")])
     assert code == 3
+
+
+# --------------------------------------------------------------------------
+# the cyclic garbage collector
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["generate", "passive-normal", "--duration", "20", "--seed", "1", "--out", "{tmp}/e.txt"], 0),
+    (["nosuchcommand"], 1),
+    (["generate", "passive-normal", "--duration", "0", "--seed", "1", "--out", "{tmp}/e.txt"], 2),
+    (["run", "{tmp}/absent.txt", "--seed", "1", "--out", "{tmp}/o.csv"], 3),
+])
+@pytest.mark.parametrize("collecting", [True, False])
+def test_main_leaves_the_collector_as_it_found_it(tmp_path, capsys, argv, code, collecting):
+    was = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        assert main([arg.format(tmp=tmp_path) for arg in argv]) == code
+        assert gc.isenabled() == collecting
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_pipeline_forms_no_cycles_of_its_own(tmp_path, capsys):
+    """With the collector off, a longer session leaves no more garbage; only
+    the argument parser forms cycles, so reference counting frees the rest."""
+
+    def garbage(duration):
+        was, flags, start = gc.isenabled(), gc.get_debug(), len(gc.garbage)
+        gc.collect()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            assert main(["pipeline", "passive-normal", "--duration", str(duration), "--seed", "3",
+                         "--out-dir", str(tmp_path / str(duration))]) == 0
+            gc.collect()
+            return gc.garbage[start:]
+        finally:
+            del gc.garbage[start:]
+            gc.set_debug(flags)
+            (gc.enable if was else gc.disable)()
+
+    short, long = garbage(60), garbage(240)
+    assert len(short) == len(long)
+    assert [obj for obj in short + long if type(obj).__module__.startswith("dcascan")
+            and not isinstance(obj, argparse.ArgumentParser)] == []

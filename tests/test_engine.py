@@ -66,6 +66,30 @@ def test_tissue_sustained_overflow_behaves_like_ring():
     assert tissue.overwritten_total == 18
 
 
+@given(capacity=st.integers(1, 40), data=st.data())
+def test_store_all_equals_storing_one_at_a_time(capacity, data):
+    """A batch, whole laps skipped, leaves what one arrival at a time leaves."""
+    prefill = data.draw(st.integers(0, 2 * capacity), label="prefill")
+    taken = data.draw(st.lists(st.integers(0, capacity - 1), max_size=capacity), label="taken")
+    size = data.draw(st.integers(0, 6 * capacity), label="size")  # past 5 laps of a full tissue
+    as_tuple = data.draw(st.booleans(), label="as_tuple")
+    batched, single = TissueCompartment(capacity), TissueCompartment(capacity)
+    for tissue in (batched, single):
+        for i in range(prefill):
+            tissue.store_all((_antigen(-1 - i),))
+        for idx in taken:
+            tissue.take(idx)
+    arrivals = [_antigen(i) for i in range(size)]
+    batched.store_all(tuple(arrivals) if as_tuple else arrivals)
+    for antigen in arrivals:
+        single.store_all([antigen])
+    assert batched.slots == single.slots
+    assert list(batched._residents) == list(single._residents)
+    assert batched._free == single._free
+    assert (batched.stored_total, batched.overwritten_total) == \
+        (single.stored_total, single.overwritten_total)
+
+
 # --------------------------------------------------------------------------
 # signal fusion and cell state
 
@@ -220,7 +244,8 @@ def test_full_store_still_makes_every_draw():
     assert full_rng.getstate() == empty_rng.getstate()
 
 
-def test_tick_matches_cell_methods():
+@pytest.mark.parametrize("per_tick", [250, 1000])  # 1000 laps the 200-slot tissue
+def test_tick_matches_cell_methods(per_tick):
     """The inlined tick equals sample-then-update on each cell in turn."""
     config = EngineConfig(tissue_capacity=200, cell_store_capacity=5)
     engine = DcaEngine(config, seed=4)
@@ -234,7 +259,7 @@ def test_tick_matches_cell_methods():
     for t in range(40):
         sv = _vector(pamp1=stimulus.uniform(0, 100), ss1=stimulus.uniform(0, 100),
                      inflammation=stimulus.randint(0, 1))
-        arrivals = [_antigen(250 * t + j) for j in range(250)]  # overflows the tissue
+        arrivals = [_antigen(per_tick * t + j) for j in range(per_tick)]  # overflows the tissue
         records = engine.tick(sv, arrivals, float(t))
         expected = []
         for antigen in arrivals:
@@ -251,6 +276,8 @@ def test_tick_matches_cell_methods():
         assert tissue.slots == engine.tissue.slots
         assert [(c.csm, c.semi, c.mature) for c in cells] == \
             [(c.csm, c.semi, c.mature) for c in engine.cells]
+        assert engine.rng.getstate() == rng.getstate()
+        assert list(tissue._residents) == list(engine.tissue._residents)
     assert presented > 0
     assert engine.tissue.overwritten_total == tissue.overwritten_total > 0
 

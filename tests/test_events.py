@@ -127,6 +127,10 @@ def test_parse_rejects_unknown_tag():
         ("E 1 +07 sshd syscall\n", 1, "bad numeric field: '+07'"),
         ("P -0 sent udp - 60\n", 1, "bad numeric field: '-0'"),
         ("P 1.0 sent udp - 60\n", 1, "bad numeric field: '1.0'"),
+        ("# duration=+1E1\n", 1, "bad duration annotation"),
+        ("# duration=1e1\n", 1, "bad duration annotation"),
+        ("# duration=10.00\n", 1, "bad duration annotation"),
+        ("# duration=010\n", 1, "bad duration annotation"),
     ],
 )
 def test_parse_rejects_invalid_line(text, line_no, fragment):
