@@ -14,13 +14,15 @@ from __future__ import annotations
 import argparse
 import gc
 import os
+import signal
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 
 from . import analysis, pipeline
 from .config import PipelineConfig, build_config
 from .errors import ConfigError, DcaError
-from .events import PacketEvent, iter_buckets, read_buckets, save_stream
+from .events import PacketEvent, iter_buckets, read_buckets, save_stream, write_stream
 from .scenario import DATASET_KINDS, gen_dataset
 
 
@@ -176,16 +178,63 @@ def cmd_analyze(args) -> int:
     return 0
 
 
+def _write_and_exit(stream, fh, error_out):
+    """The forked writer: write the event file, send the message of a failure
+    up the pipe and leave by ``os._exit`` whatever was raised, never returning."""
+    code = 1
+    try:
+        write_stream(stream, fh)
+        fh.close()
+        code = 0
+    except Exception as exc:
+        error_out.write(str(exc).encode("utf-8", "replace"))
+    finally:
+        os._exit(code)
+
+
+@contextmanager
+def _saved_alongside(stream, path):
+    """Write the stream's event file while the block runs.
+
+    Where the platform can fork, a child writes the file, so writing and the
+    block use two cores (dcascan starts no threads, so the child inherits no
+    held lock); elsewhere it is written before the block, as ``generate``
+    does.  The file is opened first, so an unopenable path fails before the
+    block starts.  The child is reaped however the block ends; its failure
+    is raised as an OSError once the block has succeeded.
+    """
+    if not hasattr(os, "fork"):
+        save_stream(stream, path)
+        yield
+        return
+    reader, writer = os.pipe()
+    with open(reader, "rb") as errors:
+        with open(writer, "wb", buffering=0) as error_out, open(path, "w", encoding="utf-8") as fh:
+            pid = os.fork()
+            if pid == 0:
+                _write_and_exit(stream, fh, error_out)
+        try:
+            yield
+        finally:
+            message = errors.read().decode("utf-8", "replace")
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code < 0:
+        raise OSError(f"the writer of {path} was killed by signal {-code} "
+                      f"({signal.strsignal(-code)})")
+    if code:
+        raise OSError(message or f"the writer of {path} exited with status {code}")
+
+
 def cmd_pipeline(args) -> int:
     config = build_config(args.config)
     stream = _generate_stream(args, config)
     os.makedirs(args.out_dir, exist_ok=True)
     events_path = os.path.join(args.out_dir, "events.txt")
-    save_stream(stream, events_path)
-    print(f"generated {events_path}: {stream.event_count} events")
     trace_out = os.path.join(args.out_dir, "signals.csv") if args.signal_trace else None
-    result = _run_and_write(args, config, iter_buckets(stream),
-                            os.path.join(args.out_dir, "presentations.csv"), trace_out)
+    with _saved_alongside(stream, events_path):
+        result = _run_and_write(args, config, iter_buckets(stream),
+                                os.path.join(args.out_dir, "presentations.csv"), trace_out)
+    print(f"generated {events_path}: {stream.event_count} events")
     print(f"replayed {result.ticks} ticks: {len(result.records)} presentations")
     _analyze_records(result.records, args.out_dir, _analysis_config(config, args))
     return 0

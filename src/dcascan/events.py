@@ -246,10 +246,15 @@ def load_stream(path) -> EventStream:
         return parse_stream(fh.read())
 
 
+def write_stream(stream: EventStream, fh) -> None:
+    """Write a stream's event file to an open text file line by line, never
+    holding its whole text."""
+    fh.writelines(_lines(stream))
+
+
 def save_stream(stream: EventStream, path) -> None:
-    """Write a stream's event file line by line, never holding its whole text."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(_lines(stream))
+        write_stream(stream, fh)
 
 
 def _bucketed(events: Iterable[PacketEvent | ProcessEvent], source) -> Iterator[TickBucket]:

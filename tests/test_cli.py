@@ -3,11 +3,13 @@
 import argparse
 import gc
 import os
+import signal
 import subprocess
 import sys
 
 import pytest
 
+from dcascan import cli, pipeline
 from dcascan.analysis import write_presentations
 from dcascan.cli import main
 from dcascan.engine import PresentationRecord
@@ -474,6 +476,69 @@ def test_pipeline_signal_trace_flag(tmp_path):
     assert (out / "signals.csv").exists()
 
 
+def _short_pipeline(out_dir):
+    return main(["pipeline", "passive-normal", "--duration", "60", "--seed", "2",
+                 "--out-dir", str(out_dir)])
+
+
+def test_pipeline_reports_a_failed_event_file_write_from_the_child(tmp_path, capsys, monkeypatch):
+    def full_disk(stream, fh):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "write_stream", full_disk)  # the forked child inherits it
+    assert _short_pipeline(tmp_path / "run") == 3
+    out, err = capsys.readouterr()
+    assert err == "io error: [Errno 28] No space left on device\n"
+    assert "generated" not in out
+
+
+def test_pipeline_reports_a_writer_killed_by_a_signal(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "write_stream",
+                        lambda stream, fh: os.kill(os.getpid(), signal.SIGKILL))
+    assert _short_pipeline(tmp_path / "run") == 3
+    out, err = capsys.readouterr()
+    assert err.startswith("io error: ") and err.count("\n") == 1
+    assert f"killed by signal {int(signal.SIGKILL)} " in err
+    assert "generated" not in out
+
+
+def test_a_failed_replay_keeps_its_message_and_reaps_the_writer(tmp_path, capsys, monkeypatch):
+    def broken_replay(*args, **kwargs):
+        raise OSError("replay failed")
+
+    monkeypatch.setattr(pipeline, "run_stream", broken_replay)
+    assert _short_pipeline(tmp_path / "run") == 3
+    out, err = capsys.readouterr()
+    assert err == "io error: replay failed\n" and out == ""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    staged = tmp_path / "staged.txt"
+    assert main(["generate", "passive-normal", "--duration", "60", "--seed", "2",
+                 "--out", str(staged)]) == 0
+    assert (tmp_path / "run" / "events.txt").read_bytes() == staged.read_bytes()
+
+
+def test_pipeline_fails_on_an_unopenable_event_file_before_the_replay(tmp_path, capsys):
+    (tmp_path / "run" / "events.txt").mkdir(parents=True)
+    assert _short_pipeline(tmp_path / "run") == 3
+    assert capsys.readouterr().err.startswith("io error: ")
+    assert sorted(p.name for p in (tmp_path / "run").iterdir()) == ["events.txt"]
+
+
+def test_pipeline_without_fork_writes_the_same_bytes(tmp_path, capsys, monkeypatch):
+    def outputs(where):
+        (tmp_path / where).mkdir()
+        monkeypatch.chdir(tmp_path / where)
+        assert _short_pipeline("run") == 0
+        names = ("events.txt", "presentations.csv", "mcav.csv", "summary.csv", "verdicts.csv")
+        files = {name: (tmp_path / where / "run" / name).read_bytes() for name in names}
+        return capsys.readouterr().out, files
+
+    forked = outputs("forked")
+    monkeypatch.delattr(os, "fork")
+    assert outputs("in-process") == forked
+
+
 # --------------------------------------------------------------------------
 # exit codes and config plumbing
 
@@ -531,6 +596,7 @@ def test_missing_config_file_exits_3(small_events, tmp_path):
     (["nosuchcommand"], 1),
     (["generate", "passive-normal", "--duration", "0", "--seed", "1", "--out", "{tmp}/e.txt"], 2),
     (["run", "{tmp}/absent.txt", "--seed", "1", "--out", "{tmp}/o.csv"], 3),
+    (["pipeline", "passive-normal", "--duration", "20", "--seed", "1", "--out-dir", "{tmp}/p"], 0),
 ])
 @pytest.mark.parametrize("collecting", [True, False])
 def test_main_leaves_the_collector_as_it_found_it(tmp_path, capsys, argv, code, collecting):
