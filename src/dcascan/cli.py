@@ -13,16 +13,19 @@ from __future__ import annotations
 
 import argparse
 import gc
+import marshal
 import os
 import signal
 import sys
 from contextlib import contextmanager
 from dataclasses import replace
+from functools import partial
 
 from . import analysis, pipeline
 from .config import PipelineConfig, build_config
 from .errors import ConfigError, DcaError
-from .events import PacketEvent, iter_buckets, read_buckets, save_stream, write_stream
+from .events import (PacketEvent, iter_buckets, read_buckets, read_frames, save_stream,
+                     write_frames, write_stream)
 from .scenario import DATASET_KINDS, gen_dataset
 
 
@@ -146,8 +149,10 @@ def _run_and_write(args, config: PipelineConfig, buckets, out, trace_out):
 
 def cmd_run(args) -> int:
     config = build_config(args.config)
-    with open(args.events, "r", encoding="utf-8") as fh:
-        result = _run_and_write(args, config, read_buckets(fh), args.out, args.signal_trace)
+    with open(args.events, "r", encoding="utf-8") as fh, \
+            _in_child(f"the reader of {args.events}", partial(write_frames, fh)) as receive:
+        buckets = read_buckets(fh) if receive is None else read_frames(receive)
+        result = _run_and_write(args, config, buckets, args.out, args.signal_trace)
     print(f"replayed {result.ticks} ticks: {len(result.records)} presentations "
           f"({result.audit['ingested']} antigen ingested, "
           f"{result.audit['overwritten']} overwritten) -> {args.out}")
@@ -178,51 +183,75 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _write_and_exit(stream, fh, error_out):
-    """The forked writer: write the event file, send the message of a failure
-    up the pipe and leave by ``os._exit`` whatever was raised, never returning."""
-    code = 1
-    try:
-        write_stream(stream, fh)
-        fh.close()
-        code = 0
-    except Exception as exc:
-        error_out.write(str(exc).encode("utf-8", "replace"))
-    finally:
-        os._exit(code)
+def _send(out, obj, error=None) -> None:
+    data = marshal.dumps((obj, error))
+    out.write(len(data).to_bytes(8, "little"))
+    out.write(data)
+    out.flush()
+
+
+def _receive(pipe):
+    """The next object the child sent; raises what it raised, or EOFError."""
+    size = int.from_bytes(pipe.read(8), "little")
+    data = pipe.read(size)
+    if not 0 < len(data) == size:
+        raise EOFError("the child ended before its last message")
+    obj, error = marshal.loads(data)
+    if error is not None:
+        import pickle  # only for an error, so that a run imports no more than marshal
+        raise pickle.loads(error)
+    return obj
 
 
 @contextmanager
-def _saved_alongside(stream, path):
-    """Write the stream's event file while the block runs.
+def _in_child(who: str, work):
+    """Run ``work(send)`` in a forked child while the block runs; yield ``receive``.
 
-    Where the platform can fork, a child writes the file, so writing and the
-    block use two cores (dcascan starts no threads, so the child inherits no
-    held lock); elsewhere it is written before the block, as ``generate``
-    does.  The file is opened first, so an unopenable path fails before the
-    block starts.  The child is reaped however the block ends; its failure
-    is raised as an OSError once the block has succeeded.
+    ``send(obj)`` puts a marshal-able object on a pipe and ``receive()`` takes
+    it off, so the child and the block use two cores (dcascan starts no
+    threads, so the child inherits no held lock).  What ``work`` raises is
+    its last message, raised again as the same type.  The parent closes its
+    end of the pipe before it reaps the child in a ``finally``, so a child
+    blocked on a full pipe ends.  A child killed or failed before its last
+    message is one OSError naming ``who``.  Without fork the block gets None.
     """
     if not hasattr(os, "fork"):
-        save_stream(stream, path)
-        yield
+        yield None
         return
-    reader, writer = os.pipe()
-    with open(reader, "rb") as errors:
-        with open(writer, "wb", buffering=0) as error_out, open(path, "w", encoding="utf-8") as fh:
-            pid = os.fork()
-            if pid == 0:
-                _write_and_exit(stream, fh, error_out)
+    read_end, write_end = os.pipe()
+    with open(read_end, "rb") as pipe:
+        with open(write_end, "wb") as out:
+            if (pid := os.fork()) == 0:  # the child, which leaves by os._exit on every path
+                code = 1
+                try:
+                    pipe.close()  # or a write to a pipe the parent has closed would block
+                    work(partial(_send, out))
+                    code = 0
+                except Exception as exc:
+                    import pickle
+                    _send(out, None, pickle.dumps(exc))
+                finally:
+                    os._exit(code)
+        done = False
         try:
-            yield
+            yield partial(_receive, pipe)
+            done = True
+            _receive(pipe)  # a failure sent after the block's last message
+        except EOFError:
+            pass
         finally:
-            message = errors.read().decode("utf-8", "replace")
+            pipe.close()
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
     if code < 0:
-        raise OSError(f"the writer of {path} was killed by signal {-code} "
-                      f"({signal.strsignal(-code)})")
-    if code:
-        raise OSError(message or f"the writer of {path} exited with status {code}")
+        raise OSError(f"{who} was killed by signal {-code} ({signal.strsignal(-code)})")
+    if code or not done:
+        raise OSError(f"{who} exited with status {code}")
+
+
+def _write_events(stream, fh, send=None) -> None:
+    """Write the event file and close it, so that a failed flush is raised here."""
+    write_stream(stream, fh)
+    fh.close()
 
 
 def cmd_pipeline(args) -> int:
@@ -231,7 +260,11 @@ def cmd_pipeline(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     events_path = os.path.join(args.out_dir, "events.txt")
     trace_out = os.path.join(args.out_dir, "signals.csv") if args.signal_trace else None
-    with _saved_alongside(stream, events_path):
+    # The file is opened first, so an unopenable path fails before the replay.
+    with open(events_path, "w", encoding="utf-8") as fh, \
+            _in_child(f"the writer of {events_path}", partial(_write_events, stream, fh)) as receive:
+        if receive is None:
+            _write_events(stream, fh)
         result = _run_and_write(args, config, iter_buckets(stream),
                                 os.path.join(args.out_dir, "presentations.csv"), trace_out)
     print(f"generated {events_path}: {stream.event_count} events")

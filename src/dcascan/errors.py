@@ -8,11 +8,15 @@ class DcaError(Exception):
 
 
 class StreamParseError(DcaError):
-    """A malformed line was found while parsing an event file."""
+    """A malformed line was found while parsing an event file.  Its args are
+    ``(line_no, message)``, so ``StreamParseError(*err.args)`` rebuilds it."""
 
     def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
+        super().__init__(line_no, message)
         self.line_no = line_no
+
+    def __str__(self) -> str:
+        return "line {}: {}".format(*self.args)
 
 
 class ValidationError(DcaError):

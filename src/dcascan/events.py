@@ -40,6 +40,7 @@ MAX_DURATION = 86_400.0
 
 _DURATION_PREFIX = "# duration="
 MAX_TAILS = 4_096  # distinct line tails, the text after the time, that one reader keeps
+FRAME_LINES = 8_192  # events in one frame of write_frames
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -152,7 +153,7 @@ def _parse_packet(parts: list[str], line_no: int) -> tuple:
         raise StreamParseError(line_no, f"size {size} below minimum {MIN_PACKET_SIZE}")
     if size > MAX_PACKET_SIZE:
         raise StreamParseError(line_no, f"size {size} above maximum {MAX_PACKET_SIZE}")
-    return direction, protocol, flags, size, icmp_type
+    return PacketEvent, (direction, protocol, flags, size, icmp_type)
 
 
 def _parse_process(parts: list[str], line_no: int) -> tuple:
@@ -164,7 +165,11 @@ def _parse_process(parts: list[str], line_no: int) -> tuple:
     kind = _PROCESS_KIND.get(parts[4])
     if kind is None:
         raise StreamParseError(line_no, f"unknown process event kind {parts[4]!r}")
-    return pid, parts[3], kind
+    return ProcessEvent, (pid, parts[3], kind)
+
+
+# Check a line's tail, given all the line's fields: the event type and fields.
+_TAILS = {"P": _parse_packet, "E": _parse_process}
 
 
 def _time_error(line_no: int, name: str, value: float, last: float, limit: float):
@@ -181,23 +186,27 @@ def _time_error(line_no: int, name: str, value: float, last: float, limit: float
 
 
 class _EventReader:
-    """Parse and check event lines one at a time, yielding each event.
+    """The check step: check event lines one at a time, yielding a
+    ``(time, tail id)`` pair for each event.
 
     Event times must not decrease and lie in [0, duration], the duration in
     [0, MAX_DURATION]; without an annotation it is the last event's time.
     ``duration`` holds the final value once the lines are exhausted.  A
     violation raises a StreamParseError naming its line; nothing is sorted.
-    ``tails`` keeps the checked fields of up to MAX_TAILS distinct line
-    tails after the time, so a repeated tail costs only the time check.
+    ``tails`` numbers up to MAX_TAILS distinct line tails after the time, and
+    ``table[id]`` keeps a tail's event type and checked fields, so a repeated
+    tail costs only the time check; a full memo is cleared, its ids reused.
     """
 
     def __init__(self, lines: Iterable[str]):
         self.lines = lines
         self.duration = 0.0
-        self.tails: dict[tuple[str, str], tuple] = {}
+        self.tails: dict[tuple[str, str], int] = {}
+        self.table: list[tuple | None] = [None] * MAX_TAILS
 
-    def __iter__(self) -> Iterator[PacketEvent | ProcessEvent]:
-        duration, last, last_text, limit, tails = None, 0.0, None, MAX_DURATION, self.tails
+    def __iter__(self) -> Iterator[tuple[float, int]]:
+        duration, last, last_text, limit = None, 0.0, None, MAX_DURATION
+        tails, table = self.tails, self.table
         for line_no, raw in enumerate(self.lines, start=1):
             head = raw.split(None, 2)
             if not head:
@@ -205,18 +214,19 @@ class _EventReader:
             tag = head[0]
             if tag == "P" or tag == "E":
                 key = (tag, head[2] if len(head) == 3 else "")
-                fields = tails.get(key)
-                if fields is None:
-                    fields = (_parse_packet if tag == "P" else _parse_process)(raw.split(), line_no)
+                i = tails.get(key)
+                if i is None:
+                    entry = _TAILS[tag](raw.split(), line_no)
                     if len(tails) == MAX_TAILS:
                         tails.clear()
-                    tails[key] = fields
+                    tails[key] = i = len(tails)
+                    table[i] = entry
                 if head[1] != last_text:  # a repeated time passed every check already
                     ts = _number(head[1], line_no, float, format_time)
                     if not last <= ts <= limit:
                         raise _time_error(line_no, "timestamp", ts, last, limit)
                     last, last_text = ts, head[1]
-                yield (PacketEvent if tag == "P" else ProcessEvent)(last, *fields)
+                yield last, i
             elif tag[0] == "#":
                 if raw.strip().startswith(_DURATION_PREFIX):
                     text = raw.partition("=")[2].strip()
@@ -234,11 +244,18 @@ class _EventReader:
         self.duration = last if duration is None else duration
 
 
+def _built(pairs: Iterable[tuple[float, int]], table: list) -> Iterator[PacketEvent | ProcessEvent]:
+    """The build step: the event of each ``(time, tail id)`` pair."""
+    for ts, i in pairs:
+        make, fields = table[i]
+        yield make(ts, *fields)
+
+
 def parse_stream(text: str) -> EventStream:
     """Parse event-file text into an EventStream; every rule of _EventReader applies."""
     # newline=None ends lines where a file opened in text mode does, so both readers agree.
     reader = _EventReader(io.StringIO(text, newline=None))
-    return EventStream(list(reader), reader.duration)
+    return EventStream(list(_built(reader, reader.table)), reader.duration)
 
 
 def load_stream(path) -> EventStream:
@@ -289,4 +306,50 @@ def read_buckets(lines: Iterable[str]) -> Iterator[TickBucket]:
     iter_buckets yields for the parsed stream, holding one second of events
     at a time; a parse error is raised when its line is reached."""
     reader = _EventReader(lines)
-    yield from _bucketed(reader, reader)
+    yield from _bucketed(_built(reader, reader.table), reader)
+
+
+def write_frames(lines: Iterable[str], send) -> None:
+    """Check ``lines`` and pass the pairs to ``send`` in frames of FRAME_LINES,
+    ``(times, tail ids, new tails)``, then the duration.  A frame carries each
+    tail it uses first as ``(id, tag, text)`` and ends where the memo clears,
+    so an id names one tail in it; pairs checked before an error go first."""
+    reader = _EventReader(lines)
+    tails, times, ids, new, known = reader.tails, [], [], [], 0
+    try:
+        for ts, i in reader:
+            if len(times) == FRAME_LINES or i == 0 and len(tails) < known:
+                send((times, ids, new))
+                times, ids, new = [], [], []
+            if len(tails) != known:  # a new tail
+                known = len(tails)
+                new.append((i, *next(reversed(tails))))
+            times.append(ts)
+            ids.append(i)
+    finally:
+        send((times, ids, new))
+    send(reader.duration)
+
+
+class _Frames:
+    """The pairs of the frames that ``receive()`` returns, as _EventReader
+    yields them, with the same ``table`` and ``duration``."""
+
+    def __init__(self, receive):
+        self.receive = receive
+        self.duration = 0.0
+        self.table: list[tuple | None] = [None] * MAX_TAILS
+
+    def __iter__(self) -> Iterator[tuple[float, int]]:
+        while type(frame := self.receive()) is tuple:
+            times, ids, new = frame
+            for i, tag, text in new:  # parsed again, so events share the parser's objects
+                self.table[i] = _TAILS[tag]((tag, "", *text.split()), 0)
+            yield from zip(times, ids)
+        self.duration = frame
+
+
+def read_frames(receive) -> Iterator[TickBucket]:
+    """The buckets of read_buckets, built from the frames of write_frames."""
+    frames = _Frames(receive)
+    yield from _bucketed(_built(frames, frames.table), frames)

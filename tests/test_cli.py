@@ -1,7 +1,9 @@
 """End-to-end behaviour of the dcascan command line."""
 
 import argparse
+import errno
 import gc
+import itertools
 import os
 import signal
 import subprocess
@@ -9,11 +11,11 @@ import sys
 
 import pytest
 
-from dcascan import cli, pipeline
+from dcascan import cli, events, pipeline
 from dcascan.analysis import write_presentations
 from dcascan.cli import main
 from dcascan.engine import PresentationRecord
-from dcascan.events import ProcessEvent
+from dcascan.events import MAX_TAILS, ProcessEvent, format_time
 
 
 def _rec(label, context, t, pid=1):
@@ -328,6 +330,78 @@ def test_run_reports_a_replay_error_before_a_later_parse_error(tmp_path, capsys)
     assert not out.exists()
 
 
+def test_run_reports_a_reader_killed_by_a_signal(small_events, tmp_path, capsys, monkeypatch):
+    def killed_after_a_frame(lines, send):
+        def send_then_die(frame):
+            send(frame)
+            os.kill(os.getpid(), signal.SIGKILL)
+        events.write_frames(lines, send_then_die)
+
+    monkeypatch.setattr(cli, "write_frames", killed_after_a_frame)  # the forked child inherits it
+    out = tmp_path / "out.csv"
+    assert main(["run", str(small_events), "--seed", "1", "--out", str(out)]) == 3
+    kill = int(signal.SIGKILL)
+    assert capsys.readouterr().err == (f"io error: the reader of {small_events} was killed by "
+                                       f"signal {kill} ({signal.strsignal(kill)})\n")
+    assert not out.exists()
+
+
+def test_run_keeps_the_message_of_a_read_error(small_events, tmp_path, capsys, monkeypatch):
+    def read_then_fail(lines, send):
+        def failing():
+            yield from itertools.islice(lines, 2000)
+            raise OSError(errno.EIO, "Input/output error")
+        events.write_frames(failing(), send)
+
+    monkeypatch.setattr(cli, "write_frames", read_then_fail)
+    out = tmp_path / "out.csv"
+    assert main(["run", str(small_events), "--seed", "1", "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"io error: [Errno {errno.EIO}] Input/output error\n"
+    assert not out.exists()
+
+
+def test_a_replay_error_ends_a_reader_blocked_on_a_full_pipe(tmp_path, capsys):
+    # The reader sends far more than a pipe buffer holds while second 1 fails;
+    # it must end once the replay has failed, not wait on the pipe.
+    events_file = tmp_path / "events.txt"
+    events_file.write_text("E 1 5 sshd logout\n" + "".join(
+        f"P {format_time(2 + i / 1000)} sent udp - 60\n" for i in range(100_000)))
+    out = tmp_path / "out.csv"
+
+    def hung(*_):
+        pytest.fail("run did not end after the replay failed")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        code = main(["run", str(events_file), "--seed", "1", "--out", str(out)])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 2
+    assert capsys.readouterr().err == "error: logout at t=1.0 with no open root session\n"
+    assert not out.exists()
+
+
+def test_run_over_more_tails_than_the_memo_holds_matches_in_process(tmp_path, capsys,
+                                                                    monkeypatch):
+    # Every pid is a new tail, so tail ids are reused after each clear of the memo.
+    pids = [*range(1, 2 * MAX_TAILS + 500), *range(1, 3000)]
+    events_file = tmp_path / "events.txt"
+    events_file.write_text("".join(f"E {format_time(i / 200)} {pid} sshd syscall\n"
+                                   for i, pid in enumerate(pids)))
+
+    def outputs():
+        out, trace = tmp_path / "p.csv", tmp_path / "s.csv"
+        assert main(["run", str(events_file), "--seed", "1", "--out", str(out),
+                     "--signal-trace", str(trace)]) == 0
+        return capsys.readouterr(), out.read_bytes(), trace.read_bytes()
+
+    forked = outputs()
+    monkeypatch.delattr(os, "fork")
+    assert outputs() == forked
+
+
 def test_run_rejects_out_of_range_signal_config(small_events, tmp_path, capsys):
     # Signals are capped at signals.SIGNAL_MAX; there is no cap key to raise.
     conf = tmp_path / "run.conf"
@@ -597,9 +671,11 @@ def test_missing_config_file_exits_3(small_events, tmp_path):
     (["generate", "passive-normal", "--duration", "0", "--seed", "1", "--out", "{tmp}/e.txt"], 2),
     (["run", "{tmp}/absent.txt", "--seed", "1", "--out", "{tmp}/o.csv"], 3),
     (["pipeline", "passive-normal", "--duration", "20", "--seed", "1", "--out-dir", "{tmp}/p"], 0),
+    (["run", "{tmp}/in.txt", "--seed", "1", "--out", "{tmp}/o.csv"], 0),
 ])
 @pytest.mark.parametrize("collecting", [True, False])
 def test_main_leaves_the_collector_as_it_found_it(tmp_path, capsys, argv, code, collecting):
+    (tmp_path / "in.txt").write_text("# duration=3\nP 1 sent udp - 60\nE 2 5 sshd syscall\n")
     was = gc.isenabled()
     (gc.enable if collecting else gc.disable)()
     try:

@@ -3,15 +3,20 @@
 from __future__ import annotations
 
 import io
+import marshal
 import math
+import os
 import random
 import re
+import tempfile
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dcascan.cli import main
 from dcascan.errors import StreamParseError
 from dcascan.events import (
     MAX_DURATION,
@@ -23,11 +28,14 @@ from dcascan.events import (
     ProcessEvent,
     TickBucket,
     _EventReader,
+    format_time,
     iter_buckets,
     parse_stream,
     read_buckets,
+    read_frames,
     save_stream,
     serialize_stream,
+    write_frames,
 )
 from dcascan.scenario import DATASET_KINDS, gen_dataset
 
@@ -394,6 +402,53 @@ def test_read_buckets_matches_iter_buckets_and_places_each_event_once(text):
         placed = [(b.second, ev) for b in buckets for ev in getattr(b, key)]
         assert [ev for _, ev in placed] == events
         assert all(second == math.floor(ev.timestamp) for second, ev in placed)
+
+
+def _run_both_ways(text):
+    """``run`` on ``text`` with a forked reader and in one process: for each,
+    the exit code, stdout, stderr and the bytes of every file it wrote."""
+    results = []
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        events = os.path.join(tmp, "events.txt")
+        with open(events, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        for fork in (True, False):
+            if not fork:
+                patch.delattr(os, "fork")
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(["run", events, "--seed", "3", "--out", os.path.join(tmp, "p.csv"),
+                             "--signal-trace", os.path.join(tmp, "s.csv")])
+            written = {}
+            for name in sorted(os.listdir(tmp)):
+                if name != "events.txt":
+                    with open(os.path.join(tmp, name), "rb") as fh:
+                        written[name] = fh.read()
+                    os.remove(os.path.join(tmp, name))
+            results.append((code, out.getvalue(), err.getvalue(), written))
+    return results
+
+
+@settings(deadline=None, max_examples=50)
+@given(_event_texts())
+def test_run_with_and_without_fork_agree(text):
+    forked, in_process = _run_both_ways(text)
+    assert forked == in_process
+
+
+def _framed(lines):
+    """read_frames over the frames that write_frames sends, through marshal."""
+    sent = []
+    write_frames(lines, lambda obj: sent.append(marshal.dumps(obj)))
+    return read_frames(iter(map(marshal.loads, sent)).__next__)
+
+
+def test_frames_reuse_tail_ids_after_the_memo_clears():
+    # The tails of lines 1 to MAX_TAILS get ids that the lines after them reuse,
+    # all inside the first frame.
+    pids = [*range(1, MAX_TAILS + 1001), *range(1, 1001), *range(MAX_TAILS, MAX_TAILS + 20)]
+    text = "".join(f"E {format_time(i / 100)} {pid} sshd syscall\n" for i, pid in enumerate(pids))
+    assert list(_framed(io.StringIO(text))) == list(read_buckets(io.StringIO(text)))
 
 
 def test_read_buckets_yields_before_reading_the_whole_file():

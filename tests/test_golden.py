@@ -7,6 +7,7 @@ why.
 """
 
 import hashlib
+import os
 
 import pytest
 
@@ -53,6 +54,24 @@ def test_run_reproduces_the_pipeline_presentations(kind, tmp_path, capsys):
     code = main(["run", str(events), "--seed", "7", "--out", str(out)])
     assert code == 0, capsys.readouterr().err
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN[kind]["presentations.csv"]
+
+
+@pytest.mark.parametrize("kind", sorted(GOLDEN))
+def test_run_without_fork_writes_the_same_bytes(kind, tmp_path, capsys, monkeypatch):
+    events = tmp_path / "events.txt"
+    assert main(["generate", kind, "--duration", "500", "--seed", "7", "--out", str(events)]) == 0
+    capsys.readouterr()
+
+    def outputs():
+        out, trace = tmp_path / "presentations.csv", tmp_path / "signals.csv"
+        assert main(["run", str(events), "--seed", "7", "--out", str(out),
+                     "--signal-trace", str(trace)]) == 0
+        return capsys.readouterr(), out.read_bytes(), trace.read_bytes()
+
+    forked = outputs()
+    assert hashlib.sha256(forked[1]).hexdigest() == GOLDEN[kind]["presentations.csv"]
+    monkeypatch.delattr(os, "fork")
+    assert outputs() == forked
 
 
 @pytest.mark.parametrize("kind", sorted(EVENTS_GOLDEN))
