@@ -20,7 +20,6 @@ passes a range open above and fields with no range take any number, so
 from __future__ import annotations
 
 import math
-import types
 import typing
 from dataclasses import dataclass, field, fields, replace
 
@@ -80,21 +79,16 @@ def _coerce(raw: str, typ, key: str):
         if lowered in ("0", "false", "no", "off"):
             return False
         raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
-    origin = typing.get_origin(typ)
-    if origin in (typing.Union, types.UnionType):
-        args = [a for a in typing.get_args(typ) if a is not type(None)]
-        if raw.lower() in ("none", "null"):
-            return None
-        return _coerce(raw, args[0], key)
-    if origin is tuple:
-        args = typing.get_args(typ)
+    args = typing.get_args(typ)
+    if typing.get_origin(typ) is tuple:
         parts = [p.strip() for p in raw.split(",") if p.strip()]
         if len(args) == 2 and args[1] is Ellipsis:
             return tuple(_coerce(p, args[0], key) for p in parts)
         if len(parts) != len(args):
             raise ConfigError(f"{key}: expected {len(args)} comma-separated values")
         return tuple(_coerce(p, a, key) for p, a in zip(parts, args))
-    raise ConfigError(f"{key}: unsupported option type {typ!r}")
+    # The one other field type in use: ``int | None``.
+    return None if raw.lower() in ("none", "null") else _coerce(raw, args[0], key)
 
 
 def _section_kwargs(cls, items: dict[str, str], section: str) -> dict:

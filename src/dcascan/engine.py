@@ -60,28 +60,6 @@ class WeightMatrix:
             raise ConfigError(f"mature_safe must be negative, got {self.mature_safe}")
 
 
-def draw_slots(rng: random.Random, n: int, k: int) -> list[int]:
-    """Draw k distinct slot indices in [0, n), in draw order.
-
-    Each draw is ``getrandbits(n.bit_length())``; draws ``>= n`` and
-    repeats are rejected.  For n above CPython's set threshold (85 when
-    k=10) this consumes the RNG exactly as ``rng.sample(range(n), k)``
-    does and returns the same list, so the engine owns its sampler without
-    changing the outputs of the default 500-slot tissue.
-    """
-    getrandbits = rng.getrandbits
-    bits = n.bit_length()
-    picked: list[int] = []
-    seen: set[int] = set()
-    for _ in range(k):
-        j = getrandbits(bits)
-        while j >= n or j in seen:
-            j = getrandbits(bits)
-        seen.add(j)
-        picked.append(j)
-    return picked
-
-
 def increments(pamp: float, danger: float, safe: float, inflammation: int,
                weights: WeightMatrix) -> tuple[float, float, float]:
     """The (csm, semi, mature) increments one tick adds to every cell."""
@@ -170,14 +148,6 @@ class TissueCompartment:
         self.overwritten_total += overwritten
         self.stored_total += total
 
-    def take(self, idx: int) -> ProcessEvent | None:
-        antigen = self.slots[idx]
-        if antigen is not None:
-            self.slots[idx] = None
-            del self._residents[idx]
-            self._free.append(idx)
-        return antigen
-
 
 class DendriticCell:
     """One sampling cell with its cumulative outputs and antigen store."""
@@ -191,29 +161,6 @@ class DendriticCell:
         self.csm = 0.0
         self.semi = 0.0
         self.mature = 0.0
-
-    def sample(self, tissue: TissueCompartment, rng: random.Random, k: int) -> None:
-        """Draw k distinct slots; move found antigen in while room remains.
-
-        All k draws are made even once the store is full, so the RNG
-        stream does not depend on store occupancy.
-        """
-        for idx in draw_slots(rng, tissue.capacity, k):
-            if len(self.antigen_store) < self.store_capacity:
-                antigen = tissue.take(idx)
-                if antigen is not None:
-                    self.antigen_store.append(antigen)
-
-    def update_signals(self, pamp: float, danger: float, safe: float,
-                       inflammation: int, weights: WeightMatrix) -> None:
-        d_csm, d_semi, d_mature = increments(pamp, danger, safe, inflammation, weights)
-        self.csm = max(0.0, self.csm + d_csm)
-        self.semi = max(0.0, self.semi + d_semi)
-        self.mature = max(0.0, self.mature + d_mature)
-
-    @property
-    def wants_migration(self) -> bool:
-        return self.csm > self.migration_threshold
 
     def context(self) -> int:
         return 1 if self.mature > self.semi else 0
@@ -250,10 +197,11 @@ class DcaEngine:
 
         Order is fixed: new antigen enters the tissue, every cell samples
         then updates in population order, and finally stimulated cells
-        present and are recycled.  The per-cell work is ``draw_slots``,
-        ``DendriticCell.sample`` and ``update_signals`` inlined, with the
-        same draws and arithmetic; the output increments are the same for
-        every cell, so they are computed once.
+        present and are recycled.  Each cell makes all ``antigens_per_update``
+        draws of distinct slots (as ``random.sample`` draws above its set
+        threshold) and keeps the antigen it finds while its store has room.
+        The output increments are the same for every cell, so they are
+        computed once.
         """
         tissue = self.tissue
         tissue.store_all(antigens)

@@ -72,15 +72,11 @@ class SignalVector:
 
 def icmp_unreachable_pamp(rate: float, config: SignalConfig = SignalConfig()) -> float:
     """pamp1: unreachable replies scaled up and capped."""
-    if rate < 0:
-        raise ValidationError(f"negative rate {rate}")
     return min(SIGNAL_MAX, config.icmp_multiplier * rate)
 
 
 def rst_rate_pamp(rate: float) -> float:
     """pamp2: RST packets per second, capped."""
-    if rate < 0:
-        raise ValidationError(f"negative rate {rate}")
     return min(SIGNAL_MAX, rate)
 
 
@@ -90,8 +86,6 @@ def send_rate_danger(pps: float, config: SignalConfig = SignalConfig()) -> float
     The input is capped, and the curve is steepest around the midpoint, so
     mid-range rate changes move the signal most.
     """
-    if pps < 0:
-        raise ValidationError(f"negative rate {pps}")
     x = min(pps, config.ds1_input_cap)
     z = (config.ds1_midpoint - x) / config.ds1_scale
     # Past exp(700) the curve is below 1e-302; stop before exp overflows.
@@ -100,10 +94,6 @@ def send_rate_danger(pps: float, config: SignalConfig = SignalConfig()) -> float
 
 def tcp_ratio_danger(tcp_packets: int, all_packets: int) -> float:
     """ds2: percentage of packets that are TCP; zero for an idle second."""
-    if tcp_packets < 0 or all_packets < 0:
-        raise ValidationError("packet counts must be non-negative")
-    if tcp_packets > all_packets:
-        raise ValidationError(f"tcp count {tcp_packets} exceeds total {all_packets}")
     if all_packets == 0:
         return 0.0
     return SIGNAL_MAX * tcp_packets / all_packets
@@ -111,8 +101,6 @@ def tcp_ratio_danger(tcp_packets: int, all_packets: int) -> float:
 
 def rate_stability_safe(delta_pps: float, config: SignalConfig = SignalConfig()) -> float:
     """ss1: full score for a steady send rate, fading to zero at large swings."""
-    if delta_pps < 0:
-        raise ValidationError(f"negative delta {delta_pps}")
     return SIGNAL_MAX * max(0.0, 1.0 - delta_pps / config.ss1_delta_max)
 
 
@@ -131,6 +119,7 @@ class SignalDeriver:
         self.config = config or SignalConfig()
         self._prev_sent_pps: float | None = None
         self._size_window: deque = deque(maxlen=self.config.ss2_window_seconds)
+        self._window_bytes = self._window_packets = 0
         self._last_ss2: float | None = None
         self._root_sessions = 0
 
@@ -145,13 +134,14 @@ class SignalDeriver:
         if packet_count == 0:
             # An idle second leaves the window untouched and repeats the
             # previous score; before any traffic the benign default applies.
-            if self._last_ss2 is None:
-                return cfg.ss2_default
-            return self._last_ss2
-        self._size_window.append((size_sum, packet_count))
-        total_bytes = sum(b for b, _ in self._size_window)
-        total_packets = sum(c for _, c in self._size_window)
-        value = size_step_safe(total_bytes / total_packets, cfg)
+            return cfg.ss2_default if self._last_ss2 is None else self._last_ss2
+        # Running integer totals of the window: exact, so equal to a re-sum.
+        window = self._size_window
+        old_sum, old_count = window[0] if len(window) == window.maxlen else (0, 0)
+        window.append((size_sum, packet_count))
+        self._window_bytes += size_sum - old_sum
+        self._window_packets += packet_count - old_count
+        value = size_step_safe(self._window_bytes / self._window_packets, cfg)
         self._last_ss2 = value
         return value
 

@@ -15,13 +15,13 @@ from dcascan.engine import (
     TissueCompartment,
     WeightMatrix,
     combine_categories,
-    draw_slots,
 )
 from dcascan.errors import ConfigError, EngineInvariantError
 from dcascan.events import ProcessEvent, TickBucket, read_buckets, serialize_stream
 from dcascan.pipeline import run_stream
 from dcascan.scenario import gen_dataset
 from dcascan.signals import SignalVector
+from reference import ReferenceCell, ReferenceTissue, draw_slots
 
 
 def _vector(pamp1=0.0, pamp2=0.0, ds1=0.0, ds2=0.0, ss1=0.0, ss2=0.0, inflammation=0):
@@ -37,7 +37,7 @@ def _antigen(i, label="proc"):
 
 
 def test_tissue_store_and_take():
-    tissue = TissueCompartment(4)
+    tissue = ReferenceTissue(4)
     a = _antigen(0)
     tissue.store_all((a,))
     assert tissue.occupied_count == 1
@@ -73,7 +73,7 @@ def test_store_all_equals_storing_one_at_a_time(capacity, data):
     taken = data.draw(st.lists(st.integers(0, capacity - 1), max_size=capacity), label="taken")
     size = data.draw(st.integers(0, 6 * capacity), label="size")  # past 5 laps of a full tissue
     as_tuple = data.draw(st.booleans(), label="as_tuple")
-    batched, single = TissueCompartment(capacity), TissueCompartment(capacity)
+    batched, single = ReferenceTissue(capacity), ReferenceTissue(capacity)
     for tissue in (batched, single):
         for i in range(prefill):
             tissue.store_all((_antigen(-1 - i),))
@@ -100,7 +100,7 @@ def test_combine_categories_means():
 
 
 def test_update_pamp_and_danger_raise_both_outputs():
-    cell = DendriticCell(50, 150.0)
+    cell = ReferenceCell(50, 150.0)
     cell.update_signals(100.0, 50.0, 0.0, 0, WeightMatrix())
     # csm: 2*100 + 1*50, semi: 0, mature: 2*100 + 1*50
     assert cell.csm == 250.0
@@ -109,7 +109,7 @@ def test_update_pamp_and_danger_raise_both_outputs():
 
 
 def test_update_safe_floors_mature_at_zero():
-    cell = DendriticCell(50, 150.0)
+    cell = ReferenceCell(50, 150.0)
     cell.update_signals(0.0, 0.0, 100.0, 0, WeightMatrix())
     assert cell.csm == 200.0
     assert cell.semi == 300.0
@@ -122,7 +122,7 @@ def test_update_safe_floors_mature_at_zero():
 
 
 def test_update_inflammation_doubles_every_increment():
-    calm, inflamed = DendriticCell(50, 150.0), DendriticCell(50, 150.0)
+    calm, inflamed = ReferenceCell(50, 150.0), ReferenceCell(50, 150.0)
     calm.update_signals(10.0, 20.0, 5.0, 0, WeightMatrix())
     inflamed.update_signals(10.0, 20.0, 5.0, 1, WeightMatrix())
     assert inflamed.csm == 2 * calm.csm
@@ -131,7 +131,7 @@ def test_update_inflammation_doubles_every_increment():
 
 
 def test_migration_threshold_is_strict():
-    cell = DendriticCell(50, 200.0)
+    cell = ReferenceCell(50, 200.0)
     cell.csm = 200.0
     assert not cell.wants_migration
     cell.csm = 200.0 + 1e-9
@@ -192,18 +192,18 @@ def test_context_decision_random_states():
 
 
 def test_sampling_full_tissue_moves_exactly_k():
-    tissue = TissueCompartment(500)
+    tissue = ReferenceTissue(500)
     tissue.store_all([_antigen(i) for i in range(500)])
-    cell = DendriticCell(50, 150.0)
+    cell = ReferenceCell(50, 150.0)
     cell.sample(tissue, random.Random(1), 10)
     assert len(cell.antigen_store) == 10
     assert tissue.occupied_count == 490
 
 
 def test_sampling_stops_at_store_capacity():
-    tissue = TissueCompartment(500)
+    tissue = ReferenceTissue(500)
     tissue.store_all([_antigen(i) for i in range(500)])
-    cell = DendriticCell(50, 150.0)
+    cell = ReferenceCell(50, 150.0)
     cell.antigen_store = [_antigen(1000 + i) for i in range(48)]
     cell.sample(tissue, random.Random(1), 10)
     assert len(cell.antigen_store) == 50
@@ -232,9 +232,9 @@ def test_draw_slots_gives_k_distinct_indices(seed, n, data):
 
 
 def test_full_store_still_makes_every_draw():
-    tissue = TissueCompartment(500)
+    tissue = ReferenceTissue(500)
     tissue.store_all([_antigen(i) for i in range(500)])
-    full, empty = DendriticCell(50, 150.0), DendriticCell(50, 150.0)
+    full, empty = ReferenceCell(50, 150.0), ReferenceCell(50, 150.0)
     full.antigen_store = [_antigen(1000 + i) for i in range(50)]
     full_rng, empty_rng = random.Random(3), random.Random(3)
     full.sample(tissue, full_rng, 10)
@@ -249,9 +249,9 @@ def test_tick_matches_cell_methods(per_tick):
     """The inlined tick equals sample-then-update on each cell in turn."""
     config = EngineConfig(tissue_capacity=200, cell_store_capacity=5)
     engine = DcaEngine(config, seed=4)
-    tissue = TissueCompartment(config.tissue_capacity)
+    tissue = ReferenceTissue(config.tissue_capacity)
     rng = random.Random(4)
-    cells = [DendriticCell(config.cell_store_capacity,
+    cells = [ReferenceCell(config.cell_store_capacity,
                            rng.uniform(config.threshold_min, config.threshold_max))
              for _ in range(config.population_size)]
     stimulus = random.Random(8)
@@ -283,8 +283,8 @@ def test_tick_matches_cell_methods(per_tick):
 
 
 def test_sampling_empty_tissue_is_a_noop():
-    tissue = TissueCompartment(500)
-    cell = DendriticCell(50, 150.0)
+    tissue = ReferenceTissue(500)
+    cell = ReferenceCell(50, 150.0)
     cell.sample(tissue, random.Random(1), 10)
     assert cell.antigen_store == []
 

@@ -25,3 +25,36 @@ def test_package_imports_only_itself_and_the_standard_library():
         outside = {name for name in _imported_modules(tree)
                    if name != "dcascan" and name not in sys.stdlib_module_names}
         assert not outside, f"{path.name} imports {sorted(outside)}"
+
+
+def _definitions(tree: ast.AST, prefix: str = ""):
+    """(qualified name, node) of every function, method and class, nested ones included."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield prefix + node.name, node
+            yield from _definitions(node, f"{prefix}{node.name}.")
+        else:
+            yield from _definitions(node, prefix)
+
+
+def test_every_definition_in_the_package_is_used_by_the_package():
+    """Code that only tests reach belongs in the tests.
+
+    Exempt: dunders, the public ``dcascan.__all__``, names the bench wraps by
+    their string name, the CLI's ``main``, and argparse's ``error`` hook.
+    """
+    trees = [ast.parse(path.read_text(encoding="utf-8"), filename=str(path)) for path in SOURCES]
+    used = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))}
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    by_string = {node.value for path in bench.glob("*.py")
+                 for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                 if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    known = used | set(dcascan.__all__) | by_string | {"main"}
+    unused = [f"{path.name}: {qualname}"
+              for path, tree in zip(SOURCES, trees)
+              for qualname, node in _definitions(tree)
+              if not (node.name.startswith("__") and node.name.endswith("__"))
+              and node.name not in known and qualname != "_Parser.error"]
+    assert not unused, f"defined but never used in src/: {unused}"
