@@ -17,15 +17,15 @@ import marshal
 import os
 import signal
 import sys
-from contextlib import contextmanager
+from collections import deque
+from contextlib import contextmanager, suppress
 from dataclasses import replace
 from functools import partial
 
 from . import analysis, pipeline
 from .config import PipelineConfig, build_config
 from .errors import ConfigError, DcaError
-from .events import (PacketEvent, iter_buckets, read_buckets, read_frames, save_stream,
-                     write_frames, write_stream)
+from .events import PacketEvent, iter_buckets, read_frames, save_stream, write_frames, write_stream
 from .scenario import DATASET_KINDS, gen_dataset
 
 
@@ -151,8 +151,7 @@ def cmd_run(args) -> int:
     config = build_config(args.config)
     with open(args.events, "r", encoding="utf-8") as fh, \
             _in_child(f"the reader of {args.events}", partial(write_frames, fh)) as receive:
-        buckets = read_buckets(fh) if receive is None else read_frames(receive)
-        result = _run_and_write(args, config, buckets, args.out, args.signal_trace)
+        result = _run_and_write(args, config, read_frames(receive), args.out, args.signal_trace)
     print(f"replayed {result.ticks} ticks: {len(result.records)} presentations "
           f"({result.audit['ingested']} antigen ingested, "
           f"{result.audit['overwritten']} overwritten) -> {args.out}")
@@ -205,18 +204,27 @@ def _receive(pipe):
 
 @contextmanager
 def _in_child(who: str, work):
-    """Run ``work(send)`` in a forked child while the block runs; yield ``receive``.
+    """Run the generator ``work()`` in a forked child while the block runs and
+    yield ``receive``, which returns the next object that ``work()`` yields.
 
-    ``send(obj)`` puts a marshal-able object on a pipe and ``receive()`` takes
-    it off, so the child and the block use two cores (dcascan starts no
-    threads, so the child inherits no held lock).  What ``work`` raises is
-    its last message, raised again as the same type.  The parent closes its
-    end of the pipe before it reaps the child in a ``finally``, so a child
-    blocked on a full pipe ends.  A child killed or failed before its last
-    message is one OSError naming ``who``.  Without fork the block gets None.
+    The child sends each object up a pipe with marshal, so the child and the
+    block use two cores (dcascan starts no threads, so the child inherits no
+    held lock).  What ``work`` raises is its last message, raised again as the
+    same type.  The parent closes its end of the pipe before it reaps the
+    child in a ``finally``, so a child blocked on a full pipe ends.  A child
+    killed or failed before its last message is one OSError naming ``who``.
+    Without fork, ``receive`` is ``work().__next__`` and what is left of
+    ``work()`` runs after the block; as with a child, the block's error wins.
     """
     if not hasattr(os, "fork"):
-        yield None
+        items = work()
+        try:
+            yield items.__next__
+        except Exception:
+            with suppress(Exception):
+                deque(items, 0)
+            raise
+        deque(items, 0)
         return
     read_end, write_end = os.pipe()
     with open(read_end, "rb") as pipe:
@@ -225,7 +233,8 @@ def _in_child(who: str, work):
                 code = 1
                 try:
                     pipe.close()  # or a write to a pipe the parent has closed would block
-                    work(partial(_send, out))
+                    for obj in work():
+                        _send(out, obj)
                     code = 0
                 except Exception as exc:
                     import pickle
@@ -248,10 +257,12 @@ def _in_child(who: str, work):
         raise OSError(f"{who} exited with status {code}")
 
 
-def _write_events(stream, fh, send=None) -> None:
-    """Write the event file and close it, so that a failed flush is raised here."""
+def _write_events(stream, fh):
+    """Write the event file and close it, so that a failed flush is raised
+    here; a generator that yields nothing, for _in_child."""
     write_stream(stream, fh)
     fh.close()
+    yield from ()
 
 
 def cmd_pipeline(args) -> int:
@@ -262,9 +273,7 @@ def cmd_pipeline(args) -> int:
     trace_out = os.path.join(args.out_dir, "signals.csv") if args.signal_trace else None
     # The file is opened first, so an unopenable path fails before the replay.
     with open(events_path, "w", encoding="utf-8") as fh, \
-            _in_child(f"the writer of {events_path}", partial(_write_events, stream, fh)) as receive:
-        if receive is None:
-            _write_events(stream, fh)
+            _in_child(f"the writer of {events_path}", partial(_write_events, stream, fh)):
         result = _run_and_write(args, config, iter_buckets(stream),
                                 os.path.join(args.out_dir, "presentations.csv"), trace_out)
     print(f"generated {events_path}: {stream.event_count} events")

@@ -193,20 +193,19 @@ class _EventReader:
     [0, MAX_DURATION]; without an annotation it is the last event's time.
     ``duration`` holds the final value once the lines are exhausted.  A
     violation raises a StreamParseError naming its line; nothing is sorted.
-    ``tails`` numbers up to MAX_TAILS distinct line tails after the time, and
-    ``table[id]`` keeps a tail's event type and checked fields, so a repeated
-    tail costs only the time check; a full memo is cleared, its ids reused.
+    ``tails`` numbers up to MAX_TAILS distinct line tails after the time, so a
+    repeated tail costs only the time check; a full memo is cleared, its ids
+    reused.  Building the events is left to _Frames.
     """
 
     def __init__(self, lines: Iterable[str]):
         self.lines = lines
         self.duration = 0.0
         self.tails: dict[tuple[str, str], int] = {}
-        self.table: list[tuple | None] = [None] * MAX_TAILS
 
     def __iter__(self) -> Iterator[tuple[float, int]]:
         duration, last, last_text, limit = None, 0.0, None, MAX_DURATION
-        tails, table = self.tails, self.table
+        tails = self.tails
         for line_no, raw in enumerate(self.lines, start=1):
             head = raw.split(None, 2)
             if not head:
@@ -216,11 +215,10 @@ class _EventReader:
                 key = (tag, head[2] if len(head) == 3 else "")
                 i = tails.get(key)
                 if i is None:
-                    entry = _TAILS[tag](raw.split(), line_no)
+                    _TAILS[tag](raw.split(), line_no)  # checked here, built by _Frames
                     if len(tails) == MAX_TAILS:
                         tails.clear()
                     tails[key] = i = len(tails)
-                    table[i] = entry
                 if head[1] != last_text:  # a repeated time passed every check already
                     ts = _number(head[1], line_no, float, format_time)
                     if not last <= ts <= limit:
@@ -244,18 +242,55 @@ class _EventReader:
         self.duration = last if duration is None else duration
 
 
-def _built(pairs: Iterable[tuple[float, int]], table: list) -> Iterator[PacketEvent | ProcessEvent]:
-    """The build step: the event of each ``(time, tail id)`` pair."""
-    for ts, i in pairs:
-        make, fields = table[i]
-        yield make(ts, *fields)
+def write_frames(lines: Iterable[str]) -> Iterator[tuple | float]:
+    """Check ``lines`` and yield the pairs in frames of FRAME_LINES,
+    ``(times, tail ids, new tails)``, then the duration.  A frame carries each
+    tail it uses first as ``(id, tag, text)`` and ends where the memo clears,
+    so an id names one tail in it; pairs checked before an error go first."""
+    reader = _EventReader(lines)
+    tails, times, ids, new, known = reader.tails, [], [], [], 0
+    try:
+        for ts, i in reader:
+            if len(times) == FRAME_LINES or i == 0 and len(tails) < known:
+                yield times, ids, new
+                times, ids, new = [], [], []
+            if len(tails) != known:  # a new tail
+                known = len(tails)
+                new.append((i, *next(reversed(tails))))
+            times.append(ts)
+            ids.append(i)
+    except Exception:
+        yield times, ids, new
+        raise
+    yield times, ids, new
+    yield reader.duration
+
+
+class _Frames:
+    """The build step: the events of the frames that ``receive()`` returns,
+    in file order; ``duration`` holds the file's once they are exhausted."""
+
+    def __init__(self, receive):
+        self.receive = receive
+        self.duration = 0.0
+
+    def __iter__(self) -> Iterator[PacketEvent | ProcessEvent]:
+        table: list[tuple | None] = [None] * MAX_TAILS
+        while type(frame := self.receive()) is tuple:
+            times, ids, new = frame
+            for i, tag, text in new:  # parsed again, so events share the parser's objects
+                table[i] = _TAILS[tag]((tag, "", *text.split()), 0)
+            for ts, i in zip(times, ids):
+                make, fields = table[i]
+                yield make(ts, *fields)
+        self.duration = frame
 
 
 def parse_stream(text: str) -> EventStream:
     """Parse event-file text into an EventStream; every rule of _EventReader applies."""
-    # newline=None ends lines where a file opened in text mode does, so both readers agree.
-    reader = _EventReader(io.StringIO(text, newline=None))
-    return EventStream(list(_built(reader, reader.table)), reader.duration)
+    # newline=None ends lines where a file opened in text mode does, as `run` reads them.
+    frames = _Frames(write_frames(io.StringIO(text, newline=None)).__next__)
+    return EventStream(list(frames), frames.duration)
 
 
 def load_stream(path) -> EventStream:
@@ -301,55 +336,9 @@ def iter_buckets(stream: EventStream) -> Iterator[TickBucket]:
     yield from _bucketed(stream.events, stream)
 
 
-def read_buckets(lines: Iterable[str]) -> Iterator[TickBucket]:
-    """Parse the lines of an event file straight into the buckets that
-    iter_buckets yields for the parsed stream, holding one second of events
-    at a time; a parse error is raised when its line is reached."""
-    reader = _EventReader(lines)
-    yield from _bucketed(_built(reader, reader.table), reader)
-
-
-def write_frames(lines: Iterable[str], send) -> None:
-    """Check ``lines`` and pass the pairs to ``send`` in frames of FRAME_LINES,
-    ``(times, tail ids, new tails)``, then the duration.  A frame carries each
-    tail it uses first as ``(id, tag, text)`` and ends where the memo clears,
-    so an id names one tail in it; pairs checked before an error go first."""
-    reader = _EventReader(lines)
-    tails, times, ids, new, known = reader.tails, [], [], [], 0
-    try:
-        for ts, i in reader:
-            if len(times) == FRAME_LINES or i == 0 and len(tails) < known:
-                send((times, ids, new))
-                times, ids, new = [], [], []
-            if len(tails) != known:  # a new tail
-                known = len(tails)
-                new.append((i, *next(reversed(tails))))
-            times.append(ts)
-            ids.append(i)
-    finally:
-        send((times, ids, new))
-    send(reader.duration)
-
-
-class _Frames:
-    """The pairs of the frames that ``receive()`` returns, as _EventReader
-    yields them, with the same ``table`` and ``duration``."""
-
-    def __init__(self, receive):
-        self.receive = receive
-        self.duration = 0.0
-        self.table: list[tuple | None] = [None] * MAX_TAILS
-
-    def __iter__(self) -> Iterator[tuple[float, int]]:
-        while type(frame := self.receive()) is tuple:
-            times, ids, new = frame
-            for i, tag, text in new:  # parsed again, so events share the parser's objects
-                self.table[i] = _TAILS[tag]((tag, "", *text.split()), 0)
-            yield from zip(times, ids)
-        self.duration = frame
-
-
 def read_frames(receive) -> Iterator[TickBucket]:
-    """The buckets of read_buckets, built from the frames of write_frames."""
+    """The buckets of the frames of write_frames, holding one second of events
+    and one frame at a time: the buckets iter_buckets yields for the stream
+    parse_stream would build from the same lines."""
     frames = _Frames(receive)
-    yield from _bucketed(_built(frames, frames.table), frames)
+    yield from _bucketed(frames, frames)

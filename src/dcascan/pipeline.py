@@ -26,7 +26,7 @@ def run_stream(buckets: Iterable[TickBucket],
                seed: int = 0,
                collect_trace: bool = False) -> RunResult:
     """Replay one-second buckets in order, as ``events.iter_buckets`` or
-    ``events.read_buckets`` yields them, tick by tick through a fresh deriver
+    ``events.read_frames`` yields them, tick by tick through a fresh deriver
     and an engine seeded with ``seed``; each bucket's syscall events are the
     antigens, not copies.  Antigen conservation is checked after every tick.
     """

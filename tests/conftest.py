@@ -14,3 +14,12 @@ def no_child_left_unreaped():
     except ChildProcessError:
         return
     pytest.fail(f"a child process was left unreaped (pid {pid}, wait status {status})")
+
+
+@pytest.fixture(params=[True, False], ids=["fork", "no-fork"])
+def fork(request, monkeypatch):
+    """Run the test with ``os.fork`` and again with it removed, as on a
+    platform that cannot fork; the value says which."""
+    if not request.param:
+        monkeypatch.delattr(os, "fork")
+    return request.param

@@ -331,11 +331,10 @@ def test_run_reports_a_replay_error_before_a_later_parse_error(tmp_path, capsys)
 
 
 def test_run_reports_a_reader_killed_by_a_signal(small_events, tmp_path, capsys, monkeypatch):
-    def killed_after_a_frame(lines, send):
-        def send_then_die(frame):
-            send(frame)
+    def killed_after_a_frame(lines):
+        for frame in events.write_frames(lines):
+            yield frame
             os.kill(os.getpid(), signal.SIGKILL)
-        events.write_frames(lines, send_then_die)
 
     monkeypatch.setattr(cli, "write_frames", killed_after_a_frame)  # the forked child inherits it
     out = tmp_path / "out.csv"
@@ -346,18 +345,19 @@ def test_run_reports_a_reader_killed_by_a_signal(small_events, tmp_path, capsys,
     assert not out.exists()
 
 
-def test_run_keeps_the_message_of_a_read_error(small_events, tmp_path, capsys, monkeypatch):
-    def read_then_fail(lines, send):
+def test_run_keeps_the_message_of_a_read_error(small_events, tmp_path, capsys, monkeypatch, fork):
+    def read_then_fail(lines):
         def failing():
             yield from itertools.islice(lines, 2000)
             raise OSError(errno.EIO, "Input/output error")
-        events.write_frames(failing(), send)
+        return events.write_frames(failing())
 
     monkeypatch.setattr(cli, "write_frames", read_then_fail)
-    out = tmp_path / "out.csv"
-    assert main(["run", str(small_events), "--seed", "1", "--out", str(out)]) == 3
-    assert capsys.readouterr().err == f"io error: [Errno {errno.EIO}] Input/output error\n"
-    assert not out.exists()
+    before = small_events.read_bytes()
+    assert main(["run", str(small_events), "--seed", "1", "--out", str(tmp_path / "out.csv")]) == 3
+    assert capsys.readouterr() == ("", f"io error: [Errno {errno.EIO}] Input/output error\n")
+    assert list(tmp_path.iterdir()) == []
+    assert small_events.read_bytes() == before
 
 
 def test_a_replay_error_ends_a_reader_blocked_on_a_full_pipe(tmp_path, capsys):
@@ -555,15 +555,18 @@ def _short_pipeline(out_dir):
                  "--out-dir", str(out_dir)])
 
 
-def test_pipeline_reports_a_failed_event_file_write_from_the_child(tmp_path, capsys, monkeypatch):
+def test_pipeline_reports_a_failed_event_file_write_from_the_child(tmp_path, capsys, monkeypatch,
+                                                                   fork):
     def full_disk(stream, fh):
         raise OSError(28, "No space left on device")
 
     monkeypatch.setattr(cli, "write_stream", full_disk)  # the forked child inherits it
     assert _short_pipeline(tmp_path / "run") == 3
-    out, err = capsys.readouterr()
-    assert err == "io error: [Errno 28] No space left on device\n"
-    assert "generated" not in out
+    assert capsys.readouterr() == ("", "io error: [Errno 28] No space left on device\n")
+    # The write fails after the replay, with a fork or without one.
+    assert sorted(p.name for p in (tmp_path / "run").iterdir()) == ["events.txt",
+                                                                    "presentations.csv"]
+    assert (tmp_path / "run" / "events.txt").read_bytes() == b""
 
 
 def test_pipeline_reports_a_writer_killed_by_a_signal(tmp_path, capsys, monkeypatch):
@@ -576,16 +579,17 @@ def test_pipeline_reports_a_writer_killed_by_a_signal(tmp_path, capsys, monkeypa
     assert "generated" not in out
 
 
-def test_a_failed_replay_keeps_its_message_and_reaps_the_writer(tmp_path, capsys, monkeypatch):
+def test_a_failed_replay_keeps_its_message_and_reaps_the_writer(tmp_path, capsys, monkeypatch,
+                                                                 fork):
     def broken_replay(*args, **kwargs):
         raise OSError("replay failed")
 
     monkeypatch.setattr(pipeline, "run_stream", broken_replay)
     assert _short_pipeline(tmp_path / "run") == 3
-    out, err = capsys.readouterr()
-    assert err == "io error: replay failed\n" and out == ""
+    assert capsys.readouterr() == ("", "io error: replay failed\n")
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+    assert sorted(p.name for p in (tmp_path / "run").iterdir()) == ["events.txt"]
     staged = tmp_path / "staged.txt"
     assert main(["generate", "passive-normal", "--duration", "60", "--seed", "2",
                  "--out", str(staged)]) == 0

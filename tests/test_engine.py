@@ -17,7 +17,7 @@ from dcascan.engine import (
     combine_categories,
 )
 from dcascan.errors import ConfigError, EngineInvariantError
-from dcascan.events import ProcessEvent, TickBucket, read_buckets, serialize_stream
+from dcascan.events import ProcessEvent, TickBucket, read_frames, serialize_stream, write_frames
 from dcascan.pipeline import run_stream
 from dcascan.scenario import gen_dataset
 from dcascan.signals import SignalVector
@@ -481,7 +481,7 @@ def test_presented_antigens_are_the_parsed_syscall_events():
             syscalls.extend(ev for ev in bucket.process_events if ev.kind == "syscall")
             yield bucket
 
-    result = run_stream(noting_syscalls(read_buckets(io.StringIO(text))))
+    result = run_stream(noting_syscalls(read_frames(write_frames(io.StringIO(text)).__next__)))
     parsed = {id(ev) for ev in syscalls}
     assert result.records
     assert all(id(record.antigen) in parsed for record in result.records)

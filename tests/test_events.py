@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from dcascan.cli import main
 from dcascan.errors import StreamParseError
 from dcascan.events import (
+    FRAME_LINES,
     MAX_DURATION,
     MAX_TAILS,
     MIN_PACKET_SIZE,
@@ -31,13 +32,17 @@ from dcascan.events import (
     format_time,
     iter_buckets,
     parse_stream,
-    read_buckets,
     read_frames,
     save_stream,
     serialize_stream,
     write_frames,
 )
 from dcascan.scenario import DATASET_KINDS, gen_dataset
+
+
+def _buckets_of(lines):
+    """The buckets of an event file's lines, checked and built as ``run`` reads them."""
+    return read_frames(write_frames(lines).__next__)
 
 
 def test_parse_empty_input():
@@ -69,7 +74,7 @@ def test_parsed_process_kinds_are_the_shared_constants():
     # One string per kind, not one per line: a presented event stays alive.
     text = "E 1 5 sshd login\nE 2 5 sshd syscall\nE 3 5 sshd logout\n"
     parsed = parse_stream(text).events
-    streamed = [ev for b in read_buckets(io.StringIO(text)) for ev in b.process_events]
+    streamed = [ev for b in _buckets_of(io.StringIO(text)) for ev in b.process_events]
     assert [ev.kind for ev in parsed] == ["login", "syscall", "logout"]
     for ev in parsed + streamed:
         assert ev.kind is PROCESS_KINDS[PROCESS_KINDS.index(ev.kind)]
@@ -196,7 +201,7 @@ def test_read_buckets_with_repeated_tails_matches_iter_buckets(steps, extra):
         events.append((PacketEvent if len(fields) == 5 else ProcessEvent)(t, *fields))
     stream = EventStream(events, t + extra)
     lines = serialize_stream(stream).splitlines(True)
-    assert list(read_buckets(lines)) == list(iter_buckets(stream))
+    assert list(_buckets_of(lines)) == list(iter_buckets(stream))
 
 
 def test_events_are_values_and_parsed_tails_share_their_fields():
@@ -206,7 +211,7 @@ def test_events_are_values_and_parsed_tails_share_their_fields():
         assert a == b and hash(a) == hash(b) and len({a, b}) == 1
     text = "P 1 sent udp - 60\nE 1 5 sshd syscall\nP 2 sent udp - 60\nE 2 5 sshd syscall\n"
     for events in (parse_stream(text).events,
-                   [ev for b in read_buckets(io.StringIO(text))
+                   [ev for b in _buckets_of(io.StringIO(text))
                     for ev in b.packet_events + b.process_events]):
         p1, e1, p2, e2 = sorted(events, key=lambda ev: (ev.timestamp, type(ev) is ProcessEvent))
         assert (p1.timestamp, p2.timestamp) == (1.0, 2.0)
@@ -395,7 +400,7 @@ def _event_texts(draw):
 @given(_event_texts())
 def test_read_buckets_matches_iter_buckets_and_places_each_event_once(text):
     stream = parse_stream(text)
-    buckets = list(read_buckets(io.StringIO(text)))
+    buckets = list(_buckets_of(io.StringIO(text)))
     assert buckets == list(iter_buckets(stream))
     assert [b.second for b in buckets] == list(range(len(buckets)))
     for events, key in zip(_kinds(stream.events), ("packet_events", "process_events")):
@@ -437,10 +442,9 @@ def test_run_with_and_without_fork_agree(text):
 
 
 def _framed(lines):
-    """read_frames over the frames that write_frames sends, through marshal."""
-    sent = []
-    write_frames(lines, lambda obj: sent.append(marshal.dumps(obj)))
-    return read_frames(iter(map(marshal.loads, sent)).__next__)
+    """The buckets of _buckets_of, with every object that write_frames yields
+    passed through marshal, as the pipe of a forked reader passes it."""
+    return read_frames(map(marshal.loads, map(marshal.dumps, write_frames(lines))).__next__)
 
 
 def test_frames_reuse_tail_ids_after_the_memo_clears():
@@ -448,7 +452,9 @@ def test_frames_reuse_tail_ids_after_the_memo_clears():
     # all inside the first frame.
     pids = [*range(1, MAX_TAILS + 1001), *range(1, 1001), *range(MAX_TAILS, MAX_TAILS + 20)]
     text = "".join(f"E {format_time(i / 100)} {pid} sshd syscall\n" for i, pid in enumerate(pids))
-    assert list(_framed(io.StringIO(text))) == list(read_buckets(io.StringIO(text)))
+    events = [ProcessEvent(i / 100, pid, "sshd", "syscall") for i, pid in enumerate(pids)]
+    stream = EventStream(events, events[-1].timestamp)
+    assert list(_framed(io.StringIO(text))) == list(iter_buckets(stream))
 
 
 def test_read_buckets_yields_before_reading_the_whole_file():
@@ -456,13 +462,13 @@ def test_read_buckets_yields_before_reading_the_whole_file():
 
     def lines():
         nonlocal handed_out
-        for second in range(100):
+        for second in range(3 * FRAME_LINES):
             handed_out += 1
             yield f"P {second}.5 sent udp - 60\n"
 
-    first = next(read_buckets(lines()))
+    first = next(_buckets_of(lines()))
     assert first == TickBucket(0, [PacketEvent(0.5, "sent", "udp", None, 60)])
-    assert handed_out == 2  # the event of second 1 closes bucket 0
+    assert handed_out <= FRAME_LINES + 1  # one frame held, never the whole file
 
 
 @pytest.mark.parametrize("text, events", [
@@ -479,12 +485,12 @@ def test_both_readers_end_lines_where_a_text_file_does(tmp_path, text, events):
             parse_stream(text)
         with pytest.raises(StreamParseError, match="^line 1: packet line needs 6 or 7 fields"):
             with open(path, encoding="utf-8") as fh:
-                list(read_buckets(fh))
+                list(_buckets_of(fh))
         return
     stream = parse_stream(text)
     assert stream.event_count == events
     with open(path, encoding="utf-8") as fh:
-        assert list(read_buckets(fh)) == list(iter_buckets(stream))
+        assert list(_buckets_of(fh)) == list(iter_buckets(stream))
 
 
 @pytest.mark.parametrize("include_scan", [True, False])
@@ -516,7 +522,7 @@ def test_both_readers_share_one_set_per_flag_text(tmp_path):
     path = tmp_path / "events.txt"
     path.write_text(text, encoding="utf-8")
     with open(path, encoding="utf-8") as fh:
-        streamed = [p for b in read_buckets(fh) for p in b.packet_events]
+        streamed = [p for b in _buckets_of(fh) for p in b.packet_events]
     parsed = parse_stream(text).events
     flags = [p.tcp_flags for p in parsed + streamed]
     assert flags[:5] == [frozenset(("syn", "ack"))] * 3 + [frozenset()] * 2
