@@ -25,7 +25,7 @@ from functools import partial
 from . import analysis, pipeline
 from .config import PipelineConfig, build_config
 from .errors import ConfigError, DcaError
-from .events import PacketEvent, iter_buckets, read_frames, save_stream, write_frames, write_stream
+from .events import iter_buckets, read_frames, save_stream, write_frames, write_stream
 from .scenario import DATASET_KINDS, gen_dataset
 
 
@@ -124,10 +124,9 @@ def _generate_stream(args, config: PipelineConfig):
 def cmd_generate(args) -> int:
     config = build_config(args.config)
     stream = _generate_stream(args, config)
-    save_stream(stream, args.out)
-    packets = sum(type(event) is PacketEvent for event in stream.events)
+    packets, processes = save_stream(stream, args.out)
     print(f"wrote {args.out}: {packets} packet events, "
-          f"{stream.event_count - packets} process events, duration {stream.duration:g}s")
+          f"{processes} process events, duration {stream.duration:g}s")
     return 0
 
 
@@ -259,10 +258,10 @@ def _in_child(who: str, work):
 
 def _write_events(stream, fh):
     """Write the event file and close it, so that a failed flush is raised
-    here; a generator that yields nothing, for _in_child."""
-    write_stream(stream, fh)
+    here; for _in_child, a generator that yields the number of events written."""
+    written = sum(write_stream(stream, fh))
     fh.close()
-    yield from ()
+    yield written
 
 
 def cmd_pipeline(args) -> int:
@@ -271,12 +270,15 @@ def cmd_pipeline(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     events_path = os.path.join(args.out_dir, "events.txt")
     trace_out = os.path.join(args.out_dir, "signals.csv") if args.signal_trace else None
-    # The file is opened first, so an unopenable path fails before the replay.
+    # Opened first, so an unopenable path fails before the replay; the writer makes the events anew.
     with open(events_path, "w", encoding="utf-8") as fh, \
-            _in_child(f"the writer of {events_path}", partial(_write_events, stream, fh)):
+            _in_child(f"the writer of {events_path}", partial(_write_events, stream, fh)) as receive:
         result = _run_and_write(args, config, iter_buckets(stream),
                                 os.path.join(args.out_dir, "presentations.csv"), trace_out)
-    print(f"generated {events_path}: {stream.event_count} events")
+        written = receive()
+    if written != stream.event_count:
+        raise OSError(f"the writer of {events_path} wrote {written} events, the replay read {stream.event_count}")
+    print(f"generated {events_path}: {written} events")
     print(f"replayed {result.ticks} ticks: {len(result.records)} presentations")
     _analyze_records(result.records, args.out_dir, _analysis_config(config, args))
     return 0

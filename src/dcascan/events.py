@@ -107,16 +107,10 @@ def _process_line(e: ProcessEvent) -> str:
     return f"E {format_time(e.timestamp)} {e.pid} {e.process_name} {e.kind}\n"
 
 
-def _lines(stream: EventStream) -> Iterator[str]:
-    """The lines of the event file, each ending in a newline, one at a time."""
-    yield f"{_DURATION_PREFIX}{stream.duration!r}\n"
-    for event in stream.events:
-        yield _packet_line(event) if type(event) is PacketEvent else _process_line(event)
-
-
 def serialize_stream(stream: EventStream) -> str:
     """Render a stream as event-file text.  Inverse of parse_stream."""
-    return "".join(_lines(stream))
+    write_stream(stream, text := io.StringIO())
+    return text.getvalue()
 
 
 def _number(text: str, line_no: int, parse=int, spell=str):
@@ -298,15 +292,21 @@ def load_stream(path) -> EventStream:
         return parse_stream(fh.read())
 
 
-def write_stream(stream: EventStream, fh) -> None:
+def write_stream(stream: EventStream, fh) -> tuple[int, int]:
     """Write a stream's event file to an open text file line by line, never
-    holding its whole text."""
-    fh.writelines(_lines(stream))
+    holding its whole text; return the numbers of packet and process events written."""
+    fh.write(f"{_DURATION_PREFIX}{stream.duration!r}\n")
+    packets = count = 0
+    for count, event in enumerate(stream.events, 1):
+        packet = type(event) is PacketEvent
+        fh.write(_packet_line(event) if packet else _process_line(event))
+        packets += packet
+    return packets, count - packets
 
 
-def save_stream(stream: EventStream, path) -> None:
+def save_stream(stream: EventStream, path) -> tuple[int, int]:
     with open(path, "w", encoding="utf-8") as fh:
-        write_stream(stream, fh)
+        return write_stream(stream, fh)
 
 
 def _bucketed(events: Iterable[PacketEvent | ProcessEvent], source) -> Iterator[TickBucket]:

@@ -16,13 +16,19 @@ that coupling.
 
 from __future__ import annotations
 
+import copy
 import math
 import random
+from bisect import bisect_left, bisect_right
+from collections import deque
 from dataclasses import dataclass, replace
+from itertools import chain
+from operator import attrgetter
+from typing import Iterator
 
 from .errors import ConfigError, check_fields
-from .events import (MAX_DURATION, MAX_PACKET_SIZE, MIN_PACKET_SIZE, TCP_FLAG_SETS, EventStream,
-                     PacketEvent, ProcessEvent)
+from .events import (MAX_DURATION, MAX_PACKET_SIZE, MIN_PACKET_SIZE, TCP_FLAG_SETS, PacketEvent,
+                     ProcessEvent)
 
 DATASET_KINDS = ("passive-normal", "active-normal")
 
@@ -35,7 +41,8 @@ _DEFAULT_SCAN_LEN_FRAC = 0.857
 # scan over the longest session sends about 1.48M), events per second for
 # every Poisson rate of a profile, since each event drawn is one loop pass,
 # events per probe, reply or salvo for each burst count of the scan, and the
-# events a whole session is expected to hold (about 20M by default at most).
+# events a whole session is expected to hold (about 20M by default at most),
+# which bounds the time, not the memory, that making them takes.
 MAX_PROBES = 2_000_000
 MAX_RATE = 10_000.0
 MAX_BURST = 1_000
@@ -123,58 +130,63 @@ class NormalProfile:
             raise ConfigError("protocol fractions exceed 1")
 
 
-def _scan_syscalls(procs, pid, label, t, count, spread):
-    for i in range(count):
-        procs.append(ProcessEvent(round(t + i * spread, 4), pid, label, "syscall"))
+# A probe's outcome, one byte: 0 for no answer, or an ICMP unreachable, a closed or an open port.
+_UNREACHABLE, _CLOSED, _OPEN = 1, 2, 3
+
+
+def _burst(pid, label, t, count):
+    """``count`` system calls at round(t + i * 0.0002, 4): as ``t`` lies within float error of
+    a 4-decimal value, that is the correctly rounded quotient of two ints, a third of the cost."""
+    k = round(t * 10000)
+    return [ProcessEvent(n / 10000, pid, label, "syscall") for n in range(k, k + 2 * count, 2)]
 
 
 def gen_syn_scan(profile: ScanProfile, rng: random.Random, start: float = 0.0):
-    """Generate one scan fragment whose first salvo is due at ``start``.
-
-    Returns (packet_events, process_events, salvo_seconds); lists are in
-    emission order, not yet sorted.
-    """
+    """Make the draws of one scan whose first salvo is due at ``start``: return each salvo's
+    second and the outcomes of its probes, from which scan_salvos makes the events."""
     if profile.ports_per_host is None:
         raise ConfigError("ports_per_host must be set before generating a scan")
     total_probes = profile.target_count * profile.ports_per_host
     salvo_size = max(1, round(profile.salvo_rate))
     period = salvo_size * profile.probe_interval
-    n_salvos = math.ceil(total_probes / salvo_size)
     up_fraction = profile.hosts_up / profile.target_count
+    salvos: list[tuple[int, bytearray]] = []
+    for first in range(0, total_probes, salvo_size):
+        salvos.append((int(start + first // salvo_size * period + rng.uniform(0.0, 0.2 * period)),
+                       outcomes := bytearray(min(salvo_size, total_probes - first))))
+        for j in range(len(outcomes)):
+            if rng.random() < up_fraction:
+                outcomes[j] = _OPEN if rng.random() < profile.open_port_fraction else _CLOSED
+            elif rng.random() < profile.icmp_reply_rate:
+                outcomes[j] = _UNREACHABLE
+    return salvos
 
-    packets: list[PacketEvent] = []
-    procs: list[ProcessEvent] = []
-    salvo_seconds: list[int] = []
-    remaining = total_probes
-    for s in range(n_salvos):
-        base = start + s * period
-        sec = int(base + rng.uniform(0.0, 0.2 * period))
-        salvo_seconds.append(sec)
-        probes = min(salvo_size, remaining)
-        remaining -= probes
-        step = 0.92 / max(probes, 1)
-        for j in range(probes):
+
+def scan_salvos(profile: ScanProfile, salvos: list[tuple[int, bytearray]]):
+    """Yield the events of gen_syn_scan's salvos, one (second, packets, process events) each."""
+    scanner, parent = (profile.scanner_pid, profile.scanner_label), (profile.parent_pid, profile.parent_label)
+    n_relay = profile.relay_packets_per_salvo
+    for sec, outcomes in salvos:
+        packets, procs = [], []
+        step = 0.92 / len(outcomes)
+        for j, outcome in enumerate(outcomes):
             pt = round(sec + 0.02 + j * step, 4)
             packets.append(PacketEvent(pt, "sent", "tcp", TCP_FLAG_SETS["syn"], 40))
-            _scan_syscalls(procs, profile.scanner_pid, profile.scanner_label,
-                           pt, profile.syscalls_per_probe, 0.0002)
-            if rng.random() < up_fraction:
+            procs += _burst(*scanner, pt, profile.syscalls_per_probe)
+            if outcome >= _CLOSED:
                 rt = round(pt + 0.004, 4)
-                if rng.random() < profile.open_port_fraction:
+                if outcome == _OPEN:
                     packets.append(PacketEvent(rt, "recv", "tcp", TCP_FLAG_SETS["syn,ack"], 44))
                     packets.append(PacketEvent(round(rt + 0.002, 4), "sent", "tcp",
                                                TCP_FLAG_SETS["rst"], 40))
                 else:
                     packets.append(PacketEvent(rt, "recv", "tcp", TCP_FLAG_SETS["ack,rst"], 40))
-                _scan_syscalls(procs, profile.scanner_pid, profile.scanner_label,
-                               rt, profile.syscalls_per_reply, 0.0002)
-                _scan_syscalls(procs, profile.parent_pid, profile.parent_label,
-                               rt + 0.001, profile.relay_syscalls_per_reply, 0.0002)
-            elif rng.random() < profile.icmp_reply_rate:
+                procs += _burst(*scanner, rt, profile.syscalls_per_reply)
+                procs += _burst(*parent, rt + 0.001, profile.relay_syscalls_per_reply)
+            elif outcome == _UNREACHABLE:
                 packets.append(PacketEvent(round(pt + 0.02, 4), "recv", "icmp",
                                            None, 56, "dest_unreachable"))
         # The parent terminal ships the scanner's output to the operator.
-        n_relay = profile.relay_packets_per_salvo
         for m in range(n_relay):
             mt = round(sec + 0.05 + m * 0.9 / max(n_relay, 1), 4)
             packets.append(PacketEvent(mt, "sent", "tcp", TCP_FLAG_SETS["ack"],
@@ -182,25 +194,20 @@ def gen_syn_scan(profile: ScanProfile, rng: random.Random, start: float = 0.0):
             if m % 3 == 0:
                 packets.append(PacketEvent(round(mt + 0.003, 4), "recv", "tcp",
                                            TCP_FLAG_SETS["ack"], 52))
-    return packets, procs, salvo_seconds
+        yield sec, packets, procs
 
 
 def gen_normal(profile: NormalProfile, duration: float, rng: random.Random,
                busy_seconds: frozenset[int] | set[int] = frozenset()):
-    """Generate a desktop-traffic fragment of the given length.
-
-    Returns (packet_events, process_events) in emission order.
-    """
-    packets: list[PacketEvent] = []
-    procs: list[ProcessEvent] = []
+    """Yield desktop traffic of the given length, one (second, packets, process events) a second."""
     pids = (profile.browser_pid, *profile.child_pids)
-    seconds = math.ceil(duration)
     rate = profile.mean_pps
     next_activity = rng.expovariate(1.0 / profile.activity_period) if profile.activity_period > 0 else math.inf
     activity_until = -1.0
     next_download = rng.expovariate(1.0 / profile.download_period) if profile.download_period > 0 else math.inf
     download_until = -1.0
-    for sec in range(seconds):
+    for sec in range(math.ceil(duration)):
+        packets, procs = [], []
         if profile.mean_pps > 0:
             rate = profile.mean_pps + 0.8 * (rate - profile.mean_pps) \
                 + rng.gauss(0.0, 0.15 * profile.mean_pps)
@@ -242,7 +249,7 @@ def gen_normal(profile: NormalProfile, duration: float, rng: random.Random,
             pid = pids[rng.randrange(len(pids))]
             procs.append(ProcessEvent(round(sec + rng.random(), 4), pid,
                                       profile.browser_label, "syscall"))
-    return packets, procs
+        yield sec, packets, procs
 
 
 @dataclass(frozen=True)
@@ -259,19 +266,71 @@ class SessionProfile:
                      sshd_syscall_rate=(0, MAX_RATE), login_time=(0, MAX_DURATION))
 
 
+def _sshd(session: SessionProfile, duration: float, rng: random.Random):
+    """Yield the session shell's system calls, one (second, (), process events) chunk a second."""
+    for sec in range(math.ceil(duration)):
+        yield sec, (), [ProcessEvent(round(sec + rng.random(), 4), session.sshd_pid, session.sshd_label,
+                                     "syscall") for _ in range(_poisson(rng, session.sshd_syscall_rate))]
+
+
+class GeneratedStream:
+    """A session read like an EventStream: each read of ``events`` makes them afresh, one
+    second at a time.  ``event_count`` is kept from the last full read, or counted by one.
+
+    ``sources()`` returns new iterators of (second, packets, process events) chunks, in
+    seconds that never decrease and with no event before its second, so a second is whole
+    once each source's next chunk lies past it.  The second's packets, then its process
+    events, in source and emission order, take one stable sort by time: the session's order.
+    """
+
+    def __init__(self, sources, duration: float):
+        self.sources, self.duration, self._count = sources, duration, None
+
+    @property
+    def events(self) -> Iterator[PacketEvent | ProcessEvent]:
+        return chain.from_iterable(self._seconds())
+
+    @property
+    def event_count(self) -> int:
+        return sum(map(len, self._seconds())) if self._count is None else self._count
+
+    def _seconds(self) -> Iterator[list[PacketEvent | ProcessEvent]]:
+        sources, time = [iter(source) for source in self.sources()], attrgetter("timestamp")
+        heads = [next(source, None) for source in sources]
+        lanes, count = [[] for _ in range(2 * len(sources))], 0
+        for sec in range(math.floor(self.duration) + 1):
+            for i, source in enumerate(sources):
+                while (head := heads[i]) is not None and head[0] <= sec:
+                    lanes[i] += head[1]
+                    lanes[len(sources) + i] += head[2]
+                    heads[i] = next(source, None)
+            events = []
+            for lane in lanes:
+                if lane:  # what lies past this second stays in the lane, sorted
+                    lane.sort(key=time)
+                    cut = bisect_left(lane, sec + 1, key=time)
+                    events += lane[:cut]
+                    del lane[:cut]
+            events.sort(key=time)
+            del events[bisect_right(events, self.duration, key=time):]
+            count += len(events)
+            yield events
+        self._count = count
+
+
 def gen_dataset(kind: str, duration: float, seed: int, *,
                 scan_start: float | None = None,
                 scan_duration: float | None = None,
                 scan: ScanProfile | None = None,
                 normal: NormalProfile | None = None,
                 session: SessionProfile | None = None,
-                include_scan: bool = True) -> EventStream:
-    """Generate a complete labelled session as an EventStream.
+                include_scan: bool = True) -> GeneratedStream:
+    """Generate a complete labelled session as a GeneratedStream.
 
     ``passive-normal`` holds the scan and its ssh session only;
     ``active-normal`` adds concurrent desktop traffic; underscores may
     stand for the hyphen.  The scan window defaults to roughly the middle
-    nine tenths of the session.
+    nine tenths of the session.  Arguments are checked here, not on a read.
     """
     kind = kind.replace("_", "-")
     if kind not in DATASET_KINDS:
@@ -316,27 +375,16 @@ def gen_dataset(kind: str, duration: float, seed: int, *,
     if expected > MAX_EVENTS:
         raise ConfigError(f"the session would hold about {expected:,.0f} events, above {MAX_EVENTS:,}")
 
+    # Make every draw up to the desktop's, which come last, and keep what the events need.
     rng = random.Random(seed)
-    packets: list[PacketEvent] = []
-    procs: list[ProcessEvent] = [
-        ProcessEvent(session.login_time, session.sshd_pid, session.sshd_label, "login")
-    ]
-    for sec in range(math.ceil(duration)):
-        for _ in range(_poisson(rng, session.sshd_syscall_rate)):
-            procs.append(ProcessEvent(round(sec + rng.random(), 4), session.sshd_pid,
-                                      session.sshd_label, "syscall"))
-    salvo_seconds: list[int] = []
-    if include_scan:
-        scan_packets, scan_procs, salvo_seconds = gen_syn_scan(scan, rng, scan_start)
-        packets += scan_packets
-        procs += scan_procs
-    if kind == "active-normal":
-        busy = frozenset(salvo_seconds)
-        normal_packets, normal_procs = gen_normal(normal, duration, rng, busy)
-        packets += normal_packets
-        procs += normal_procs
+    deque(_sshd(session, duration, rng), 0)
+    salvos = gen_syn_scan(scan, rng, scan_start) if include_scan else []
+    login = ProcessEvent(session.login_time, session.sshd_pid, session.sshd_label, "login")
 
-    # One stable sort puts packets first at equal times, since they come first here.
-    events = [e for e in packets + procs if e.timestamp <= duration]
-    events.sort(key=lambda e: e.timestamp)
-    return EventStream(events, float(duration))
+    def sources():
+        return [[(int(login.timestamp), (), [login])],
+                _sshd(session, duration, random.Random(seed)),
+                scan_salvos(scan, salvos),
+                gen_normal(normal, duration, copy.copy(rng), frozenset(sec for sec, _ in salvos))
+                if kind == "active-normal" else ()]
+    return GeneratedStream(sources, float(duration))

@@ -1,17 +1,25 @@
-"""Reference model of one engine tick, one cell at a time.
+"""Reference models of one engine tick, one cell at a time, and of a
+generated session, built whole.
 
 ``DcaEngine.tick`` inlines the sampling and the update of every cell and
 computes the output increments once per tick.  This model keeps each step
 as its own small method, so the tests can check the steps one by one and
 check ``tick`` against them, draw for draw and float for float.
+
+``gen_dataset`` makes its session one second at a time; ``reference_dataset``
+makes the same draws in one pass and puts the whole session in file order
+with one stable sort.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 from dcascan.engine import DendriticCell, TissueCompartment, WeightMatrix, increments
-from dcascan.events import ProcessEvent
+from dcascan.events import EventStream, ProcessEvent
+from dcascan.scenario import (NormalProfile, ScanProfile, SessionProfile, _sshd, gen_normal,
+                              gen_syn_scan, scan_salvos)
 
 
 def draw_slots(rng: random.Random, n: int, k: int) -> list[int]:
@@ -75,3 +83,51 @@ class ReferenceCell(DendriticCell):
     @property
     def wants_migration(self) -> bool:
         return self.csm > self.migration_threshold
+
+
+def flatten(chunks) -> tuple[list, list]:
+    """The packets and the process events of a generator's (second, packets,
+    process events) chunks, each in emission order."""
+    packets: list = []
+    procs: list = []
+    for _, chunk_packets, chunk_procs in chunks:
+        packets += chunk_packets
+        procs += chunk_procs
+    return packets, procs
+
+
+def reference_dataset(kind: str, duration: float, seed: int, *, scan_start=None,
+                      scan_duration=None, scan=None, normal=None, session=None,
+                      include_scan=True) -> EventStream:
+    """The session ``gen_dataset`` makes for valid arguments, held whole."""
+    kind = kind.replace("_", "-")
+    scan, normal, session = scan or ScanProfile(), normal or NormalProfile(), session or SessionProfile()
+    if scan_start is None:
+        scan_start = round(0.093 * duration, 1)
+    if scan_duration is None:
+        scan_duration = 0.857 * duration
+    scan_duration = min(scan_duration, duration - scan_start)
+    if scan.ports_per_host is None:
+        per_host = scan_duration / scan.probe_interval / scan.target_count
+        scan = replace(scan, ports_per_host=max(1, round(per_host)))
+
+    rng = random.Random(seed)
+    packets: list = []
+    procs: list = [ProcessEvent(session.login_time, session.sshd_pid, session.sshd_label, "login")]
+    procs += flatten(_sshd(session, duration, rng))[1]
+    salvos = []
+    if include_scan:
+        salvos = gen_syn_scan(scan, rng, scan_start)
+        scan_packets, scan_procs = flatten(scan_salvos(scan, salvos))
+        packets += scan_packets
+        procs += scan_procs
+    if kind == "active-normal":
+        normal_packets, normal_procs = flatten(gen_normal(normal, duration, rng,
+                                                          frozenset(sec for sec, _ in salvos)))
+        packets += normal_packets
+        procs += normal_procs
+
+    # One stable sort puts packets first at equal times, since they come first here.
+    events = [e for e in packets + procs if e.timestamp <= duration]
+    events.sort(key=lambda e: e.timestamp)
+    return EventStream(events, float(duration))

@@ -50,13 +50,20 @@ def test_generate_rejects_zero_duration(tmp_path, capsys):
     assert "duration" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag", ["--duration=nan", "--scan-start=nan", "--scan-duration=inf"])
-def test_pipeline_rejects_non_finite_scenario_values(tmp_path, capsys, flag):
+@pytest.mark.parametrize("flag, message", [
+    *(pytest.param(flag, "must be finite", id=flag)
+      for flag in ["--duration=nan", "--scan-start=nan", "--scan-duration=inf"]),
+    # about 33M events over the default 7000 s; the stream is made after the checks
+    pytest.param("--config={tmp}/bursts.conf", "events, above 25,000,000", id="max-events"),
+])
+def test_pipeline_rejects_non_finite_scenario_values(tmp_path, capsys, flag, message):
+    (tmp_path / "bursts.conf").write_text("scan.syscalls_per_reply = 1000\n")
     out_dir = tmp_path / "run"
-    code = main(["pipeline", "passive-normal", "--seed", "1", "--out-dir", str(out_dir), flag])
+    code = main(["pipeline", "passive-normal", "--seed", "1", "--out-dir", str(out_dir),
+                 flag.format(tmp=tmp_path)])
     assert code == 2
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith("config error: ") and "must be finite" in err
+    assert err.count("\n") == 1 and err.startswith("config error: ") and message in err
     assert not out_dir.exists()
 
 
@@ -569,6 +576,21 @@ def test_pipeline_reports_a_failed_event_file_write_from_the_child(tmp_path, cap
     assert (tmp_path / "run" / "events.txt").read_bytes() == b""
 
 
+def test_pipeline_rejects_a_writer_that_drops_an_event(tmp_path, capsys, monkeypatch, fork):
+    def drops_the_first(stream, fh):
+        rest = stream.events
+        next(rest)
+        return events.write_stream(argparse.Namespace(events=rest, duration=stream.duration), fh)
+
+    monkeypatch.setattr(cli, "write_stream", drops_the_first)  # the forked child inherits it
+    assert _short_pipeline(tmp_path / "run") == 3
+    path = tmp_path / "run" / "events.txt"
+    assert capsys.readouterr() == (
+        "", f"io error: the writer of {path} wrote 11617 events, the replay read 11618\n")
+    assert sorted(p.name for p in path.parent.iterdir()) == ["events.txt", "presentations.csv"]
+    assert path.read_text().count("\n") == 1 + 11617
+
+
 def test_pipeline_reports_a_writer_killed_by_a_signal(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "write_stream",
                         lambda stream, fh: os.kill(os.getpid(), signal.SIGKILL))
@@ -601,6 +623,26 @@ def test_pipeline_fails_on_an_unopenable_event_file_before_the_replay(tmp_path, 
     assert _short_pipeline(tmp_path / "run") == 3
     assert capsys.readouterr().err.startswith("io error: ")
     assert sorted(p.name for p in (tmp_path / "run").iterdir()) == ["events.txt"]
+
+
+def _peak_rss_kb(argv):
+    """The peak resident set size of one CLI call in a fresh interpreter."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.Popen([sys.executable, "-m", "dcascan.cli", *argv], env=env,
+                            stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode == 0
+    return usage.ru_maxrss
+
+
+def test_generate_holds_one_second_of_the_session_at_a_time(tmp_path):
+    # Holding the whole session, 4,000 s used to peak at about 120 MB, 500 s at 30 MB.
+    short, long = (_peak_rss_kb(["generate", "passive-normal", "--duration", str(duration),
+                                 "--seed", "7", "--out", str(tmp_path / "events.txt")])
+                   for duration in (500, 4_000))
+    assert abs(long - short) < 0.1 * short
 
 
 def test_pipeline_without_fork_writes_the_same_bytes(tmp_path, capsys, monkeypatch):

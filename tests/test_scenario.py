@@ -1,6 +1,7 @@
 """Scenario generators: scan shape, desktop traffic, dataset assembly."""
 
 import random
+import tracemalloc
 from collections import Counter, defaultdict
 
 import pytest
@@ -19,10 +20,24 @@ from dcascan.scenario import (
     NormalProfile,
     ScanProfile,
     SessionProfile,
+    _burst,
     gen_dataset,
     gen_normal,
     gen_syn_scan,
+    scan_salvos,
 )
+from reference import flatten, reference_dataset
+
+
+def _scan(profile, rng, start=0.0):
+    """(packets, process events, salvo seconds) of one scan, drawn and made."""
+    salvos = gen_syn_scan(profile, rng, start)
+    return (*flatten(scan_salvos(profile, salvos)), [sec for sec, _ in salvos])
+
+
+def _normal(profile, duration, rng, busy_seconds=frozenset()):
+    """(packets, process events) of desktop traffic."""
+    return flatten(gen_normal(profile, duration, rng, busy_seconds))
 
 
 # --------------------------------------------------------------------------
@@ -37,8 +52,7 @@ def _single_probe(**kwargs):
 
 
 def test_single_probe_open_port():
-    packets, procs, salvos = gen_syn_scan(_single_probe(open_port_fraction=1.0),
-                                          random.Random(0))
+    packets, procs, salvos = _scan(_single_probe(open_port_fraction=1.0), random.Random(0))
     assert [p.direction for p in packets] == ["sent", "recv", "sent"]
     syn, synack, rst = packets
     assert syn.tcp_flags == frozenset(("syn",)) and syn.size_bytes == 40
@@ -50,8 +64,7 @@ def test_single_probe_open_port():
 
 
 def test_single_probe_closed_port():
-    packets, _, _ = gen_syn_scan(_single_probe(open_port_fraction=0.0),
-                                 random.Random(0))
+    packets, _, _ = _scan(_single_probe(open_port_fraction=0.0), random.Random(0))
     assert len(packets) == 2
     assert packets[1].direction == "recv"
     assert packets[1].tcp_flags == frozenset(("rst", "ack"))
@@ -61,7 +74,7 @@ def test_down_hosts_answer_with_icmp_when_forced():
     # One host in twenty is up; with a certain ICMP reply every down host
     # answers, so each of the 20 probes gets exactly one response.
     prof = _single_probe(target_count=20, icmp_reply_rate=1.0)
-    packets, _, _ = gen_syn_scan(prof, random.Random(0))
+    packets, _, _ = _scan(prof, random.Random(0))
     syns = [p for p in packets if p.direction == "sent"]
     replies = [p for p in packets if p.direction == "recv"]
     assert len(syns) == 20
@@ -78,21 +91,21 @@ def test_down_hosts_answer_with_icmp_when_forced():
 
 def test_down_hosts_stay_silent_without_icmp():
     prof = _single_probe(target_count=20, icmp_reply_rate=0.0)
-    packets, _, _ = gen_syn_scan(prof, random.Random(0))
+    packets, _, _ = _scan(prof, random.Random(0))
     assert not any(p.protocol == "icmp" for p in packets)
     assert sum(1 for p in packets if p.direction == "sent"
                and p.tcp_flags == frozenset(("syn",))) == 20
 
 
 def test_probe_lands_inside_its_salvo_second():
-    packets, _, salvos = gen_syn_scan(_single_probe(), random.Random(0))
+    packets, _, salvos = _scan(_single_probe(), random.Random(0))
     assert int(packets[0].timestamp) == salvos[0]
     assert packets[0].timestamp - salvos[0] == pytest.approx(0.02)
 
 
 def test_scan_start_shifts_every_salvo():
-    _, _, at_zero = gen_syn_scan(ScanProfile(ports_per_host=2), random.Random(3))
-    _, _, later = gen_syn_scan(ScanProfile(ports_per_host=2), random.Random(3), start=100)
+    _, _, at_zero = _scan(ScanProfile(ports_per_host=2), random.Random(3))
+    _, _, later = _scan(ScanProfile(ports_per_host=2), random.Random(3), start=100)
     assert later == [sec + 100 for sec in at_zero]
 
 
@@ -107,7 +120,7 @@ def test_gen_scan_requires_ports_per_host():
 
 def test_salvo_seconds_carry_the_scan_signature():
     """Each salvo second shows the flood: many RSTs, tcp-heavy, tiny packets."""
-    packets, _, salvos = gen_syn_scan(ScanProfile(ports_per_host=60), random.Random(3))
+    packets, _, salvos = _scan(ScanProfile(ports_per_host=60), random.Random(3))
     assert len(salvos) == 34  # ceil(254*60 / 450)
     assert all(b > a for a, b in zip(salvos, salvos[1:]))
     per_second = defaultdict(list)
@@ -168,7 +181,7 @@ def test_scan_burst_counts_are_bounded(name):
 
 def test_normal_traffic_rate_and_size():
     prof = NormalProfile(mean_pps=30, activity_period=0, download_period=0)
-    packets, _ = gen_normal(prof, 100, random.Random(5))
+    packets, _ = _normal(prof, 100, random.Random(5))
     assert abs(len(packets) - 3000) < 450  # 30 pps for 100 s
     mean_size = sum(p.size_bytes for p in packets) / len(packets)
     assert 70 <= mean_size <= 90
@@ -176,15 +189,15 @@ def test_normal_traffic_rate_and_size():
 
 
 def test_normal_zero_rate_emits_only_syscalls():
-    packets, procs = gen_normal(NormalProfile(mean_pps=0), 50, random.Random(5))
+    packets, procs = _normal(NormalProfile(mean_pps=0), 50, random.Random(5))
     assert packets == []
     assert procs and all(e.kind == "syscall" for e in procs)
 
 
 def test_normal_stall_flush_concentrates_syscalls():
     prof = NormalProfile(mean_pps=0)
-    _, calm = gen_normal(prof, 60, random.Random(8))
-    _, busy = gen_normal(prof, 60, random.Random(8), busy_seconds={20, 40})
+    _, calm = _normal(prof, 60, random.Random(8))
+    _, busy = _normal(prof, 60, random.Random(8), busy_seconds={20, 40})
     flushed = [e for e in busy if int(e.timestamp) in (20, 40)]
     assert len(busy) > len(calm) + 80  # two flushes of ~60 calls each
     assert len(flushed) > 80
@@ -224,7 +237,7 @@ def test_normal_profile_validation():
 
 def test_normal_download_sizes_stay_within_the_packet_size_bound():
     prof = NormalProfile(download_size=MAX_PACKET_SIZE, download_period=1.0)
-    packets, _ = gen_normal(prof, 60, random.Random(3))
+    packets, _ = _normal(prof, 60, random.Random(3))
     sizes = [p.size_bytes for p in packets]
     assert max(sizes) == MAX_PACKET_SIZE  # draws above the bound are clamped to it
 
@@ -254,7 +267,7 @@ def test_dataset_kinds_and_aliases():
         stream = gen_dataset(kind, 120, 1)
         assert stream.duration == 120.0
     hyphen = gen_dataset("active-normal", 120, 1)
-    assert hyphen == gen_dataset("active_normal", 120, 1)
+    assert list(hyphen.events) == list(gen_dataset("active_normal", 120, 1).events)
 
 
 def test_dataset_rejects_bad_arguments():
@@ -349,7 +362,7 @@ def test_dataset_event_ordering_and_bounds():
 @given(seed=st.integers(0, 2**32), duration=st.floats(1, 240))
 def test_dataset_events_are_in_file_order(kind, include_scan, seed, duration):
     # The order the event file is written in: by time, packets first at equal times.
-    events = gen_dataset(kind, duration, seed, include_scan=include_scan).events
+    events = list(gen_dataset(kind, duration, seed, include_scan=include_scan).events)
     for before, after in zip(events, events[1:]):
         assert before.timestamp <= after.timestamp
         if before.timestamp == after.timestamp:
@@ -357,9 +370,9 @@ def test_dataset_events_are_in_file_order(kind, include_scan, seed, duration):
 
 
 def test_dataset_same_seed_reproduces_exactly():
-    first = gen_dataset("active_normal", 240, 42)
-    second = gen_dataset("active_normal", 240, 42)
-    other = gen_dataset("active_normal", 240, 43)
+    first = list(gen_dataset("active_normal", 240, 42).events)
+    second = list(gen_dataset("active_normal", 240, 42).events)
+    other = list(gen_dataset("active_normal", 240, 43).events)
     assert first == second
     assert first != other
 
@@ -406,3 +419,50 @@ def test_generated_packets_share_their_flag_sets():
     flags = [p.tcp_flags for p in _packets(stream)]
     assert len({id(f) for f in flags if f is not None}) <= 6
     assert [p.tcp_flags for p in _packets(parse_stream(serialize_stream(stream)))] == flags
+
+
+@settings(deadline=None, max_examples=60)
+@given(kind=st.sampled_from(DATASET_KINDS), include_scan=st.booleans(),
+       seed=st.integers(0, 2**32), duration=st.floats(1, 20),
+       start=st.none() | st.floats(0, 0.999), scan_duration=st.none() | st.floats(0.01, 30),
+       ports=st.none() | st.integers(1, 12), probe_interval=st.sampled_from([0.002, 0.01, 0.05]),
+       salvo_rate=st.sampled_from([3.0, 450.0]),
+       syscalls_per_reply=st.sampled_from([0, 28, MAX_BURST - 3, MAX_BURST]))
+def test_session_matches_the_reference_built_whole(kind, include_scan, seed, duration, start,
+                                                  scan_duration, ports, probe_interval,
+                                                  salvo_rate, syscalls_per_reply):
+    # Small salvos at short intervals share a second; long bursts cross into the next;
+    # more ports than the window holds run the scan past the end of the session.
+    scan = ScanProfile(target_count=8, hosts_up=2, ports_per_host=ports, salvo_rate=salvo_rate,
+                       probe_interval=probe_interval, syscalls_per_reply=syscalls_per_reply)
+    kwargs = dict(scan_start=None if start is None else start * duration,
+                  scan_duration=scan_duration, scan=scan, include_scan=include_scan)
+    expected = reference_dataset(kind, duration, seed, **kwargs)
+    stream = gen_dataset(kind, duration, seed, **kwargs)
+    assert list(stream.events) == expected.events
+    assert (stream.event_count, stream.duration) == (len(expected.events), expected.duration)
+
+
+@given(tenths_of_ms=st.integers(0, int((MAX_DURATION + 2) * 10_000)), reply=st.booleans(),
+       relay=st.booleans(), i=st.integers(0, MAX_BURST - 1))
+def test_burst_times_are_the_rounded_sums(tenths_of_ms, reply, relay, i):
+    # The times the scan passes: a probe's, its reply's 4 ms later, the relay's 1 ms after that.
+    t = round(tenths_of_ms / 10_000, 4)
+    if reply:
+        t = round(t + 0.004, 4)
+    if relay:
+        t += 0.001
+    assert _burst(1, "x", t, i + 1)[i].timestamp == round(t + i * 0.0002, 4)
+
+
+@pytest.mark.parametrize("duration", [300, 1_500])
+def test_reading_a_session_holds_one_second_at_a_time(duration):
+    tracemalloc.start()
+    try:
+        stream = gen_dataset("passive-normal", duration, 7)
+        count = sum(1 for _ in stream.events)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == stream.event_count > 50_000 * duration // 300
+    assert peak < 4_000_000  # a whole 1,500 s session holds about 38 MB
