@@ -10,9 +10,11 @@ by n), as noted in the output headers.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import statistics
 from dataclasses import dataclass, field
+from typing import Iterable, Iterator
 
 from .engine import PresentationRecord
 from .errors import ValidationError, check_fields
@@ -61,13 +63,14 @@ VERDICT_NORMAL = "normal"
 VERDICT_INSUFFICIENT = "insufficient-evidence"
 
 
-def compute_mcav_windows(records: list[PresentationRecord],
+def compute_mcav_windows(records: Iterable[PresentationRecord],
                          config: AnalysisConfig = AnalysisConfig()) -> list[McavWindow]:
-    """Cut the record sequence into count windows and score each label."""
+    """Cut the records, any iterable, into count windows and score each
+    label, holding one window of records at a time."""
     windows: list[McavWindow] = []
     size = config.window_size
-    for start in range(0, len(records), size):
-        chunk = records[start:start + size]
+    records = iter(records)
+    while chunk := list(itertools.islice(records, size)):
         window = McavWindow(
             index=len(windows),
             size=len(chunk),
@@ -136,23 +139,31 @@ def classify(summaries: dict[str, LabelSummary],
     return verdicts
 
 
-def write_presentations(records: list[PresentationRecord], path) -> None:
+def write_table(path, header: list[str], rows: Iterable) -> None:
+    """Write one CSV file: the header row, then ``rows``."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["presented_at", "pid", "label", "context"])
-        for r in records:
-            writer.writerow([format_time(r.presented_at), r.antigen.pid, r.antigen.process_name, r.context])
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
-def read_presentations(path) -> list[PresentationRecord]:
-    """Load a presentation log; each antigen is rebuilt as a syscall event
-    stamped with its presentation time, since the log keeps no event times."""
-    records: list[PresentationRecord] = []
+_LOG_HEADER = ["presented_at", "pid", "label", "context"]
+
+
+def write_presentations(records: list[PresentationRecord], path) -> None:
+    write_table(path, _LOG_HEADER, ([format_time(r.presented_at), r.antigen.pid,
+                                     r.antigen.process_name, r.context] for r in records))
+
+
+def read_presentations(path) -> Iterator[PresentationRecord]:
+    """Yield the records of a presentation log, one row at a time; each
+    antigen is rebuilt as a syscall event stamped with its presentation
+    time, since the log keeps no event times."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, None)
-            if header != ["presented_at", "pid", "label", "context"]:
+            if header != _LOG_HEADER:
                 raise ValidationError(f"unexpected presentation log header: {header}")
             for line_no, row in enumerate(reader, start=2):
                 if not row:
@@ -167,41 +178,28 @@ def read_presentations(path) -> list[PresentationRecord]:
                     raise ValidationError(f"row {line_no}: {exc}") from None
                 if context not in (0, 1):
                     raise ValidationError(f"row {line_no}: context must be 0 or 1")
-                records.append(PresentationRecord(ProcessEvent(t, pid, row[2], "syscall"), context, t))
+                yield PresentationRecord(ProcessEvent(t, pid, row[2], "syscall"), context, t)
         except csv.Error as exc:
             # A line csv cannot read, the header included, e.g. a field over its size limit.
             raise ValidationError(f"row {reader.line_num}: {exc}") from None
-    return records
 
 
 def write_mcav_csv(windows: list[McavWindow], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["window", "label", "presentations", "mature", "mcav", "proportion"])
-        for window in windows:
-            for label, stats in window.labels.items():
-                writer.writerow([
-                    window.index, label, stats.presentations, stats.mature,
-                    f"{stats.mcav:.6f}", f"{stats.proportion:.6f}",
-                ])
+    write_table(path, ["window", "label", "presentations", "mature", "mcav", "proportion"],
+                ([window.index, label, stats.presentations, stats.mature,
+                  f"{stats.mcav:.6f}", f"{stats.proportion:.6f}"]
+                 for window in windows for label, stats in window.labels.items()))
 
 
 def write_summary_csv(summaries: dict[str, LabelSummary], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        # std_mcav_pop: population standard deviation (divide by n).
-        writer.writerow(["label", "windows", "mean_mcav", "std_mcav_pop",
-                         "presentations", "proportion"])
-        for label in sorted(summaries):
-            s = summaries[label]
-            writer.writerow([label, s.windows, f"{s.mean_mcav:.6f}", f"{s.std_mcav:.6f}",
-                             s.presentations, f"{s.proportion:.6f}"])
+    # std_mcav_pop: population standard deviation (divide by n).
+    write_table(path, ["label", "windows", "mean_mcav", "std_mcav_pop", "presentations", "proportion"],
+                ([label, s.windows, f"{s.mean_mcav:.6f}", f"{s.std_mcav:.6f}",
+                  s.presentations, f"{s.proportion:.6f}"]
+                 for label, s in sorted(summaries.items())))
 
 
 def write_verdicts_csv(summaries: dict[str, LabelSummary], verdicts: dict[str, str], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["label", "verdict", "mean_mcav", "presentations"])
-        for label in sorted(verdicts):
-            s = summaries[label]
-            writer.writerow([label, verdicts[label], f"{s.mean_mcav:.6f}", s.presentations])
+    write_table(path, ["label", "verdict", "mean_mcav", "presentations"],
+                ([label, verdicts[label], f"{summaries[label].mean_mcav:.6f}",
+                  summaries[label].presentations] for label in sorted(verdicts)))

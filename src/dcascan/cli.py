@@ -157,8 +157,7 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _analyze_records(records, out_dir, analysis_config) -> None:
-    windows = analysis.compute_mcav_windows(records, analysis_config)
+def _write_analysis(windows, out_dir, analysis_config) -> None:
     summaries = analysis.session_summary(windows, analysis_config)
     verdicts = analysis.classify(summaries, analysis_config)
     os.makedirs(out_dir, exist_ok=True)
@@ -173,11 +172,11 @@ def _analyze_records(records, out_dir, analysis_config) -> None:
 
 
 def cmd_analyze(args) -> int:
-    config = build_config(args.config)
-    records = analysis.read_presentations(args.log)
-    if not records:
+    config = _analysis_config(build_config(args.config), args)
+    windows = analysis.compute_mcav_windows(analysis.read_presentations(args.log), config)
+    if not windows:
         print("warning: presentation log is empty", file=sys.stderr)
-    _analyze_records(records, args.out_dir, _analysis_config(config, args))
+    _write_analysis(windows, args.out_dir, config)
     return 0
 
 
@@ -280,7 +279,8 @@ def cmd_pipeline(args) -> int:
         raise OSError(f"the writer of {events_path} wrote {written} events, the replay read {stream.event_count}")
     print(f"generated {events_path}: {written} events")
     print(f"replayed {result.ticks} ticks: {len(result.records)} presentations")
-    _analyze_records(result.records, args.out_dir, _analysis_config(config, args))
+    scoring = _analysis_config(config, args)
+    _write_analysis(analysis.compute_mcav_windows(result.records, scoring), args.out_dir, scoring)
     return 0
 
 

@@ -39,7 +39,7 @@ MAX_PACKET_SIZE = 65_535  # the IPv4 total-length limit
 MAX_DURATION = 86_400.0
 
 _DURATION_PREFIX = "# duration="
-MAX_TAILS = 4_096  # distinct line tails, the text after the time, that one reader keeps
+MAX_TAILS = 4_096  # distinct line tails, the text after the time, that write_frames keeps
 FRAME_LINES = 8_192  # events in one frame of write_frames
 
 
@@ -179,46 +179,48 @@ def _time_error(line_no: int, name: str, value: float, last: float, limit: float
     return StreamParseError(line_no, f"{name} {value} {reason}")
 
 
-class _EventReader:
-    """The check step: check event lines one at a time, yielding a
-    ``(time, tail id)`` pair for each event.
+def write_frames(lines: Iterable[str]) -> Iterator[tuple | float]:
+    """The check step: check event lines one at a time and yield their
+    ``(time, tail id)`` pairs in frames of FRAME_LINES, ``(times, tail ids,
+    new tails)``, then the duration.
 
     Event times must not decrease and lie in [0, duration], the duration in
-    [0, MAX_DURATION]; without an annotation it is the last event's time.
-    ``duration`` holds the final value once the lines are exhausted.  A
-    violation raises a StreamParseError naming its line; nothing is sorted.
-    ``tails`` numbers up to MAX_TAILS distinct line tails after the time, so a
-    repeated tail costs only the time check; a full memo is cleared, its ids
-    reused.  Building the events is left to _Frames.
+    [0, MAX_DURATION]; without an annotation it is the last event's time.  A
+    violation raises a StreamParseError naming its line, after a frame of the
+    pairs checked before it; nothing is sorted.  Up to MAX_TAILS distinct line
+    tails after the time are numbered, so a repeated tail costs only the time
+    check.  A frame carries each tail it uses first as ``(id, tag, text)``; a
+    full memo is cleared, its ids reused, and ends the frame, so an id names
+    one tail in it.  Building the events is left to _Frames.
     """
-
-    def __init__(self, lines: Iterable[str]):
-        self.lines = lines
-        self.duration = 0.0
-        self.tails: dict[tuple[str, str], int] = {}
-
-    def __iter__(self) -> Iterator[tuple[float, int]]:
-        duration, last, last_text, limit = None, 0.0, None, MAX_DURATION
-        tails = self.tails
-        for line_no, raw in enumerate(self.lines, start=1):
+    duration, last, last_text, limit = None, 0.0, None, MAX_DURATION
+    tails: dict[tuple[str, str], int] = {}
+    times, ids, new = [], [], []
+    try:
+        for line_no, raw in enumerate(lines, start=1):
             head = raw.split(None, 2)
             if not head:
                 continue
             tag = head[0]
             if tag == "P" or tag == "E":
                 key = (tag, head[2] if len(head) == 3 else "")
-                i = tails.get(key)
-                if i is None:
+                if (i := tails.get(key)) is None:
                     _TAILS[tag](raw.split(), line_no)  # checked here, built by _Frames
-                    if len(tails) == MAX_TAILS:
-                        tails.clear()
-                    tails[key] = i = len(tails)
                 if head[1] != last_text:  # a repeated time passed every check already
                     ts = _number(head[1], line_no, float, format_time)
                     if not last <= ts <= limit:
                         raise _time_error(line_no, "timestamp", ts, last, limit)
                     last, last_text = ts, head[1]
-                yield last, i
+                if len(times) == FRAME_LINES or i is None and len(tails) == MAX_TAILS:
+                    yield times, ids, new
+                    times, ids, new = [], [], []
+                if i is None:
+                    if len(tails) == MAX_TAILS:
+                        tails.clear()
+                    tails[key] = i = len(tails)
+                    new.append((i, *key))
+                times.append(last)
+                ids.append(i)
             elif tag[0] == "#":
                 if raw.strip().startswith(_DURATION_PREFIX):
                     text = raw.partition("=")[2].strip()
@@ -233,31 +235,11 @@ class _EventReader:
                     limit = duration
             else:
                 raise StreamParseError(line_no, f"unknown record tag {tag!r}")
-        self.duration = last if duration is None else duration
-
-
-def write_frames(lines: Iterable[str]) -> Iterator[tuple | float]:
-    """Check ``lines`` and yield the pairs in frames of FRAME_LINES,
-    ``(times, tail ids, new tails)``, then the duration.  A frame carries each
-    tail it uses first as ``(id, tag, text)`` and ends where the memo clears,
-    so an id names one tail in it; pairs checked before an error go first."""
-    reader = _EventReader(lines)
-    tails, times, ids, new, known = reader.tails, [], [], [], 0
-    try:
-        for ts, i in reader:
-            if len(times) == FRAME_LINES or i == 0 and len(tails) < known:
-                yield times, ids, new
-                times, ids, new = [], [], []
-            if len(tails) != known:  # a new tail
-                known = len(tails)
-                new.append((i, *next(reversed(tails))))
-            times.append(ts)
-            ids.append(i)
     except Exception:
         yield times, ids, new
         raise
     yield times, ids, new
-    yield reader.duration
+    yield last if duration is None else duration
 
 
 class _Frames:
@@ -281,7 +263,7 @@ class _Frames:
 
 
 def parse_stream(text: str) -> EventStream:
-    """Parse event-file text into an EventStream; every rule of _EventReader applies."""
+    """Parse event-file text into an EventStream; every rule of write_frames applies."""
     # newline=None ends lines where a file opened in text mode does, as `run` reads them.
     frames = _Frames(write_frames(io.StringIO(text, newline=None)).__next__)
     return EventStream(list(frames), frames.duration)

@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from typing import Iterable
 
+from .analysis import write_table
 from .engine import DcaEngine, EngineConfig, PresentationRecord
 from .events import TickBucket
 from .signals import SignalConfig, SignalDeriver, SignalVector
@@ -46,12 +46,6 @@ def run_stream(buckets: Iterable[TickBucket],
 
 
 def write_signal_trace(trace: list[tuple[int, SignalVector]], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "pamp1", "pamp2", "ds1", "ds2", "ss1", "ss2", "inflammation"])
-        for second, sv in trace:
-            writer.writerow([
-                second,
-                f"{sv.pamp1:.4f}", f"{sv.pamp2:.4f}", f"{sv.ds1:.4f}", f"{sv.ds2:.4f}",
-                f"{sv.ss1:.4f}", f"{sv.ss2:.4f}", sv.inflammation,
-            ])
+    write_table(path, ["t", "pamp1", "pamp2", "ds1", "ds2", "ss1", "ss2", "inflammation"],
+                ([second, f"{sv.pamp1:.4f}", f"{sv.pamp2:.4f}", f"{sv.ds1:.4f}", f"{sv.ds2:.4f}",
+                  f"{sv.ss1:.4f}", f"{sv.ss2:.4f}", sv.inflammation] for second, sv in trace))

@@ -188,7 +188,7 @@ def test_presentation_log_round_trip(tmp_path):
     ]
     path = tmp_path / "presentations.csv"
     write_presentations(records, path)
-    loaded = read_presentations(path)
+    loaded = list(read_presentations(path))
     assert len(loaded) == 3
     for orig, back in zip(records, loaded):
         assert back.antigen.pid == orig.antigen.pid
@@ -201,13 +201,13 @@ def test_presentation_log_rejects_bad_content(tmp_path):
     path = tmp_path / "log.csv"
     path.write_text("wrong,header\n")
     with pytest.raises(ValidationError, match="header"):
-        read_presentations(path)
+        list(read_presentations(path))
     path.write_text("presented_at,pid,label,context\n1.0,5,x,7\n")
     with pytest.raises(ValidationError, match="context"):
-        read_presentations(path)
+        list(read_presentations(path))
     path.write_text("presented_at,pid,label,context\nnan?,5,x\n")
     with pytest.raises(ValidationError):
-        read_presentations(path)
+        list(read_presentations(path))
 
 
 def test_mcav_csv_layout(tmp_path):

@@ -15,9 +15,17 @@ from dcascan.engine import (
     TissueCompartment,
     WeightMatrix,
     combine_categories,
+    increments,
 )
 from dcascan.errors import ConfigError, EngineInvariantError
-from dcascan.events import ProcessEvent, TickBucket, read_frames, serialize_stream, write_frames
+from dcascan.events import (
+    ProcessEvent,
+    TickBucket,
+    iter_buckets,
+    read_frames,
+    serialize_stream,
+    write_frames,
+)
 from dcascan.pipeline import run_stream
 from dcascan.scenario import gen_dataset
 from dcascan.signals import SignalVector
@@ -485,3 +493,30 @@ def test_presented_antigens_are_the_parsed_syscall_events():
     parsed = {id(ev) for ev in syscalls}
     assert result.records
     assert all(id(record.antigen) in parsed for record in result.records)
+
+
+def _context_rule_agreement(kind, config):
+    """The records of the 500 s golden session of ``kind`` (seed 7) and the
+    share of them whose context is ``d_mature > d_semi`` of the second they
+    were presented in."""
+    result = run_stream(iter_buckets(gen_dataset(kind, 500, 7)), config, seed=7, collect_trace=True)
+    mature = {}
+    for second, signals in result.signal_trace:
+        _, d_semi, d_mature = increments(*combine_categories(signals), config.weights)
+        mature[float(second)] = d_mature > d_semi
+    agree = sum(record.context == mature[record.presented_at] for record in result.records)
+    return len(result.records), agree / len(result.records)
+
+
+@pytest.mark.parametrize("kind, records", [("passive-normal", 10_089), ("active-normal", 10_196)])
+def test_context_is_the_sign_of_the_presentation_seconds_increments(kind, records):
+    # At the default lifespans a cell lives about 1.4 ticks, so the last
+    # second's increments decide its context.
+    assert _context_rule_agreement(kind, EngineConfig()) == (records, 1.0)
+
+
+@pytest.mark.parametrize("kind, agreement", [("passive-normal", 0.660), ("active-normal", 0.573)])
+def test_context_rule_fails_at_three_times_the_lifespans(kind, agreement):
+    # A rule of a regime, not an identity: cells that live longer sum many seconds.
+    config = EngineConfig(threshold_min=300.0, threshold_max=900.0)
+    assert round(_context_rule_agreement(kind, config)[1], 3) == agreement

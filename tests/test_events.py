@@ -28,7 +28,6 @@ from dcascan.events import (
     PacketEvent,
     ProcessEvent,
     TickBucket,
-    _EventReader,
     format_time,
     iter_buckets,
     parse_stream,
@@ -179,9 +178,12 @@ def test_reader_bounds_its_tail_memo_and_round_trips_many_tails():
     sizes = [*range(MIN_PACKET_SIZE, 5_001), *range(MIN_PACKET_SIZE, 100)]
     text = f"# duration={float(len(sizes))!r}\n" + "".join(
         f"P {i} sent udp - {size}\n" for i, size in enumerate(sizes))
-    reader = _EventReader(io.StringIO(text))
-    memo_sizes = [len(reader.tails) for _ in reader]
-    assert max(memo_sizes) == MAX_TAILS and memo_sizes[-1] < MAX_TAILS
+    *frames, duration = write_frames(io.StringIO(text))
+    new_ids = [i for _, _, new in frames for i, _, _ in new]
+    # The memo numbers MAX_TAILS tails, then clears, which ends the frame, and numbers from 0 again.
+    assert new_ids == [*range(MAX_TAILS), *range(len(new_ids) - MAX_TAILS)]
+    assert MAX_TAILS < len(new_ids) < 2 * MAX_TAILS and len(frames[0][0]) == MAX_TAILS
+    assert duration == len(sizes)
     assert serialize_stream(parse_stream(text)) == text
 
 
