@@ -12,7 +12,10 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import os
 import statistics
+import sys
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -29,8 +32,9 @@ class AnalysisConfig:
     include_partial: bool = False
 
     def __post_init__(self):
-        check_fields(self, positive=("window_size",), mcav_threshold=(0, 1),
-                     min_confidence=(0, math.inf))
+        # sys.maxsize: the longest window itertools.islice cuts.
+        check_fields(self, positive=("window_size",), window_size=(1, sys.maxsize),
+                     mcav_threshold=(0, 1), min_confidence=(0, math.inf))
 
 
 @dataclass(frozen=True)
@@ -139,20 +143,31 @@ def classify(summaries: dict[str, LabelSummary],
     return verdicts
 
 
-def write_table(path, header: list[str], rows: Iterable) -> None:
-    """Write one CSV file: the header row, then ``rows``."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+@contextmanager
+def open_table(path, header: list[str]):
+    """Write a CSV file's header row and yield its ``writerows``.  The file is
+    ``<path>.part`` until the block ends, then renamed to ``path``; on an error
+    it is removed, so a failed command leaves no partial or changed file."""
+    part = f"{path}.part"
+    try:
+        with open(part, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            yield writer.writerows
+        os.replace(part, path)
+    except BaseException:
+        with suppress(OSError):
+            os.remove(part)
+        raise
 
 
-_LOG_HEADER = ["presented_at", "pid", "label", "context"]
+LOG_HEADER = ["presented_at", "pid", "label", "context"]
 
 
-def write_presentations(records: list[PresentationRecord], path) -> None:
-    write_table(path, _LOG_HEADER, ([format_time(r.presented_at), r.antigen.pid,
-                                     r.antigen.process_name, r.context] for r in records))
+def write_presentations(records: list[PresentationRecord], write) -> None:
+    """Write one tick's records with the ``writerows`` of ``open_table(path, LOG_HEADER)``."""
+    write([format_time(r.presented_at), r.antigen.pid, r.antigen.process_name, r.context]
+          for r in records)
 
 
 def read_presentations(path) -> Iterator[PresentationRecord]:
@@ -163,7 +178,7 @@ def read_presentations(path) -> Iterator[PresentationRecord]:
         reader = csv.reader(fh)
         try:
             header = next(reader, None)
-            if header != _LOG_HEADER:
+            if header != LOG_HEADER:
                 raise ValidationError(f"unexpected presentation log header: {header}")
             for line_no, row in enumerate(reader, start=2):
                 if not row:
@@ -185,21 +200,21 @@ def read_presentations(path) -> Iterator[PresentationRecord]:
 
 
 def write_mcav_csv(windows: list[McavWindow], path) -> None:
-    write_table(path, ["window", "label", "presentations", "mature", "mcav", "proportion"],
-                ([window.index, label, stats.presentations, stats.mature,
-                  f"{stats.mcav:.6f}", f"{stats.proportion:.6f}"]
-                 for window in windows for label, stats in window.labels.items()))
+    with open_table(path, ["window", "label", "presentations", "mature", "mcav", "proportion"]) as write:
+        write([window.index, label, stats.presentations, stats.mature,
+               f"{stats.mcav:.6f}", f"{stats.proportion:.6f}"]
+              for window in windows for label, stats in window.labels.items())
 
 
 def write_summary_csv(summaries: dict[str, LabelSummary], path) -> None:
     # std_mcav_pop: population standard deviation (divide by n).
-    write_table(path, ["label", "windows", "mean_mcav", "std_mcav_pop", "presentations", "proportion"],
-                ([label, s.windows, f"{s.mean_mcav:.6f}", f"{s.std_mcav:.6f}",
-                  s.presentations, f"{s.proportion:.6f}"]
-                 for label, s in sorted(summaries.items())))
+    with open_table(path, ["label", "windows", "mean_mcav", "std_mcav_pop", "presentations",
+                           "proportion"]) as write:
+        write([label, s.windows, f"{s.mean_mcav:.6f}", f"{s.std_mcav:.6f}",
+               s.presentations, f"{s.proportion:.6f}"] for label, s in sorted(summaries.items()))
 
 
 def write_verdicts_csv(summaries: dict[str, LabelSummary], verdicts: dict[str, str], path) -> None:
-    write_table(path, ["label", "verdict", "mean_mcav", "presentations"],
-                ([label, verdicts[label], f"{summaries[label].mean_mcav:.6f}",
-                  summaries[label].presentations] for label in sorted(verdicts)))
+    with open_table(path, ["label", "verdict", "mean_mcav", "presentations"]) as write:
+        write([label, verdicts[label], f"{summaries[label].mean_mcav:.6f}",
+               summaries[label].presentations] for label in sorted(verdicts))

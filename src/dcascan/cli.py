@@ -18,7 +18,7 @@ import os
 import signal
 import sys
 from collections import deque
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import replace
 from functools import partial
 
@@ -100,13 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _analysis_config(config: PipelineConfig, args) -> analysis.AnalysisConfig:
-    """The analysis section with the flags of ``analyze`` applied over it."""
-    flags = ("window_size", "mcav_threshold", "min_confidence")
-    updates = {name: getattr(args, name) for name in flags if getattr(args, name, None) is not None}
-    return replace(config.analysis, **updates)
-
-
 def _generate_stream(args, config: PipelineConfig):
     return gen_dataset(
         args.kind,
@@ -130,36 +123,41 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _run_and_write(args, config: PipelineConfig, buckets, out, trace_out):
-    """Replay the buckets with the engine seeded from --seed, write the
-    presentation log and, when ``trace_out`` is set, the signal trace."""
-    result = pipeline.run_stream(
-        buckets,
-        config.engine,
-        config.signals,
-        seed=args.seed,
-        collect_trace=trace_out is not None,
-    )
-    analysis.write_presentations(result.records, out)
-    if trace_out is not None:
-        pipeline.write_signal_trace(result.signal_trace, trace_out)
-    return result
+@contextmanager
+def _tick_writer(log_path, trace_path):
+    """Open the presentation log and, when ``trace_path`` is set, the signal trace;
+    yield the ``each_tick`` of ``pipeline.run_stream`` that writes a tick's rows."""
+    with analysis.open_table(log_path, analysis.LOG_HEADER) as write_log, \
+            (analysis.open_table(trace_path, pipeline.SIGNAL_HEADER) if trace_path
+             else nullcontext()) as write_trace:
+        def each_tick(second, signals, records):
+            analysis.write_presentations(records, write_log)
+            if write_trace is not None:
+                write_trace((pipeline.signal_row(second, signals),))
+        yield each_tick
 
 
 def cmd_run(args) -> int:
     config = build_config(args.config)
+    # The log's block holds the reader's, so a reader that fails after its last frame leaves no log.
     with open(args.events, "r", encoding="utf-8") as fh, \
+            _tick_writer(args.out, args.signal_trace) as each_tick, \
             _in_child(f"the reader of {args.events}", partial(write_frames, fh)) as receive:
-        result = _run_and_write(args, config, read_frames(receive), args.out, args.signal_trace)
-    print(f"replayed {result.ticks} ticks: {len(result.records)} presentations "
+        result = pipeline.run_stream(read_frames(receive), config.engine, config.signals,
+                                     seed=args.seed, each_tick=each_tick)
+    print(f"replayed {result.ticks} ticks: {result.audit['presented']} presentations "
           f"({result.audit['ingested']} antigen ingested, "
           f"{result.audit['overwritten']} overwritten) -> {args.out}")
     return 0
 
 
-def _write_analysis(windows, out_dir, analysis_config) -> None:
-    summaries = analysis.session_summary(windows, analysis_config)
-    verdicts = analysis.classify(summaries, analysis_config)
+def _analyze(log, out_dir, config: analysis.AnalysisConfig) -> None:
+    """Score a presentation log, one window at a time, into the three CSVs of ``out_dir``."""
+    windows = analysis.compute_mcav_windows(analysis.read_presentations(log), config)
+    if not windows:
+        print("warning: presentation log is empty", file=sys.stderr)
+    summaries = analysis.session_summary(windows, config)
+    verdicts = analysis.classify(summaries, config)
     os.makedirs(out_dir, exist_ok=True)
     analysis.write_mcav_csv(windows, os.path.join(out_dir, "mcav.csv"))
     analysis.write_summary_csv(summaries, os.path.join(out_dir, "summary.csv"))
@@ -172,11 +170,9 @@ def _write_analysis(windows, out_dir, analysis_config) -> None:
 
 
 def cmd_analyze(args) -> int:
-    config = _analysis_config(build_config(args.config), args)
-    windows = analysis.compute_mcav_windows(analysis.read_presentations(args.log), config)
-    if not windows:
-        print("warning: presentation log is empty", file=sys.stderr)
-    _write_analysis(windows, args.out_dir, config)
+    flags = ("window_size", "mcav_threshold", "min_confidence")
+    updates = {name: getattr(args, name) for name in flags if getattr(args, name) is not None}
+    _analyze(args.log, args.out_dir, replace(build_config(args.config).analysis, **updates))
     return 0
 
 
@@ -268,19 +264,20 @@ def cmd_pipeline(args) -> int:
     stream = _generate_stream(args, config)
     os.makedirs(args.out_dir, exist_ok=True)
     events_path = os.path.join(args.out_dir, "events.txt")
-    trace_out = os.path.join(args.out_dir, "signals.csv") if args.signal_trace else None
+    log_path = os.path.join(args.out_dir, "presentations.csv")
+    trace_path = os.path.join(args.out_dir, "signals.csv") if args.signal_trace else None
     # Opened first, so an unopenable path fails before the replay; the writer makes the events anew.
     with open(events_path, "w", encoding="utf-8") as fh, \
             _in_child(f"the writer of {events_path}", partial(_write_events, stream, fh)) as receive:
-        result = _run_and_write(args, config, iter_buckets(stream),
-                                os.path.join(args.out_dir, "presentations.csv"), trace_out)
+        with _tick_writer(log_path, trace_path) as each_tick:
+            result = pipeline.run_stream(iter_buckets(stream), config.engine, config.signals,
+                                         seed=args.seed, each_tick=each_tick)
         written = receive()
     if written != stream.event_count:
         raise OSError(f"the writer of {events_path} wrote {written} events, the replay read {stream.event_count}")
     print(f"generated {events_path}: {written} events")
-    print(f"replayed {result.ticks} ticks: {len(result.records)} presentations")
-    scoring = _analysis_config(config, args)
-    _write_analysis(analysis.compute_mcav_windows(result.records, scoring), args.out_dir, scoring)
+    print(f"replayed {result.ticks} ticks: {result.audit['presented']} presentations")
+    _analyze(log_path, args.out_dir, config.analysis)
     return 0
 
 

@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable
+from dataclasses import dataclass
+from typing import Callable, Iterable
 
-from .analysis import write_table
 from .engine import DcaEngine, EngineConfig, PresentationRecord
 from .events import TickBucket
 from .signals import SignalConfig, SignalDeriver, SignalVector
@@ -13,10 +12,8 @@ from .signals import SignalConfig, SignalDeriver, SignalVector
 
 @dataclass
 class RunResult:
-    records: list[PresentationRecord] = field(default_factory=list)
-    signal_trace: list[tuple[int, SignalVector]] = field(default_factory=list)
-    ticks: int = 0
-    audit: dict[str, int] = field(default_factory=dict)
+    ticks: int
+    audit: dict[str, int]
 
 
 def run_stream(buckets: Iterable[TickBucket],
@@ -24,28 +21,27 @@ def run_stream(buckets: Iterable[TickBucket],
                signal_config: SignalConfig | None = None,
                *,
                seed: int = 0,
-               collect_trace: bool = False) -> RunResult:
+               each_tick: Callable[[int, SignalVector, list[PresentationRecord]], object]
+               ) -> RunResult:
     """Replay one-second buckets in order, as ``events.iter_buckets`` or
-    ``events.read_frames`` yields them, tick by tick through a fresh deriver
-    and an engine seeded with ``seed``; each bucket's syscall events are the
-    antigens, not copies.  Antigen conservation is checked after every tick.
-    """
+    ``events.read_frames`` yields them, through a fresh deriver and an engine
+    seeded with ``seed``; each bucket's syscall events are the antigens, not
+    copies.  After each tick's conservation check, ``each_tick(second,
+    signals, records)`` gets the tick's output, which the replay does not keep."""
     deriver = SignalDeriver(signal_config)
     engine = DcaEngine(engine_config, seed)
-    result = RunResult()
     for bucket in buckets:
         signals = deriver.derive(bucket)
         antigens = [ev for ev in bucket.process_events if ev.kind == "syscall"]
-        result.records.extend(engine.tick(signals, antigens, float(bucket.second)))
+        records = engine.tick(signals, antigens, float(bucket.second))
         engine.check_conservation()
-        if collect_trace:
-            result.signal_trace.append((bucket.second, signals))
-    result.ticks = engine.ticks_run
-    result.audit = engine.audit()
-    return result
+        each_tick(bucket.second, signals, records)
+    return RunResult(engine.ticks_run, engine.audit())
 
 
-def write_signal_trace(trace: list[tuple[int, SignalVector]], path) -> None:
-    write_table(path, ["t", "pamp1", "pamp2", "ds1", "ds2", "ss1", "ss2", "inflammation"],
-                ([second, f"{sv.pamp1:.4f}", f"{sv.pamp2:.4f}", f"{sv.ds1:.4f}", f"{sv.ds2:.4f}",
-                  f"{sv.ss1:.4f}", f"{sv.ss2:.4f}", sv.inflammation] for second, sv in trace))
+SIGNAL_HEADER = ["t", "pamp1", "pamp2", "ds1", "ds2", "ss1", "ss2", "inflammation"]
+
+
+def signal_row(second: int, sv: SignalVector) -> list:
+    return [second, f"{sv.pamp1:.4f}", f"{sv.pamp2:.4f}", f"{sv.ds1:.4f}", f"{sv.ds2:.4f}",
+            f"{sv.ss1:.4f}", f"{sv.ss2:.4f}", sv.inflammation]

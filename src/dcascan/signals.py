@@ -17,6 +17,7 @@ flag.
 from __future__ import annotations
 
 import math
+import sys
 from collections import deque
 from dataclasses import dataclass
 
@@ -51,8 +52,9 @@ class SignalConfig:
         # Every signal must land in [0, SIGNAL_MAX]; reject scores that can
         # only break that range here rather than on the first tick.
         score = (0, SIGNAL_MAX)
+        # sys.maxsize: the longest window a deque holds.
         check_fields(self, positive=("ss2_window_seconds", "ds1_scale", "ds1_input_cap",
-                                     "ss1_delta_max"),
+                                     "ss1_delta_max"), ss2_window_seconds=(1, sys.maxsize),
                      icmp_multiplier=(0, math.inf), ss2_default=score, ss2_top=score,
                      ss2_step_values=score)
 

@@ -16,6 +16,16 @@ def no_child_left_unreaped():
     pytest.fail(f"a child process was left unreaped (pid {pid}, wait status {status})")
 
 
+@pytest.fixture(autouse=True)
+def no_part_file_left(request):
+    """Fail a test that leaves a ``.part`` file of ``analysis.open_table``
+    under its tmp_path: a table is renamed into place or removed."""
+    tmp = request.getfixturevalue("tmp_path") if "tmp_path" in request.fixturenames else None
+    yield
+    if tmp is not None and (left := sorted(p.name for p in tmp.rglob("*.part"))):
+        pytest.fail(f"the test left partial files: {left}")
+
+
 @pytest.fixture(params=[True, False], ids=["fork", "no-fork"])
 def fork(request, monkeypatch):
     """Run the test with ``os.fork`` and again with it removed, as on a

@@ -9,6 +9,9 @@ check ``tick`` against them, draw for draw and float for float.
 ``gen_dataset`` makes its session one second at a time; ``reference_dataset``
 makes the same draws in one pass and puts the whole session in file order
 with one stable sort.
+
+``run_stream`` hands each tick's output to its ``each_tick`` and keeps none;
+``collect_run`` keeps all of it, and ``write_log`` writes records as a log.
 """
 
 from __future__ import annotations
@@ -16,8 +19,10 @@ from __future__ import annotations
 import random
 from dataclasses import replace
 
+from dcascan.analysis import LOG_HEADER, open_table, write_presentations
 from dcascan.engine import DendriticCell, TissueCompartment, WeightMatrix, increments
 from dcascan.events import EventStream, ProcessEvent
+from dcascan.pipeline import run_stream
 from dcascan.scenario import (NormalProfile, ScanProfile, SessionProfile, _sshd, gen_normal,
                               gen_syn_scan, scan_salvos)
 
@@ -131,3 +136,23 @@ def reference_dataset(kind: str, duration: float, seed: int, *, scan_start=None,
     events = [e for e in packets + procs if e.timestamp <= duration]
     events.sort(key=lambda e: e.timestamp)
     return EventStream(events, float(duration))
+
+
+def collect_run(buckets, *args, **kwargs):
+    """``run_stream(buckets, ...)`` with an ``each_tick`` that keeps its
+    output: the result, every presentation record in order, and the
+    (second, signals) trace."""
+    records: list = []
+    trace: list = []
+
+    def keep(second, signals, tick_records):
+        records.extend(tick_records)
+        trace.append((second, signals))
+
+    return run_stream(buckets, *args, each_tick=keep, **kwargs), records, trace
+
+
+def write_log(records, path) -> None:
+    """Write ``records`` as one presentation log at ``path``."""
+    with open_table(path, LOG_HEADER) as write:
+        write_presentations(records, write)

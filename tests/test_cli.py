@@ -12,10 +12,10 @@ import sys
 import pytest
 
 from dcascan import cli, events, pipeline
-from dcascan.analysis import write_presentations
 from dcascan.cli import main
 from dcascan.engine import PresentationRecord
 from dcascan.events import MAX_TAILS, ProcessEvent, format_time
+from reference import write_log
 
 
 def _rec(label, context, t, pid=1):
@@ -84,6 +84,8 @@ def test_generate_rejects_bad_session_window(tmp_path, capsys, flags):
     "scan.scanner_label = n map",
     "session.sshd_pid = 0",
     "signals.icmp_multiplier = -1",
+    # used to end in an OverflowError traceback from deque(maxlen=...) after the fork
+    "signals.ss2_window_seconds = 100000000000000000000",
 ])
 def test_pipeline_rejects_event_breaking_config_at_load(tmp_path, capsys, setting):
     conf = tmp_path / "bad.conf"
@@ -337,6 +339,31 @@ def test_run_reports_a_replay_error_before_a_later_parse_error(tmp_path, capsys)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("case", ["bad-line", "replay-error"])
+def test_a_failed_run_leaves_existing_files_alone(small_events, tmp_path, capsys, fork, case):
+    # The log and the trace are written a tick at a time, to .part files that
+    # replace the named files only when the run ends without an error.
+    lines = small_events.read_text().splitlines(keepends=True)
+    t = lines[2999].split()[1]
+    if case == "bad-line":
+        lines[2999] = "P 40.5 sent tcp syn\n"
+        message = "line 3000: packet line needs 6 or 7 fields, got 5"
+    else:  # the one root session is closed twice
+        lines[2999] += f"E {t} 3319 sshd logout\n" * 2
+        message = f"logout at t={float(t)} with no open root session"
+    events = tmp_path / "events.txt"
+    events.write_text("".join(lines))
+    out, trace = tmp_path / "out.csv", tmp_path / "signals.csv"
+    out.write_bytes(b"an older log\n")
+    trace.write_bytes(b"an older trace\n")
+    assert main(["run", str(events), "--seed", "1", "--out", str(out),
+                 "--signal-trace", str(trace)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert out.read_bytes() == b"an older log\n"
+    assert trace.read_bytes() == b"an older trace\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["events.txt", "out.csv", "signals.csv"]
+
+
 def test_run_reports_a_reader_killed_by_a_signal(small_events, tmp_path, capsys, monkeypatch):
     def killed_after_a_frame(lines):
         for frame in events.write_frames(lines):
@@ -477,7 +504,7 @@ def test_analyze_verdict_per_label(tmp_path, capsys):
         + [_rec("firefox", 0, 11.0)] * 40
         + [_rec("pts", 1, 12.0)] * 3
     )
-    write_presentations(records, log)
+    write_log(records, log)
     out_dir = tmp_path / "scores"
     code = main(["analyze", str(log), "--out-dir", str(out_dir),
                  "--window-size", "20", "--min-confidence", "10"])
@@ -498,10 +525,21 @@ def test_analyze_verdict_per_label(tmp_path, capsys):
 
 def test_analyze_empty_log_warns(tmp_path, capsys):
     log = tmp_path / "empty.csv"
-    write_presentations([], log)
+    write_log([], log)
     code = main(["analyze", str(log), "--out-dir", str(tmp_path / "scores")])
     assert code == 0
     assert "empty" in capsys.readouterr().err
+
+
+def test_analyze_rejects_a_window_longer_than_islice_takes(tmp_path, capsys):
+    # used to end in a ValueError traceback from itertools.islice, with exit code 1
+    log = tmp_path / "log.csv"
+    write_log([_rec("nmap", 1, 1.0)] * 3, log)
+    assert main(["analyze", str(log), "--out-dir", str(tmp_path / "scores"),
+                 "--window-size", "100000000000000000000"]) == 2
+    assert capsys.readouterr().err == ("config error: window_size must lie in "
+                                       "[1, 9,223,372,036,854,775,807], got 100000000000000000000\n")
+    assert not (tmp_path / "scores").exists()
 
 
 _HEADER = "presented_at,pid,label,context\n"
@@ -667,6 +705,14 @@ def test_analyze_holds_one_window_of_the_log_at_a_time(tmp_path):
     assert abs(long - short) < 0.1 * short
 
 
+def test_pipeline_holds_one_window_of_its_log_at_a_time(tmp_path):
+    # Holding every presentation record, 6,000 s used to peak at 36.5 MB, 1,000 s at 20.8 MB.
+    short, long = (_peak_rss_kb(["pipeline", "passive-normal", "--duration", str(duration),
+                                 "--seed", "7", "--out-dir", str(tmp_path / str(duration))])
+                   for duration in (1_000, 6_000))
+    assert abs(long - short) < 0.1 * short
+
+
 def test_pipeline_without_fork_writes_the_same_bytes(tmp_path, capsys, monkeypatch):
     def outputs(where):
         (tmp_path / where).mkdir()
@@ -705,7 +751,7 @@ def test_config_file_reaches_engine(small_events, tmp_path):
     conf.write_text("analysis.window_size = 10\n")
     out_dir = tmp_path / "scores"
     log = tmp_path / "p.csv"
-    write_presentations([_rec("nmap", 1, 1.0)] * 25, log)
+    write_log([_rec("nmap", 1, 1.0)] * 25, log)
     assert main(["analyze", str(log), "--out-dir", str(out_dir),
                  "--config", str(conf)]) == 0
     windows = {line.split(",")[0] for line in

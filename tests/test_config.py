@@ -2,6 +2,7 @@
 
 import math
 import re
+import sys
 import typing
 from dataclasses import fields
 from pathlib import Path
@@ -281,6 +282,11 @@ def test_ranged_float_fields_reject_nan_in_a_direct_build(key):
         ("scan.hosts_up", "1", "254", ("0", "255"), "[1, 254]"),
         ("engine.antigens_per_update", "1", "500", ("0", "501"), "[1, 500]"),
         ("engine.threshold_max", "100", None, ("99.5",), "[100, inf]"),
+        # the longest window islice and deque take; 0 and below fail as not positive
+        ("analysis.window_size", "1", str(sys.maxsize), (str(sys.maxsize + 1), str(10**20)),
+         "[1, 9,223,372,036,854,775,807]"),
+        ("signals.ss2_window_seconds", "1", str(sys.maxsize), (str(sys.maxsize + 1),),
+         "[1, 9,223,372,036,854,775,807]"),
     ],
 )
 def test_override_ranges_hold_at_both_edges(key, lo, hi, outside, bounds):
@@ -288,7 +294,8 @@ def test_override_ranges_hold_at_both_edges(key, lo, hi, outside, bounds):
     for edge in (lo, hi):
         if edge is not None:
             config = apply_overrides(PipelineConfig(), {key: edge})
-            assert getattr(_section(config, section), name) == float(edge)
+            value = getattr(_section(config, section), name)
+            assert value == type(value)(edge)  # an int field compared as a float is inexact
     for value in outside:
         with pytest.raises(ConfigError, match=f"^{re.escape(f'{name} must lie in {bounds}, got ')}"):
             apply_overrides(PipelineConfig(), {key: value})

@@ -26,10 +26,9 @@ from dcascan.events import (
     serialize_stream,
     write_frames,
 )
-from dcascan.pipeline import run_stream
 from dcascan.scenario import gen_dataset
 from dcascan.signals import SignalVector
-from reference import ReferenceCell, ReferenceTissue, draw_slots
+from reference import ReferenceCell, ReferenceTissue, collect_run, draw_slots
 
 
 def _vector(pamp1=0.0, pamp2=0.0, ds1=0.0, ds2=0.0, ss1=0.0, ss2=0.0, inflammation=0):
@@ -429,7 +428,7 @@ def test_run_stream_checks_conservation_on_every_tick(monkeypatch):
             yield TickBucket(second)
 
     with pytest.raises(EngineInvariantError, match="conservation"):
-        run_stream(buckets())
+        collect_run(buckets())
     assert handed_out == [0]
 
 
@@ -489,23 +488,23 @@ def test_presented_antigens_are_the_parsed_syscall_events():
             syscalls.extend(ev for ev in bucket.process_events if ev.kind == "syscall")
             yield bucket
 
-    result = run_stream(noting_syscalls(read_frames(write_frames(io.StringIO(text)).__next__)))
+    _, records, _ = collect_run(noting_syscalls(read_frames(write_frames(io.StringIO(text)).__next__)))
     parsed = {id(ev) for ev in syscalls}
-    assert result.records
-    assert all(id(record.antigen) in parsed for record in result.records)
+    assert records
+    assert all(id(record.antigen) in parsed for record in records)
 
 
 def _context_rule_agreement(kind, config):
     """The records of the 500 s golden session of ``kind`` (seed 7) and the
     share of them whose context is ``d_mature > d_semi`` of the second they
     were presented in."""
-    result = run_stream(iter_buckets(gen_dataset(kind, 500, 7)), config, seed=7, collect_trace=True)
+    _, records, trace = collect_run(iter_buckets(gen_dataset(kind, 500, 7)), config, seed=7)
     mature = {}
-    for second, signals in result.signal_trace:
+    for second, signals in trace:
         _, d_semi, d_mature = increments(*combine_categories(signals), config.weights)
         mature[float(second)] = d_mature > d_semi
-    agree = sum(record.context == mature[record.presented_at] for record in result.records)
-    return len(result.records), agree / len(result.records)
+    agree = sum(record.context == mature[record.presented_at] for record in records)
+    return len(records), agree / len(records)
 
 
 @pytest.mark.parametrize("kind, records", [("passive-normal", 10_089), ("active-normal", 10_196)])
