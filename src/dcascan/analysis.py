@@ -12,16 +12,15 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-import os
 import statistics
 import sys
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from .engine import PresentationRecord
 from .errors import ValidationError, check_fields
-from .events import ProcessEvent, format_time
+from .events import ProcessEvent, format_time, replacing
 
 
 @dataclass(frozen=True)
@@ -145,20 +144,11 @@ def classify(summaries: dict[str, LabelSummary],
 
 @contextmanager
 def open_table(path, header: list[str]):
-    """Write a CSV file's header row and yield its ``writerows``.  The file is
-    ``<path>.part`` until the block ends, then renamed to ``path``; on an error
-    it is removed, so a failed command leaves no partial or changed file."""
-    part = f"{path}.part"
-    try:
-        with open(part, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            yield writer.writerows
-        os.replace(part, path)
-    except BaseException:
-        with suppress(OSError):
-            os.remove(part)
-        raise
+    """Write a CSV file's header row through ``events.replacing`` and yield its ``writerows``."""
+    with replacing(path, newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        yield writer.writerows
 
 
 LOG_HEADER = ["presented_at", "pid", "label", "context"]

@@ -25,7 +25,7 @@ from functools import partial
 from . import analysis, pipeline
 from .config import PipelineConfig, build_config
 from .errors import ConfigError, DcaError
-from .events import iter_buckets, read_frames, save_stream, write_frames, write_stream
+from .events import iter_buckets, read_frames, replacing, save_stream, write_frames, write_stream
 from .scenario import DATASET_KINDS, gen_dataset
 
 
@@ -138,6 +138,8 @@ def _tick_writer(log_path, trace_path):
 
 
 def cmd_run(args) -> int:
+    if args.signal_trace and os.path.realpath(args.signal_trace) == os.path.realpath(args.out):
+        raise _UsageError(f"--out and --signal-trace name the same file: {args.out}")
     config = build_config(args.config)
     # The log's block holds the reader's, so a reader that fails after its last frame leaves no log.
     with open(args.events, "r", encoding="utf-8") as fh, \
@@ -266,15 +268,14 @@ def cmd_pipeline(args) -> int:
     events_path = os.path.join(args.out_dir, "events.txt")
     log_path = os.path.join(args.out_dir, "presentations.csv")
     trace_path = os.path.join(args.out_dir, "signals.csv") if args.signal_trace else None
-    # Opened first, so an unopenable path fails before the replay; the writer makes the events anew.
-    with open(events_path, "w", encoding="utf-8") as fh, \
+    # The writer makes the events anew; events.txt is renamed first, the tables only once it is.
+    with _tick_writer(log_path, trace_path) as each_tick, replacing(events_path) as fh, \
             _in_child(f"the writer of {events_path}", partial(_write_events, stream, fh)) as receive:
-        with _tick_writer(log_path, trace_path) as each_tick:
-            result = pipeline.run_stream(iter_buckets(stream), config.engine, config.signals,
-                                         seed=args.seed, each_tick=each_tick)
-        written = receive()
-    if written != stream.event_count:
-        raise OSError(f"the writer of {events_path} wrote {written} events, the replay read {stream.event_count}")
+        result = pipeline.run_stream(iter_buckets(stream), config.engine, config.signals,
+                                     seed=args.seed, each_tick=each_tick)
+        if (written := receive()) != stream.event_count:
+            raise OSError(f"the writer of {events_path} wrote {written} events, "
+                          f"the replay read {stream.event_count}")
     print(f"generated {events_path}: {written} events")
     print(f"replayed {result.ticks} ticks: {result.audit['presented']} presentations")
     _analyze(log_path, args.out_dir, config.analysis)

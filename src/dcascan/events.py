@@ -16,6 +16,8 @@ from __future__ import annotations
 import io
 import itertools
 import math
+import os
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -286,8 +288,23 @@ def write_stream(stream: EventStream, fh) -> tuple[int, int]:
     return packets, count - packets
 
 
+@contextmanager
+def replacing(path, newline=None):
+    """Yield ``<path>.part`` open for writing and rename it to ``path`` when the block
+    ends; on any error remove it, so a failed command leaves no partial or changed file."""
+    part = f"{path}.part"
+    try:
+        with open(part, "w", encoding="utf-8", newline=newline) as fh:
+            yield fh
+        os.replace(part, path)
+    except BaseException:
+        with suppress(OSError):
+            os.remove(part)
+        raise
+
+
 def save_stream(stream: EventStream, path) -> tuple[int, int]:
-    with open(path, "w", encoding="utf-8") as fh:
+    with replacing(path) as fh:
         return write_stream(stream, fh)
 
 

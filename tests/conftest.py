@@ -18,8 +18,8 @@ def no_child_left_unreaped():
 
 @pytest.fixture(autouse=True)
 def no_part_file_left(request):
-    """Fail a test that leaves a ``.part`` file of ``analysis.open_table``
-    under its tmp_path: a table is renamed into place or removed."""
+    """Fail a test that leaves a ``.part`` file of ``events.replacing``
+    under its tmp_path: an output file is renamed into place or removed."""
     tmp = request.getfixturevalue("tmp_path") if "tmp_path" in request.fixturenames else None
     yield
     if tmp is not None and (left := sorted(p.name for p in tmp.rglob("*.part"))):

@@ -226,6 +226,40 @@ def test_generate_without_scan(tmp_path):
     assert out.exists()
 
 
+def _fails_after_a_line(error):
+    def write_stream(stream, fh):
+        fh.write("# duration=60.0\n")
+        raise error
+    return write_stream
+
+
+def _generate_once(out):
+    return main(["generate", "passive-normal", "--duration", "60", "--seed", "2", "--out", str(out)])
+
+
+@pytest.mark.parametrize("old", [None, b"an older file\n"], ids=["new", "existing"])
+def test_a_failed_generate_leaves_no_file(tmp_path, capsys, monkeypatch, old):
+    out = tmp_path / "events.txt"
+    if old is not None:
+        out.write_bytes(old)
+    monkeypatch.setattr(events, "write_stream",
+                        _fails_after_a_line(OSError(28, "No space left on device")))
+    assert _generate_once(out) == 3
+    assert capsys.readouterr() == ("", "io error: [Errno 28] No space left on device\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ([] if old is None else ["events.txt"])
+    assert old is None or out.read_bytes() == old
+
+
+def test_an_interrupted_generate_leaves_no_file(tmp_path, monkeypatch):
+    out = tmp_path / "events.txt"
+    out.write_bytes(b"an older file\n")
+    monkeypatch.setattr(events, "write_stream", _fails_after_a_line(KeyboardInterrupt()))
+    with pytest.raises(KeyboardInterrupt):
+        _generate_once(out)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["events.txt"]
+    assert out.read_bytes() == b"an older file\n"
+
+
 # --------------------------------------------------------------------------
 # run
 
@@ -362,6 +396,24 @@ def test_a_failed_run_leaves_existing_files_alone(small_events, tmp_path, capsys
     assert out.read_bytes() == b"an older log\n"
     assert trace.read_bytes() == b"an older trace\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["events.txt", "out.csv", "signals.csv"]
+
+
+@pytest.mark.parametrize("link", [False, True], ids=["same-path", "symlink"])
+def test_run_rejects_one_file_for_the_log_and_the_trace(small_events, tmp_path, capsys, link):
+    # Two tables at one path would share F.part, and the trace's rename would leave F holding it.
+    out = tmp_path / "out.csv"
+    out.write_bytes(b"an older log\n")
+    trace = out
+    if link:
+        trace = tmp_path / "trace.csv"
+        trace.symlink_to(out)
+    assert main(["run", str(small_events), "--seed", "1", "--out", str(out),
+                 "--signal-trace", str(trace)]) == 1
+    assert capsys.readouterr() == (
+        "", f"usage error: --out and --signal-trace name the same file: {out}\n")
+    assert out.read_bytes() == b"an older log\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["out.csv", "trace.csv"] if link
+                                                          else ["out.csv"])
 
 
 def test_run_reports_a_reader_killed_by_a_signal(small_events, tmp_path, capsys, monkeypatch):
@@ -600,33 +652,36 @@ def _short_pipeline(out_dir):
                  "--out-dir", str(out_dir)])
 
 
+def _full_disk(stream, fh):
+    raise OSError(28, "No space left on device")
+
+
+def _drops_the_first(stream, fh):
+    rest = stream.events
+    next(rest)
+    return events.write_stream(argparse.Namespace(events=rest, duration=stream.duration), fh)
+
+
+def _broken_replay(*args, **kwargs):
+    raise OSError("replay failed")
+
+
 def test_pipeline_reports_a_failed_event_file_write_from_the_child(tmp_path, capsys, monkeypatch,
                                                                    fork):
-    def full_disk(stream, fh):
-        raise OSError(28, "No space left on device")
-
-    monkeypatch.setattr(cli, "write_stream", full_disk)  # the forked child inherits it
+    monkeypatch.setattr(cli, "write_stream", _full_disk)  # the forked child inherits it
     assert _short_pipeline(tmp_path / "run") == 3
     assert capsys.readouterr() == ("", "io error: [Errno 28] No space left on device\n")
-    # The write fails after the replay, with a fork or without one.
-    assert sorted(p.name for p in (tmp_path / "run").iterdir()) == ["events.txt",
-                                                                    "presentations.csv"]
-    assert (tmp_path / "run" / "events.txt").read_bytes() == b""
+    # The write fails after the replay, with a fork or without one, and leaves no file.
+    assert sorted(p.name for p in (tmp_path / "run").iterdir()) == []
 
 
 def test_pipeline_rejects_a_writer_that_drops_an_event(tmp_path, capsys, monkeypatch, fork):
-    def drops_the_first(stream, fh):
-        rest = stream.events
-        next(rest)
-        return events.write_stream(argparse.Namespace(events=rest, duration=stream.duration), fh)
-
-    monkeypatch.setattr(cli, "write_stream", drops_the_first)  # the forked child inherits it
+    monkeypatch.setattr(cli, "write_stream", _drops_the_first)  # the forked child inherits it
     assert _short_pipeline(tmp_path / "run") == 3
     path = tmp_path / "run" / "events.txt"
     assert capsys.readouterr() == (
         "", f"io error: the writer of {path} wrote 11617 events, the replay read 11618\n")
-    assert sorted(p.name for p in path.parent.iterdir()) == ["events.txt", "presentations.csv"]
-    assert path.read_text().count("\n") == 1 + 11617
+    assert sorted(p.name for p in path.parent.iterdir()) == []
 
 
 def test_pipeline_reports_a_writer_killed_by_a_signal(tmp_path, capsys, monkeypatch):
@@ -641,19 +696,32 @@ def test_pipeline_reports_a_writer_killed_by_a_signal(tmp_path, capsys, monkeypa
 
 def test_a_failed_replay_keeps_its_message_and_reaps_the_writer(tmp_path, capsys, monkeypatch,
                                                                  fork):
-    def broken_replay(*args, **kwargs):
-        raise OSError("replay failed")
-
-    monkeypatch.setattr(pipeline, "run_stream", broken_replay)
+    monkeypatch.setattr(pipeline, "run_stream", _broken_replay)
     assert _short_pipeline(tmp_path / "run") == 3
     assert capsys.readouterr() == ("", "io error: replay failed\n")
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
-    assert sorted(p.name for p in (tmp_path / "run").iterdir()) == ["events.txt"]
-    staged = tmp_path / "staged.txt"
-    assert main(["generate", "passive-normal", "--duration", "60", "--seed", "2",
-                 "--out", str(staged)]) == 0
-    assert (tmp_path / "run" / "events.txt").read_bytes() == staged.read_bytes()
+    assert sorted(p.name for p in (tmp_path / "run").iterdir()) == []
+
+
+@pytest.mark.parametrize("case", ["write", "drop", "replay"])
+def test_a_failed_pipeline_leaves_existing_files_alone(tmp_path, capsys, monkeypatch, fork, case):
+    owner, name, patch = {"write": (cli, "write_stream", _full_disk),
+                          "drop": (cli, "write_stream", _drops_the_first),
+                          "replay": (pipeline, "run_stream", _broken_replay)}[case]
+    monkeypatch.setattr(owner, name, patch)
+    run = tmp_path / "run"
+    run.mkdir()
+    names = ["events.txt", "mcav.csv", "presentations.csv", "signals.csv", "summary.csv",
+             "verdicts.csv"]
+    for name in names:
+        (run / name).write_bytes(f"an older {name}\n".encode())
+    assert main(["pipeline", "passive-normal", "--duration", "60", "--seed", "2",
+                 "--out-dir", str(run), "--signal-trace"]) == 3
+    assert capsys.readouterr().err.startswith("io error: ")
+    assert sorted(p.name for p in run.iterdir()) == names
+    for name in names:
+        assert (run / name).read_bytes() == f"an older {name}\n".encode()
 
 
 def test_pipeline_fails_on_an_unopenable_event_file_before_the_replay(tmp_path, capsys):

@@ -58,3 +58,42 @@ def test_every_definition_in_the_package_is_used_by_the_package():
               if not (node.name.startswith("__") and node.name.endswith("__"))
               and node.name not in known and qualname != "_Parser.error"]
     assert not unused, f"defined but never used in src/: {unused}"
+
+
+def _owned_nodes(tree: ast.AST, owner: str = ""):
+    """(qualified name of the innermost enclosing definition, node) of every node."""
+    for node in ast.iter_child_nodes(tree):
+        inner = owner
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = f"{owner}.{node.name}" if owner else node.name
+        yield inner, node
+        yield from _owned_nodes(node, inner)
+
+
+def _write_mode(call: ast.Call) -> bool:
+    """Whether an ``open`` call may write: a mode with w, a, x or +, or one not spelled out."""
+    modes = [kw.value for kw in call.keywords if kw.arg == "mode"] + call.args[1:2]
+    if not modes:
+        return False
+    mode = modes[0]
+    return not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)) \
+        or bool(set(mode.value) & set("wax+"))
+
+
+def test_every_file_is_written_through_one_part_writer():
+    """Only ``events.replacing`` opens a file to write and renames one; the
+    pipe ends of ``cli._in_child`` are the one other write-mode ``open``."""
+    writers, renames = [], []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for owner, node in _owned_nodes(tree):
+            where = f"{path.stem}.{owner}"
+            if isinstance(node, ast.Call) and _write_mode(node) and (
+                    isinstance(node.func, ast.Name) and node.func.id == "open"
+                    or isinstance(node.func, ast.Attribute) and node.func.attr == "open"):
+                writers.append(where)
+            if isinstance(node, ast.Attribute) and node.attr in ("replace", "rename") \
+                    and isinstance(node.value, ast.Name) and node.value.id == "os":
+                renames.append(where)
+    assert set(writers) - {"cli._in_child"} == {"events.replacing"}
+    assert renames == ["events.replacing"]
