@@ -6,7 +6,7 @@ population engine, and MCAV-based analysis of what the cells present.
 """
 
 from .analysis import AnalysisConfig, classify, compute_mcav_windows, session_summary
-from .engine import DcaEngine, EngineConfig, PresentationRecord, WeightMatrix
+from .engine import DcaEngine, EngineConfig, WeightMatrix
 from .events import EventStream, PacketEvent, ProcessEvent, parse_stream, serialize_stream
 from .pipeline import RunResult, run_stream
 from .scenario import NormalProfile, ScanProfile, SessionProfile, gen_dataset
@@ -19,7 +19,6 @@ __all__ = [
     "EventStream",
     "NormalProfile",
     "PacketEvent",
-    "PresentationRecord",
     "ProcessEvent",
     "RunResult",
     "ScanProfile",

@@ -1,10 +1,10 @@
 """Windowed MCAV computation, session summaries and verdicts.
 
-Presentation records are cut into fixed-count windows (not time windows).
-Within a window, each antigen label gets MCAV = mature presentations over
-total presentations of that label.  Session statistics average the
-per-window MCAVs; the standard deviation is the population form (divide
-by n), as noted in the output headers.
+Presentations, (label, context) pairs, are cut into fixed-count windows
+(not time windows).  Within a window, each label gets MCAV = mature
+presentations over total presentations of that label.  Session statistics
+average the per-window MCAVs; the standard deviation is the population
+form (divide by n), as noted in the output headers.
 """
 
 from __future__ import annotations
@@ -14,13 +14,13 @@ import itertools
 import math
 import statistics
 import sys
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from .engine import PresentationRecord
 from .errors import ValidationError, check_fields
-from .events import ProcessEvent, format_time, replacing
+from .events import replacing
 
 
 @dataclass(frozen=True)
@@ -66,10 +66,10 @@ VERDICT_NORMAL = "normal"
 VERDICT_INSUFFICIENT = "insufficient-evidence"
 
 
-def compute_mcav_windows(records: Iterable[PresentationRecord],
+def compute_mcav_windows(records: Iterable[tuple[str, int]],
                          config: AnalysisConfig = AnalysisConfig()) -> list[McavWindow]:
-    """Cut the records, any iterable, into count windows and score each
-    label, holding one window of records at a time."""
+    """Cut the (label, context) pairs, any iterable, into count windows and
+    score each label, holding one window of pairs at a time."""
     windows: list[McavWindow] = []
     size = config.window_size
     records = iter(records)
@@ -79,18 +79,14 @@ def compute_mcav_windows(records: Iterable[PresentationRecord],
             size=len(chunk),
             partial=len(chunk) < size,
         )
-        counts: dict[str, list[int]] = {}
-        for record in chunk:
-            pair = counts.setdefault(record.antigen.process_name, [0, 0])
-            pair[0] += 1
-            pair[1] += record.context
-        for label in sorted(counts):
-            total, mature = counts[label]
+        totals = Counter(label for label, _ in chunk)
+        mature = Counter(label for label, context in chunk if context == 1)
+        for label in sorted(totals):
             window.labels[label] = LabelWindowStats(
-                presentations=total,
-                mature=mature,
-                mcav=mature / total,
-                proportion=total / len(chunk),
+                presentations=totals[label],
+                mature=mature[label],
+                mcav=mature[label] / totals[label],
+                proportion=totals[label] / len(chunk),
             )
         windows.append(window)
     return windows
@@ -154,16 +150,14 @@ def open_table(path, header: list[str]):
 LOG_HEADER = ["presented_at", "pid", "label", "context"]
 
 
-def write_presentations(records: list[PresentationRecord], write) -> None:
-    """Write one tick's records with the ``writerows`` of ``open_table(path, LOG_HEADER)``."""
-    write([format_time(r.presented_at), r.antigen.pid, r.antigen.process_name, r.context]
-          for r in records)
+def write_presentations(records: list[tuple], second: int, write) -> None:
+    """Write a tick's pairs with the ``writerows`` of ``open_table(path, LOG_HEADER)``."""
+    write([second, antigen.pid, antigen.process_name, context] for antigen, context in records)
 
 
-def read_presentations(path) -> Iterator[PresentationRecord]:
-    """Yield the records of a presentation log, one row at a time; each
-    antigen is rebuilt as a syscall event stamped with its presentation
-    time, since the log keeps no event times."""
+def read_presentations(path) -> Iterator[tuple[str, int]]:
+    """Check each row of a presentation log and yield its (label, context)
+    pair, one row at a time."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -176,14 +170,14 @@ def read_presentations(path) -> Iterator[PresentationRecord]:
                 if len(row) != 4:
                     raise ValidationError(f"row {line_no}: expected 4 columns, got {len(row)}")
                 try:
-                    t = float(row[0])
-                    pid = int(row[1])
+                    float(row[0])
+                    int(row[1])
                     context = int(row[3])
                 except ValueError as exc:
                     raise ValidationError(f"row {line_no}: {exc}") from None
                 if context not in (0, 1):
                     raise ValidationError(f"row {line_no}: context must be 0 or 1")
-                yield PresentationRecord(ProcessEvent(t, pid, row[2], "syscall"), context, t)
+                yield row[2], context
         except csv.Error as exc:
             # A line csv cannot read, the header included, e.g. a field over its size limit.
             raise ValidationError(f"row {reader.line_num}: {exc}") from None

@@ -131,13 +131,17 @@ def _tick_writer(log_path, trace_path):
             (analysis.open_table(trace_path, pipeline.SIGNAL_HEADER) if trace_path
              else nullcontext()) as write_trace:
         def each_tick(second, signals, records):
-            analysis.write_presentations(records, write_log)
+            analysis.write_presentations(records, second, write_log)
             if write_trace is not None:
                 write_trace((pipeline.signal_row(second, signals),))
         yield each_tick
 
 
 def cmd_run(args) -> int:
+    events = os.path.realpath(args.events)
+    for flag, path in (("--out", args.out), ("--signal-trace", args.signal_trace)):
+        if path and events in (os.path.realpath(path), os.path.realpath(f"{path}.part")):
+            raise _UsageError(f"{flag} would overwrite the events file: {path}")
     if args.signal_trace and os.path.realpath(args.signal_trace) == os.path.realpath(args.out):
         raise _UsageError(f"--out and --signal-trace name the same file: {args.out}")
     config = build_config(args.config)

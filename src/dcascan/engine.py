@@ -20,18 +20,6 @@ from .events import ProcessEvent
 from .signals import SignalVector
 
 
-@dataclass(frozen=True, slots=True)
-class PresentationRecord:
-    """One antigen presented by a migrating cell.
-
-    context is 1 when the cell matured (anomalous surroundings), else 0.
-    """
-
-    antigen: ProcessEvent
-    context: int
-    presented_at: float
-
-
 @dataclass(frozen=True)
 class WeightMatrix:
     """Per-category weights of the three output increments.
@@ -163,11 +151,8 @@ class DendriticCell:
         self.mature = 0.0
 
     def context(self) -> int:
+        """1 when the cell matured (anomalous surroundings), else 0."""
         return 1 if self.mature > self.semi else 0
-
-    def present(self, now: float) -> list[PresentationRecord]:
-        ctx = self.context()
-        return [PresentationRecord(antigen, ctx, now) for antigen in self.antigen_store]
 
     def reset(self, rng: random.Random, threshold_min: float, threshold_max: float) -> None:
         self.antigen_store = []
@@ -192,8 +177,8 @@ class DcaEngine:
         self.presented_total = 0
         self.ticks_run = 0
 
-    def tick(self, signals: SignalVector, antigens: list[ProcessEvent], now: float) -> list[PresentationRecord]:
-        """Advance one virtual second and return any presentations.
+    def tick(self, signals: SignalVector, antigens: list[ProcessEvent]) -> list[tuple[ProcessEvent, int]]:
+        """Advance one virtual second and return its (antigen, context) presentations.
 
         Order is fixed: new antigen enters the tissue, every cell samples
         then updates in population order, and finally stimulated cells
@@ -239,10 +224,10 @@ class DcaEngine:
             cell.mature = mature if mature > 0.0 else 0.0
             if csm > cell.migration_threshold:
                 migrating.append(cell)
-        records: list[PresentationRecord] = []
+        records: list[tuple[ProcessEvent, int]] = []
         for cell in migrating:
-            if cell.antigen_store:
-                records.extend(cell.present(now))
+            context = cell.context()
+            records += [(antigen, context) for antigen in cell.antigen_store]
             cell.reset(rng, self.config.threshold_min, self.config.threshold_max)
         self.presented_total += len(records)
         self.ticks_run += 1

@@ -13,6 +13,7 @@ ignore comments still read the same events.
 
 from __future__ import annotations
 
+import errno
 import io
 import itertools
 import math
@@ -291,7 +292,10 @@ def write_stream(stream: EventStream, fh) -> tuple[int, int]:
 @contextmanager
 def replacing(path, newline=None):
     """Yield ``<path>.part`` open for writing and rename it to ``path`` when the block
-    ends; on any error remove it, so a failed command leaves no partial or changed file."""
+    ends; on any error remove it, so a failed command leaves no partial or changed file.
+    A directory at ``path`` fails here, before ``<path>.part`` opens and the work starts."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     part = f"{path}.part"
     try:
         with open(part, "w", encoding="utf-8", newline=newline) as fh:

@@ -5,8 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .engine import DcaEngine, EngineConfig, PresentationRecord
-from .events import TickBucket
+from .engine import DcaEngine, EngineConfig
+from .events import ProcessEvent, TickBucket
 from .signals import SignalConfig, SignalDeriver, SignalVector
 
 
@@ -21,7 +21,7 @@ def run_stream(buckets: Iterable[TickBucket],
                signal_config: SignalConfig | None = None,
                *,
                seed: int = 0,
-               each_tick: Callable[[int, SignalVector, list[PresentationRecord]], object]
+               each_tick: Callable[[int, SignalVector, list[tuple[ProcessEvent, int]]], object]
                ) -> RunResult:
     """Replay one-second buckets in order, as ``events.iter_buckets`` or
     ``events.read_frames`` yields them, through a fresh deriver and an engine
@@ -33,7 +33,7 @@ def run_stream(buckets: Iterable[TickBucket],
     for bucket in buckets:
         signals = deriver.derive(bucket)
         antigens = [ev for ev in bucket.process_events if ev.kind == "syscall"]
-        records = engine.tick(signals, antigens, float(bucket.second))
+        records = engine.tick(signals, antigens)
         engine.check_conservation()
         each_tick(bucket.second, signals, records)
     return RunResult(engine.ticks_run, engine.audit())

@@ -11,7 +11,9 @@ makes the same draws in one pass and puts the whole session in file order
 with one stable sort.
 
 ``run_stream`` hands each tick's output to its ``each_tick`` and keeps none;
-``collect_run`` keeps all of it, and ``write_log`` writes records as a log.
+``collect_run`` keeps all of it as (second, antigen, context) records,
+``write_log`` writes such records as a log, and ``labelled`` gives the
+(label, context) pairs that ``analysis`` scores.
 """
 
 from __future__ import annotations
@@ -89,6 +91,11 @@ class ReferenceCell(DendriticCell):
     def wants_migration(self) -> bool:
         return self.csm > self.migration_threshold
 
+    def present(self) -> list[tuple[ProcessEvent, int]]:
+        """The (antigen, context) pairs of the store, in store order."""
+        context = self.context()
+        return [(antigen, context) for antigen in self.antigen_store]
+
 
 def flatten(chunks) -> tuple[list, list]:
     """The packets and the process events of a generator's (second, packets,
@@ -140,19 +147,25 @@ def reference_dataset(kind: str, duration: float, seed: int, *, scan_start=None,
 
 def collect_run(buckets, *args, **kwargs):
     """``run_stream(buckets, ...)`` with an ``each_tick`` that keeps its
-    output: the result, every presentation record in order, and the
-    (second, signals) trace."""
+    output: the result, every presentation as a (second, antigen, context)
+    record in order, and the (second, signals) trace."""
     records: list = []
     trace: list = []
 
-    def keep(second, signals, tick_records):
-        records.extend(tick_records)
+    def keep(second, signals, pairs):
+        records.extend((second, antigen, context) for antigen, context in pairs)
         trace.append((second, signals))
 
     return run_stream(buckets, *args, each_tick=keep, **kwargs), records, trace
 
 
 def write_log(records, path) -> None:
-    """Write ``records`` as one presentation log at ``path``."""
+    """Write (second, antigen, context) ``records`` as one presentation log at ``path``."""
     with open_table(path, LOG_HEADER) as write:
-        write_presentations(records, write)
+        for second, antigen, context in records:
+            write_presentations([(antigen, context)], second, write)
+
+
+def labelled(records) -> list[tuple[str, int]]:
+    """The (label, context) pairs of (second, antigen, context) records."""
+    return [(antigen.process_name, context) for _, antigen, context in records]

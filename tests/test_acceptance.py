@@ -25,7 +25,7 @@ from dcascan.signals import (
     size_step_safe,
     tcp_ratio_danger,
 )
-from reference import collect_run
+from reference import collect_run, labelled
 
 DESK_DURATION = 1000.0
 FULL_DURATION = 7000.0
@@ -48,16 +48,16 @@ def _announce(capsys, num, title, checks, detail=""):
 
 
 def _window_spans(records, size):
-    """(first, last) presentation time of each count window, in order."""
+    """(first, last) presentation second of each count window, in order."""
     return [
-        (records[i].presented_at, records[min(i + size, len(records)) - 1].presented_at)
+        (records[i][0], records[min(i + size, len(records)) - 1][0])
         for i in range(0, len(records), size)
     ]
 
 
 def _label_mcav(records, label):
-    mine = [r for r in records if r.antigen.process_name == label]
-    return sum(r.context for r in mine) / len(mine) if mine else 0.0
+    mine = [context for _, antigen, context in records if antigen.process_name == label]
+    return sum(mine) / len(mine) if mine else 0.0
 
 
 # --------------------------------------------------------------------------
@@ -101,7 +101,7 @@ def test_polar_streams_give_extreme_scores(capsys):
             antigens = [ProcessEvent(float(t), 5000 + n + j, labels[(n + j) % 3], "syscall")
                         for j in range(9)]
             n += 9
-            records += engine.tick(vector, antigens, float(t))
+            records += engine.tick(vector, antigens)
         return records
 
     start = time.perf_counter()
@@ -111,7 +111,7 @@ def test_polar_streams_give_extreme_scores(capsys):
     scoring = AnalysisConfig(window_size=50, include_partial=True)
 
     def means(records):
-        windows = compute_mcav_windows(records, scoring)
+        windows = compute_mcav_windows([(a.process_name, c) for a, c in records], scoring)
         return {lb: s.mean_mcav for lb, s in session_summary(windows, scoring).items()}
 
     safe_means, pamp_means = means(safe), means(pamp)
@@ -158,7 +158,7 @@ def test_lone_scan_windows_all_flagged(capsys):
                          scan_start=SCAN_START, scan_duration=SCAN_LENGTH)
     _, records, _ = collect_run(iter_buckets(stream))
     elapsed = time.perf_counter() - start
-    windows = compute_mcav_windows(records, DESK_WINDOWS)
+    windows = compute_mcav_windows(labelled(records), DESK_WINDOWS)
     spans = _window_spans(records, DESK_WINDOWS.window_size)
     overlap_mcavs = [
         w.labels["nmap"].mcav
@@ -166,8 +166,8 @@ def test_lone_scan_windows_all_flagged(capsys):
         if not w.partial and t_last >= SCAN_START and t_first <= SCAN_END
         and "nmap" in w.labels
     ]
-    scan_share = sum(1 for r in records
-                     if r.antigen.process_name in ("nmap", "pts")) / len(records)
+    scan_share = sum(1 for _, antigen, _ in records
+                     if antigen.process_name in ("nmap", "pts")) / len(records)
     checks = [
         (len(overlap_mcavs) >= 3, f"only {len(overlap_mcavs)} windows overlap the scan"),
         (all(v > 0.5 for v in overlap_mcavs),
@@ -187,7 +187,7 @@ def test_browsing_co_elevates_only_during_scan(capsys):
                          scan_start=SCAN_START, scan_duration=SCAN_LENGTH)
     _, records, _ = collect_run(iter_buckets(stream))
     elapsed = time.perf_counter() - start
-    windows = compute_mcav_windows(records, DESK_WINDOWS)
+    windows = compute_mcav_windows(labelled(records), DESK_WINDOWS)
     spans = _window_spans(records, DESK_WINDOWS.window_size)
     browser_during = [
         w.labels["firefox"].mcav
@@ -196,7 +196,7 @@ def test_browsing_co_elevates_only_during_scan(capsys):
         and "firefox" in w.labels
     ]
     off_scan = [r for r in records
-                if r.presented_at < SCAN_START or r.presented_at > SCAN_END + 60]
+                if r[0] < SCAN_START or r[0] > SCAN_END + 60]
     browser_off = _label_mcav(off_scan, "firefox")
     checks = [
         (len(browser_during) >= 3, f"only {len(browser_during)} scan windows"),

@@ -1,5 +1,6 @@
 """Windowed MCAV scoring, session summaries, verdicts, and the CSV logs."""
 
+import csv
 import random
 
 import pytest
@@ -15,14 +16,13 @@ from dcascan.analysis import (
     session_summary,
     write_mcav_csv,
 )
-from dcascan.engine import PresentationRecord
 from dcascan.errors import ConfigError, ValidationError
 from dcascan.events import ProcessEvent
 from reference import write_log
 
 
-def _rec(label, context, t=0.0, pid=1):
-    return PresentationRecord(ProcessEvent(t, pid, label, "syscall"), context, t)
+def _rec(label, context):
+    return label, context
 
 
 def _summarize(records, config):
@@ -76,10 +76,10 @@ def test_windows_match_brute_force_recount():
     for w in windows:
         chunk = records[w.index * size:(w.index + 1) * size]
         for label, stats in w.labels.items():
-            mine = [r for r in chunk if r.antigen.process_name == label]
+            mine = [context for name, context in chunk if name == label]
             assert stats.presentations == len(mine)
-            assert stats.mature == sum(r.context for r in mine)
-            assert stats.mcav == pytest.approx(sum(r.context for r in mine) / len(mine))
+            assert stats.mature == sum(mine)
+            assert stats.mcav == pytest.approx(sum(mine) / len(mine))
     assert sum(w.size for w in windows) == len(records)
 
 
@@ -182,19 +182,21 @@ def test_empty_record_list():
 
 def test_presentation_log_round_trip(tmp_path):
     records = [
-        _rec("nmap", 1, t=12.0, pid=3411),
-        _rec("firefox", 0, t=12.5, pid=2864),
-        _rec("pts", 1, t=13.25, pid=3402),
+        (12.0, ProcessEvent(12.0, 3411, "nmap", "syscall"), 1),
+        (12.5, ProcessEvent(12.5, 2864, "firefox", "syscall"), 0),
+        (13.25, ProcessEvent(13.25, 3402, "pts", "syscall"), 1),
     ]
     path = tmp_path / "presentations.csv"
     write_log(records, path)
     loaded = list(read_presentations(path))
     assert len(loaded) == 3
-    for orig, back in zip(records, loaded):
-        assert back.antigen.pid == orig.antigen.pid
-        assert back.antigen.process_name == orig.antigen.process_name
-        assert back.context == orig.context
-        assert back.presented_at == orig.presented_at
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))[1:]  # the reader yields no pid or second
+    for (second, antigen, context), (label, back_context), row in zip(records, loaded, rows):
+        assert int(row[1]) == antigen.pid
+        assert label == antigen.process_name
+        assert back_context == context
+        assert float(row[0]) == second
 
 
 def test_presentation_log_rejects_bad_content(tmp_path):

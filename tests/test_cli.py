@@ -13,13 +13,16 @@ import pytest
 
 from dcascan import cli, events, pipeline
 from dcascan.cli import main
-from dcascan.engine import PresentationRecord
 from dcascan.events import MAX_TAILS, ProcessEvent, format_time
 from reference import write_log
 
 
 def _rec(label, context, t, pid=1):
-    return PresentationRecord(ProcessEvent(t, pid, label, "syscall"), context, t)
+    return t, ProcessEvent(t, pid, label, "syscall"), context
+
+
+def _no_work(*args, **kwargs):
+    pytest.fail("the work ran before the output path was checked")
 
 
 # --------------------------------------------------------------------------
@@ -416,6 +419,43 @@ def test_run_rejects_one_file_for_the_log_and_the_trace(small_events, tmp_path, 
                                                           else ["out.csv"])
 
 
+@pytest.mark.parametrize("case", ["same-path", "symlink", "part-name"])
+@pytest.mark.parametrize("flag", ["--out", "--signal-trace"])
+def test_run_rejects_an_output_at_its_events_file(small_events, tmp_path, capsys, flag, case):
+    # The output's rename would replace the events file with a table; for an
+    # events file named like the output's .part file, opening that file would.
+    events_path = tmp_path / ("events.txt.part" if case == "part-name" else "events.txt")
+    events_path.write_bytes(small_events.read_bytes())
+    target = {"same-path": events_path, "symlink": tmp_path / "link.txt",
+              "part-name": tmp_path / "events.txt"}[case]
+    if case == "symlink":
+        target.symlink_to(events_path)
+    assert main(["run", str(events_path), "--seed", "1", "--out", str(tmp_path / "out.csv"),
+                 flag, str(target)]) == 1
+    assert capsys.readouterr() == (
+        "", f"usage error: {flag} would overwrite the events file: {target}\n")
+    assert events_path.read_bytes() == small_events.read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        {events_path.name, target.name} if case == "symlink" else {events_path.name})
+    events_path.unlink()  # an input, which no_part_file_left would take for a partial output
+
+
+@pytest.mark.parametrize("command", ["run", "generate"])
+def test_a_directory_at_the_output_fails_before_the_work(small_events, tmp_path, capsys,
+                                                         monkeypatch, command):
+    monkeypatch.setattr(pipeline, "run_stream", _no_work)
+    monkeypatch.setattr(events, "write_stream", _no_work)
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = {"run": ["run", str(small_events), "--seed", "1"],
+            "generate": ["generate", "passive-normal", "--duration", "60", "--seed", "2"]}[command]
+    assert main([*argv, "--out", str(out)]) == 3
+    assert capsys.readouterr() == (
+        "", f"io error: [Errno {errno.EISDIR}] Is a directory: {str(out)!r}\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+    assert list(out.iterdir()) == []
+
+
 def test_run_reports_a_reader_killed_by_a_signal(small_events, tmp_path, capsys, monkeypatch):
     def killed_after_a_frame(lines):
         for frame in events.write_frames(lines):
@@ -600,10 +640,11 @@ _HUGE_FIELD = "x" * 131_073  # one past csv's default field size limit
 
 @pytest.mark.parametrize("text, fragment", [
     (_HEADER + "1.0,x,y,1\n", "row 2: invalid literal for int()"),
+    (_HEADER + "x,5,y,1\n", "row 2: could not convert string to float"),
     # an oversized field used to end in an uncaught _csv.Error traceback
     (_HEADER + f"1.0,5,{_HUGE_FIELD},1\n", "row 2: field larger than field limit (131072)"),
     (_HUGE_FIELD + "\n", "row 1: field larger than field limit (131072)"),
-], ids=["bad-number", "huge-field", "huge-header"])
+], ids=["bad-number", "bad-time", "huge-field", "huge-header"])
 def test_analyze_corrupt_log(tmp_path, capsys, text, fragment):
     log = tmp_path / "bad.csv"
     log.write_text(text)
@@ -724,10 +765,14 @@ def test_a_failed_pipeline_leaves_existing_files_alone(tmp_path, capsys, monkeyp
         assert (run / name).read_bytes() == f"an older {name}\n".encode()
 
 
-def test_pipeline_fails_on_an_unopenable_event_file_before_the_replay(tmp_path, capsys):
-    (tmp_path / "run" / "events.txt").mkdir(parents=True)
+def test_pipeline_fails_on_an_unopenable_event_file_before_the_replay(tmp_path, capsys,
+                                                                       monkeypatch):
+    monkeypatch.setattr(pipeline, "run_stream", _no_work)
+    path = tmp_path / "run" / "events.txt"
+    path.mkdir(parents=True)
     assert _short_pipeline(tmp_path / "run") == 3
-    assert capsys.readouterr().err.startswith("io error: ")
+    assert capsys.readouterr().err == (
+        f"io error: [Errno {errno.EISDIR}] Is a directory: {str(path)!r}\n")  # not events.txt.part
     assert sorted(p.name for p in (tmp_path / "run").iterdir()) == ["events.txt"]
 
 

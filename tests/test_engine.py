@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dcascan.analysis import write_presentations
 from dcascan.engine import (
     DcaEngine,
     DendriticCell,
@@ -153,18 +154,31 @@ def test_context_tie_reads_as_normal():
     assert cell.context() == 1
 
 
-def test_present_empty_store_yields_nothing():
-    cell = DendriticCell(50, 150.0)
-    assert cell.present(now=12.0) == []
+def _migrating_cell_engine(store):
+    """A one-cell engine whose cell migrates on the next tick, holding ``store``."""
+    engine = DcaEngine(EngineConfig(population_size=1), seed=0)
+    cell = engine.cells[0]
+    cell.antigen_store = list(store)
+    cell.csm, cell.migration_threshold = 1.0, 0.0
+    return engine, cell
 
 
-def test_present_stamps_context_and_time():
-    cell = DendriticCell(50, 150.0)
-    cell.antigen_store = [_antigen(0), _antigen(1)]
+def test_tick_migrating_empty_store_presents_nothing():
+    engine, cell = _migrating_cell_engine([])
+    assert engine.tick(_vector(), []) == []
+    assert cell.csm == 0.0 and cell.migration_threshold >= 100.0  # it did migrate
+
+
+def test_tick_presents_the_store_in_order_with_its_context():
+    store = [_antigen(0), _antigen(1)]
+    engine, cell = _migrating_cell_engine(store)
     cell.mature, cell.semi = 10.0, 2.0
-    records = cell.present(now=99.0)
-    assert [r.antigen for r in records] == cell.antigen_store
-    assert all(r.context == 1 and r.presented_at == 99.0 for r in records)
+    records = engine.tick(_vector(), [])
+    assert [antigen for antigen, _ in records] == store
+    assert all(context == 1 for _, context in records)
+    rows = []
+    write_presentations(records, 99, rows.extend)  # the log stamps the tick's second
+    assert rows == [[99, 1000, "proc", 1], [99, 1001, "proc", 1]]
 
 
 def test_reset_redraws_threshold_deterministically():
@@ -267,7 +281,7 @@ def test_tick_matches_cell_methods(per_tick):
         sv = _vector(pamp1=stimulus.uniform(0, 100), ss1=stimulus.uniform(0, 100),
                      inflammation=stimulus.randint(0, 1))
         arrivals = [_antigen(per_tick * t + j) for j in range(per_tick)]  # overflows the tissue
-        records = engine.tick(sv, arrivals, float(t))
+        records = engine.tick(sv, arrivals)
         expected = []
         for antigen in arrivals:
             tissue.store_all((antigen,))
@@ -276,7 +290,7 @@ def test_tick_matches_cell_methods(per_tick):
             cell.update_signals(*combine_categories(sv), config.weights)
         for cell in cells:
             if cell.wants_migration:
-                expected += cell.present(float(t))
+                expected += cell.present()
                 cell.reset(rng, config.threshold_min, config.threshold_max)
         assert records == expected
         presented += len(records)
@@ -339,7 +353,7 @@ def test_zero_signals_never_present():
     engine = DcaEngine(seed=3)
     total = []
     for t in range(200):
-        total += engine.tick(_vector(), [_antigen(t)], float(t))
+        total += engine.tick(_vector(), [_antigen(t)])
     assert total == []
     counts = engine.audit()
     assert counts["presented"] == 0
@@ -352,9 +366,9 @@ def test_safe_only_engine_presents_all_normal():
     records = []
     for t in range(60):
         antigens = [_antigen(10 * t + j) for j in range(10)]
-        records += engine.tick(_vector(ss1=100, ss2=100), antigens, float(t))
+        records += engine.tick(_vector(ss1=100, ss2=100), antigens)
     assert records  # csm grows 200/tick, thresholds top out at 300
-    assert all(r.context == 0 for r in records)
+    assert all(context == 0 for _, context in records)
 
 
 def test_pamp_only_engine_presents_all_anomalous():
@@ -362,14 +376,14 @@ def test_pamp_only_engine_presents_all_anomalous():
     records = []
     for t in range(60):
         antigens = [_antigen(10 * t + j) for j in range(10)]
-        records += engine.tick(_vector(pamp1=100, pamp2=100), antigens, float(t))
+        records += engine.tick(_vector(pamp1=100, pamp2=100), antigens)
     assert records
-    assert all(r.context == 1 for r in records)
+    assert all(context == 1 for _, context in records)
 
 
 def test_tick_overflow_keeps_audit_balanced():
     engine = DcaEngine(EngineConfig(tissue_capacity=5, antigens_per_update=2), seed=1)
-    engine.tick(_vector(), [_antigen(i) for i in range(12)], 0.0)
+    engine.tick(_vector(), [_antigen(i) for i in range(12)])
     counts = engine.audit()
     assert counts["balanced"] == 1
     assert counts["ingested"] == 12
@@ -393,7 +407,7 @@ def test_conservation_holds_under_random_stimulus():
         )
         antigens = [_antigen(serial + j) for j in range(rng.randint(0, 40))]
         serial += len(antigens)
-        engine.tick(sv, antigens, float(t))
+        engine.tick(sv, antigens)
         engine.check_conservation()
     counts = engine.audit()
     assert counts["ingested"] == serial
@@ -405,7 +419,7 @@ def test_conservation_holds_under_random_stimulus():
 
 def test_conservation_error_reports_counts():
     engine = DcaEngine(seed=0)
-    engine.tick(_vector(), [_antigen(0)], 0.0)
+    engine.tick(_vector(), [_antigen(0)])
     engine.presented_total += 1  # corrupt the books
     with pytest.raises(EngineInvariantError, match="conservation"):
         engine.check_conservation()
@@ -436,7 +450,7 @@ def test_population_size_is_constant():
     engine = DcaEngine(seed=2)
     assert len(engine.cells) == 100
     for t in range(80):
-        engine.tick(_vector(pamp1=100, pamp2=100), [_antigen(t)], float(t))
+        engine.tick(_vector(pamp1=100, pamp2=100), [_antigen(t)])
     assert len(engine.cells) == 100
     for cell in engine.cells:
         assert 100.0 <= cell.migration_threshold <= 300.0
@@ -452,7 +466,7 @@ def test_csm_never_decreases_within_a_lifetime():
             ds1=rng.uniform(0, 100),
             ss1=rng.uniform(0, 100),
         )
-        engine.tick(sv, [_antigen(t)], float(t))
+        engine.tick(sv, [_antigen(t)])
         for old, cell in zip(before, engine.cells):
             # a drop in cumulative stimulation is only possible via recycling
             assert cell.csm >= old or cell.csm == 0.0
@@ -465,7 +479,7 @@ def test_same_seed_same_presentations():
         for t in range(120):
             sv = _vector(pamp1=rng.uniform(0, 100), ss2=rng.uniform(0, 100))
             antigens = [_antigen(7 * t + j) for j in range(7)]
-            out += engine.tick(sv, antigens, float(t))
+            out += engine.tick(sv, antigens)
         return out
 
     first = drive(DcaEngine(seed=17))
@@ -491,7 +505,7 @@ def test_presented_antigens_are_the_parsed_syscall_events():
     _, records, _ = collect_run(noting_syscalls(read_frames(write_frames(io.StringIO(text)).__next__)))
     parsed = {id(ev) for ev in syscalls}
     assert records
-    assert all(id(record.antigen) in parsed for record in records)
+    assert all(id(antigen) in parsed for _, antigen, _ in records)
 
 
 def _context_rule_agreement(kind, config):
@@ -502,8 +516,8 @@ def _context_rule_agreement(kind, config):
     mature = {}
     for second, signals in trace:
         _, d_semi, d_mature = increments(*combine_categories(signals), config.weights)
-        mature[float(second)] = d_mature > d_semi
-    agree = sum(record.context == mature[record.presented_at] for record in records)
+        mature[second] = d_mature > d_semi
+    agree = sum(context == mature[second] for second, _, context in records)
     return len(records), agree / len(records)
 
 

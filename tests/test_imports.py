@@ -27,6 +27,24 @@ def test_package_imports_only_itself_and_the_standard_library():
         assert not outside, f"{path.name} imports {sorted(outside)}"
 
 
+def test_analysis_imports_neither_the_engine_nor_the_event_type():
+    """Scoring knows a presentation only by the log's columns, not by the shape
+    the engine presents it in; the two meet only at the log."""
+    path = Path(dcascan.__file__).parent / "analysis.py"
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = ("dcascan" + (f".{node.module}" if node.module else "")) if node.level \
+                else node.module
+            imported.add(base)
+            imported.update(f"{base}.{alias.name}" for alias in node.names)
+    forbidden = {name for name in imported if name == "dcascan.engine"
+                 or name.startswith("dcascan.engine.") or name == "dcascan.events.ProcessEvent"}
+    assert not forbidden, f"analysis.py imports {sorted(forbidden)}"
+
+
 def _definitions(tree: ast.AST, prefix: str = ""):
     """(qualified name, node) of every function, method and class, nested ones included."""
     for node in ast.iter_child_nodes(tree):
