@@ -114,7 +114,29 @@ def _generate_stream(args, config: PipelineConfig):
     )
 
 
+def _check_paths(inputs, outputs) -> None:
+    """Reject, before anything is read or written, an output that would replace
+    an input or another output.  Both are (name, path) pairs, and a path of None
+    is left out.  An output is written to ``<path>.part`` and renamed to ``path``,
+    so it clashes with a file that either name resolves to."""
+    real = os.path.realpath
+    sources = {real(path): what for what, path in inputs if path}
+    written = []
+    for name, path in ((name, path) for name, path in outputs if path):
+        final, part = real(path), real(f"{path}.part")
+        if what := sources.get(final) or sources.get(part):
+            raise _UsageError(f"{name} would overwrite the {what}: {path}")
+        for other, other_path, other_final, other_part in written:
+            if final == other_final:
+                raise _UsageError(f"{other} and {name} name the same file: {other_path}")
+            if final == other_part or part == other_final:
+                raise _UsageError(f"{other} and {name} name a file and its .part file: "
+                                  f"{other_path}, {path}")
+        written.append((name, path, final, part))
+
+
 def cmd_generate(args) -> int:
+    _check_paths([("config file", args.config)], [("--out", args.out)])
     config = build_config(args.config)
     stream = _generate_stream(args, config)
     packets, processes = save_stream(stream, args.out)
@@ -138,12 +160,8 @@ def _tick_writer(log_path, trace_path):
 
 
 def cmd_run(args) -> int:
-    events = os.path.realpath(args.events)
-    for flag, path in (("--out", args.out), ("--signal-trace", args.signal_trace)):
-        if path and events in (os.path.realpath(path), os.path.realpath(f"{path}.part")):
-            raise _UsageError(f"{flag} would overwrite the events file: {path}")
-    if args.signal_trace and os.path.realpath(args.signal_trace) == os.path.realpath(args.out):
-        raise _UsageError(f"--out and --signal-trace name the same file: {args.out}")
+    _check_paths([("events file", args.events), ("config file", args.config)],
+                 [("--out", args.out), ("--signal-trace", args.signal_trace)])
     config = build_config(args.config)
     # The log's block holds the reader's, so a reader that fails after its last frame leaves no log.
     with open(args.events, "r", encoding="utf-8") as fh, \
@@ -157,6 +175,12 @@ def cmd_run(args) -> int:
     return 0
 
 
+def _analysis_outputs(out_dir) -> list[tuple[str, str]]:
+    """The (name, path) pair of each file ``_analyze`` writes."""
+    return [(name, os.path.join(out_dir, name))
+            for name in ("mcav.csv", "summary.csv", "verdicts.csv")]
+
+
 def _analyze(log, out_dir, config: analysis.AnalysisConfig) -> None:
     """Score a presentation log, one window at a time, into the three CSVs of ``out_dir``."""
     windows = analysis.compute_mcav_windows(analysis.read_presentations(log), config)
@@ -165,9 +189,10 @@ def _analyze(log, out_dir, config: analysis.AnalysisConfig) -> None:
     summaries = analysis.session_summary(windows, config)
     verdicts = analysis.classify(summaries, config)
     os.makedirs(out_dir, exist_ok=True)
-    analysis.write_mcav_csv(windows, os.path.join(out_dir, "mcav.csv"))
-    analysis.write_summary_csv(summaries, os.path.join(out_dir, "summary.csv"))
-    analysis.write_verdicts_csv(summaries, verdicts, os.path.join(out_dir, "verdicts.csv"))
+    mcav_path, summary_path, verdicts_path = (path for _, path in _analysis_outputs(out_dir))
+    analysis.write_mcav_csv(windows, mcav_path)
+    analysis.write_summary_csv(summaries, summary_path)
+    analysis.write_verdicts_csv(summaries, verdicts, verdicts_path)
     for label in sorted(verdicts):
         summary = summaries[label]
         print(f"{label}: {verdicts[label]} (mean mcav {summary.mean_mcav:.3f} "
@@ -177,6 +202,8 @@ def _analyze(log, out_dir, config: analysis.AnalysisConfig) -> None:
 
 def cmd_analyze(args) -> int:
     flags = ("window_size", "mcav_threshold", "min_confidence")
+    _check_paths([("log", args.log), ("config file", args.config)],
+                 _analysis_outputs(args.out_dir))
     updates = {name: getattr(args, name) for name in flags if getattr(args, name) is not None}
     _analyze(args.log, args.out_dir, replace(build_config(args.config).analysis, **updates))
     return 0
@@ -266,12 +293,15 @@ def _write_events(stream, fh):
 
 
 def cmd_pipeline(args) -> int:
-    config = build_config(args.config)
-    stream = _generate_stream(args, config)
-    os.makedirs(args.out_dir, exist_ok=True)
     events_path = os.path.join(args.out_dir, "events.txt")
     log_path = os.path.join(args.out_dir, "presentations.csv")
     trace_path = os.path.join(args.out_dir, "signals.csv") if args.signal_trace else None
+    _check_paths([("config file", args.config)],
+                 [("events.txt", events_path), ("presentations.csv", log_path),
+                  ("signals.csv", trace_path), *_analysis_outputs(args.out_dir)])
+    config = build_config(args.config)
+    stream = _generate_stream(args, config)
+    os.makedirs(args.out_dir, exist_ok=True)
     # The writer makes the events anew; events.txt is renamed first, the tables only once it is.
     with _tick_writer(log_path, trace_path) as each_tick, replacing(events_path) as fh, \
             _in_child(f"the writer of {events_path}", partial(_write_events, stream, fh)) as receive:

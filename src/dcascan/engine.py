@@ -93,7 +93,8 @@ class EngineConfig:
 
 
 class TissueCompartment:
-    """Fixed-size antigen buffer.
+    """Fixed-size antigen buffer: ``_residents`` maps each occupied slot to its
+    antigen, oldest first, and ``_free`` stacks the empty slots.
 
     When full, a new arrival overwrites the longest-resident antigen, so
     the buffer behaves like a ring under sustained overflow.
@@ -101,9 +102,8 @@ class TissueCompartment:
 
     def __init__(self, capacity: int):
         self.capacity = capacity
-        self.slots: list[ProcessEvent | None] = [None] * capacity
         self._free = list(range(capacity - 1, -1, -1))
-        self._residents: OrderedDict[int, None] = OrderedDict()
+        self._residents: OrderedDict[int, ProcessEvent] = OrderedDict()
         self.stored_total = 0
         self.overwritten_total = 0
 
@@ -119,7 +119,7 @@ class TissueCompartment:
         was.  So every lap but the last after the free slots fill is counted
         as overwritten without being stored; the result is the same.
         """
-        slots, free, residents = self.slots, self._free, self._residents
+        free, residents = self._free, self._residents
         total, head, capacity = len(antigens), len(free), self.capacity
         laps = max(0, (total - head) // capacity - 1)
         if laps:
@@ -131,8 +131,7 @@ class TissueCompartment:
             else:
                 idx, _ = residents.popitem(last=False)
                 overwritten += 1
-            slots[idx] = antigen
-            residents[idx] = None
+            residents[idx] = antigen
         self.overwritten_total += overwritten
         self.stored_total += total
 
@@ -197,25 +196,23 @@ class DcaEngine:
         getrandbits = rng.getrandbits
         bits = n.bit_length()
         draws = range(self.config.antigens_per_update)
-        slots, residents, free = tissue.slots, tissue._residents, tissue._free
+        residents, free = tissue._residents, tissue._free
+        take = residents.pop
         migrating = []
         for cell in self.cells:
             store = cell.antigen_store
-            room = cell.store_capacity - len(store)
+            # Most cells find the tissue already emptied this tick: they only draw.
+            room = cell.store_capacity - len(store) if residents else 0
             seen = set()
             for _ in draws:
                 j = getrandbits(bits)
                 while j >= n or j in seen:
                     j = getrandbits(bits)
                 seen.add(j)
-                if room > 0:
-                    antigen = slots[j]
-                    if antigen is not None:
-                        slots[j] = None
-                        del residents[j]
-                        free.append(j)
-                        store.append(antigen)
-                        room -= 1
+                if room > 0 and j in residents:
+                    store.append(take(j))
+                    free.append(j)
+                    room -= 1
             csm = cell.csm + d_csm
             cell.csm = csm = csm if csm > 0.0 else 0.0
             semi = cell.semi + d_semi

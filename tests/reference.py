@@ -55,10 +55,8 @@ class ReferenceTissue(TissueCompartment):
     """The engine's tissue, with the one-slot removal that sampling makes."""
 
     def take(self, idx: int) -> ProcessEvent | None:
-        antigen = self.slots[idx]
+        antigen = self._residents.pop(idx, None)
         if antigen is not None:
-            self.slots[idx] = None
-            del self._residents[idx]
             self._free.append(idx)
         return antigen
 

@@ -440,6 +440,78 @@ def test_run_rejects_an_output_at_its_events_file(small_events, tmp_path, capsys
     events_path.unlink()  # an input, which no_part_file_left would take for a partial output
 
 
+def _files(root) -> dict[str, bytes]:
+    """Every file under ``root`` by relative path, with its bytes."""
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+@pytest.mark.parametrize("out, trace", [("o.csv", "o.csv.part"), ("o.csv.part", "o.csv")])
+def test_run_rejects_an_output_at_the_other_outputs_part_file(small_events, tmp_path, capsys,
+                                                              monkeypatch, out, trace):
+    # One table's rename would land on the other's open .part file, and the
+    # log would end up holding the signal trace.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "o.csv").write_bytes(b"an older log\n")
+    assert main(["run", str(small_events), "--seed", "1", "--out", out,
+                 "--signal-trace", trace]) == 1
+    assert capsys.readouterr() == (
+        "", f"usage error: --out and --signal-trace name a file and its .part file: {out}, {trace}\n")
+    assert _files(tmp_path) == {"o.csv": b"an older log\n"}
+
+
+_CONFIG_TEXT = b"engine.population_size = 100\n"
+_PIPELINE = ["pipeline", "passive-normal", "--duration", "5", "--seed", "1", "--out-dir", "D"]
+_ANALYSIS_FILES = ("mcav.csv", "summary.csv", "verdicts.csv")
+_PIPELINE_FILES = ("events.txt", "presentations.csv", "signals.csv", *_ANALYSIS_FILES)
+
+
+@pytest.mark.parametrize("argv, inputs, message", [
+    (["run", "ev.txt", "--seed", "1", "--config", "c.cfg", "--out", "c.cfg"],
+     {"ev.txt": "events", "c.cfg": "config"}, "--out would overwrite the config file: c.cfg"),
+    (["run", "ev.txt", "--seed", "1", "--config", "c.cfg", "--signal-trace", "c.cfg"],
+     {"ev.txt": "events", "c.cfg": "config"},
+     "--signal-trace would overwrite the config file: c.cfg"),
+    (["run", "ev.txt", "--seed", "1", "--config", "o.csv.part", "--out", "o.csv"],
+     {"ev.txt": "events", "o.csv.part": "config"}, "--out would overwrite the config file: o.csv"),
+    (["generate", "passive-normal", "--duration", "5", "--config", "c.cfg", "--out", "c.cfg"],
+     {"c.cfg": "config"}, "--out would overwrite the config file: c.cfg"),
+    (["generate", "passive-normal", "--duration", "5", "--config", "e.txt.part", "--out", "e.txt"],
+     {"e.txt.part": "config"}, "--out would overwrite the config file: e.txt"),
+    *((["analyze", f"D/{name}", "--out-dir", "D"], {f"D/{name}": "log"},
+       f"{name} would overwrite the log: D/{name}")
+      for name in _ANALYSIS_FILES),
+    (["analyze", "D/summary.csv.part", "--out-dir", "D"], {"D/summary.csv.part": "log"},
+     "summary.csv would overwrite the log: D/summary.csv"),
+    (["analyze", "log.csv", "--out-dir", "D", "--config", "D/verdicts.csv"],
+     {"log.csv": "log", "D/verdicts.csv": "config"},
+     "verdicts.csv would overwrite the config file: D/verdicts.csv"),
+    *(([*_PIPELINE, "--signal-trace", "--config", f"D/{name}"], {f"D/{name}": "config"},
+       f"{name} would overwrite the config file: D/{name}")
+      for name in _PIPELINE_FILES),
+    ([*_PIPELINE, "--config", "D/events.txt.part"], {"D/events.txt.part": "config"},
+     "events.txt would overwrite the config file: D/events.txt"),
+], ids=["run-out", "run-signal-trace", "run-part", "generate-out", "generate-part",
+        *(f"analyze-{name}" for name in _ANALYSIS_FILES), "analyze-part", "analyze-config",
+        *(f"pipeline-{name}" for name in _PIPELINE_FILES), "pipeline-part"])
+def test_an_output_at_an_input_fails_before_the_work(small_events, tmp_path, capsys, monkeypatch,
+                                                     argv, inputs, message):
+    # Each used to exit 0 with the input replaced by an output.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "D").mkdir()
+    log = tmp_path / "log.csv"
+    write_log([], log)
+    contents = {"events": small_events.read_bytes(), "config": _CONFIG_TEXT,
+                "log": log.read_bytes()}
+    for path, kind in inputs.items():
+        (tmp_path / path).write_bytes(contents[kind])
+    before = _files(tmp_path)
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"usage error: {message}\n")
+    assert _files(tmp_path) == before
+    for part in tmp_path.rglob("*.part"):
+        part.unlink()  # an input, which no_part_file_left would take for a partial output
+
+
 @pytest.mark.parametrize("command", ["run", "generate"])
 def test_a_directory_at_the_output_fails_before_the_work(small_events, tmp_path, capsys,
                                                          monkeypatch, command):

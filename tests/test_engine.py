@@ -49,7 +49,8 @@ def test_tissue_store_and_take():
     a = _antigen(0)
     tissue.store_all((a,))
     assert tissue.occupied_count == 1
-    idx = next(i for i, slot in enumerate(tissue.slots) if slot is a)
+    [(idx, resident)] = tissue._residents.items()
+    assert resident is a
     assert tissue.take(idx) is a
     assert tissue.occupied_count == 0
     assert tissue.take(idx) is None  # already taken
@@ -59,8 +60,7 @@ def test_tissue_overflow_evicts_longest_resident():
     tissue = TissueCompartment(3)
     items = [_antigen(i) for i in range(4)]
     tissue.store_all(items)
-    remaining = {slot for slot in tissue.slots if slot is not None}
-    assert remaining == set(items[1:])  # the first arrival was overwritten
+    assert list(tissue._residents.values()) == items[1:]  # the first arrival was overwritten
     assert tissue.overwritten_total == 1
     assert tissue.stored_total == 4
 
@@ -69,8 +69,7 @@ def test_tissue_sustained_overflow_behaves_like_ring():
     tissue = TissueCompartment(5)
     items = [_antigen(i) for i in range(23)]
     tissue.store_all(items)
-    remaining = {slot for slot in tissue.slots if slot is not None}
-    assert remaining == set(items[-5:])
+    assert list(tissue._residents.values()) == items[-5:]  # oldest first
     assert tissue.overwritten_total == 18
 
 
@@ -91,11 +90,35 @@ def test_store_all_equals_storing_one_at_a_time(capacity, data):
     batched.store_all(tuple(arrivals) if as_tuple else arrivals)
     for antigen in arrivals:
         single.store_all([antigen])
-    assert batched.slots == single.slots
-    assert list(batched._residents) == list(single._residents)
+    assert list(batched._residents.items()) == list(single._residents.items())
     assert batched._free == single._free
     assert (batched.stored_total, batched.overwritten_total) == \
         (single.stored_total, single.overwritten_total)
+
+
+@given(capacity=st.integers(1, 12), data=st.data())
+def test_every_slot_is_free_or_resident_after_every_tick(capacity, data):
+    """Ticks store, overwrite and take antigen; each slot stays either on the
+    free stack, once, or a key of the resident map."""
+    config = EngineConfig(population_size=data.draw(st.integers(1, 6), label="cells"),
+                          tissue_capacity=capacity,
+                          antigens_per_update=data.draw(st.integers(1, capacity), label="draws"),
+                          cell_store_capacity=data.draw(st.integers(1, 4), label="store"))
+    engine = DcaEngine(config, seed=data.draw(st.integers(0, 2**32), label="seed"))
+    tissue = engine.tissue
+    stimulus = random.Random(data.draw(st.integers(0, 2**32), label="stimulus"))
+    arrivals = data.draw(st.lists(st.integers(0, 3 * capacity), min_size=1, max_size=25),
+                         label="arrivals")
+    for t, count in enumerate(arrivals):
+        sv = _vector(*(stimulus.uniform(0, 100) for _ in range(6)),
+                     inflammation=stimulus.randint(0, 1))
+        engine.tick(sv, [_antigen(100 * t + j) for j in range(count)])
+        free, resident = set(tissue._free), set(tissue._residents)
+        assert len(free) == len(tissue._free)
+        assert not free & resident
+        assert free | resident == set(range(capacity))
+        assert tissue.occupied_count == len(tissue._residents)
+    engine.check_conservation()
 
 
 # --------------------------------------------------------------------------
@@ -294,11 +317,11 @@ def test_tick_matches_cell_methods(per_tick):
                 cell.reset(rng, config.threshold_min, config.threshold_max)
         assert records == expected
         presented += len(records)
-        assert tissue.slots == engine.tissue.slots
+        assert list(tissue._residents.items()) == list(engine.tissue._residents.items())
+        assert tissue._free == engine.tissue._free
         assert [(c.csm, c.semi, c.mature) for c in cells] == \
             [(c.csm, c.semi, c.mature) for c in engine.cells]
         assert engine.rng.getstate() == rng.getstate()
-        assert list(tissue._residents) == list(engine.tissue._residents)
     assert presented > 0
     assert engine.tissue.overwritten_total == tissue.overwritten_total > 0
 
