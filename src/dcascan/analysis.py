@@ -28,7 +28,6 @@ class AnalysisConfig:
     window_size: int = 10000
     mcav_threshold: float = 0.5
     min_confidence: int = 1000
-    include_partial: bool = False
 
     def __post_init__(self):
         # sys.maxsize: the longest window itertools.islice cuts.
@@ -92,13 +91,12 @@ def compute_mcav_windows(records: Iterable[tuple[str, int]],
     return windows
 
 
-def session_summary(windows: list[McavWindow],
-                    config: AnalysisConfig = AnalysisConfig()) -> dict[str, LabelSummary]:
+def session_summary(windows: list[McavWindow]) -> dict[str, LabelSummary]:
     """Average the per-window MCAVs of ``compute_mcav_windows`` per label.
 
     Windows where a label never appears do not contribute to its mean, and
-    a trailing partial window is left out unless configured otherwise.
-    Counts and proportions cover every record, partial window included.
+    neither does a trailing partial window.  Counts and proportions cover
+    every record, partial window included.
     """
     total_records = sum(window.size for window in windows)
     session_counts: dict[str, int] = {}
@@ -107,7 +105,7 @@ def session_summary(windows: list[McavWindow],
         for label, stats in window.labels.items():
             session_counts[label] = session_counts.get(label, 0) + stats.presentations
             mcavs = per_label_mcavs.setdefault(label, [])
-            if not window.partial or config.include_partial:
+            if not window.partial:
                 mcavs.append(stats.mcav)
     summaries: dict[str, LabelSummary] = {}
     for label in sorted(session_counts):

@@ -61,66 +61,54 @@ def parse_flat_config(text: str) -> dict[str, str]:
 
 
 def _coerce(raw: str, typ, key: str):
-    if typ in (int, float):
-        try:
-            value = typ(raw)
-        except ValueError:
-            expected = "an integer" if typ is int else "a number"
-            raise ConfigError(f"{key}: expected {expected}, got {raw!r}") from None
-        if typ is float and not math.isfinite(value):
-            raise ConfigError(f"{key} must be finite, got {raw!r}")
-        return value
-    if typ is str:
-        return raw
-    if typ is bool:
-        lowered = raw.lower()
-        if lowered in ("1", "true", "yes", "on"):
-            return True
-        if lowered in ("0", "false", "no", "off"):
-            return False
-        raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
+    """Read ``raw`` as ``typ``: int, float, str, a tuple of these (fixed length or ``...``),
+    or ``int | None``.  A field of any other type, ``engine.weights``, is not a key."""
     args = typing.get_args(typ)
     if typing.get_origin(typ) is tuple:
         parts = [p.strip() for p in raw.split(",") if p.strip()]
-        if len(args) == 2 and args[1] is Ellipsis:
-            return tuple(_coerce(p, args[0], key) for p in parts)
-        if len(parts) != len(args):
+        if args[1:] == (Ellipsis,):
+            args = args[:1] * len(parts)
+        elif len(parts) != len(args):
             raise ConfigError(f"{key}: expected {len(args)} comma-separated values")
         return tuple(_coerce(p, a, key) for p, a in zip(parts, args))
-    # The one other field type in use: ``int | None``.
-    return None if raw.lower() in ("none", "null") else _coerce(raw, args[0], key)
-
-
-def _section_kwargs(cls, items: dict[str, str], section: str) -> dict:
-    hints = typing.get_type_hints(cls)
-    known = {f.name for f in fields(cls)}
-    kwargs = {}
-    for name, raw in items.items():
-        if name not in known:
-            raise ConfigError(f"unknown config key {section}.{name}")
-        kwargs[name] = _coerce(raw, hints[name], f"{section}.{name}")
-    return kwargs
+    if args == (int, type(None)):
+        return None if raw.lower() in ("none", "null") else _coerce(raw, int, key)
+    if typ is str:
+        return raw
+    if typ not in (int, float):
+        raise ConfigError(f"unknown config key {key}")
+    try:
+        value = typ(raw)
+    except ValueError:
+        expected = "an integer" if typ is int else "a number"
+        raise ConfigError(f"{key}: expected {expected}, got {raw!r}") from None
+    if typ is float and not math.isfinite(value):
+        raise ConfigError(f"{key} must be finite, got {raw!r}")
+    return value
 
 
 def apply_overrides(config: PipelineConfig, flat: dict[str, str]) -> PipelineConfig:
     """Overlay flat dotted keys onto a PipelineConfig, validating everything.
 
     The sections are the fields of PipelineConfig, plus ``weights`` for
-    ``engine.weights``.
+    ``engine.weights``.  Each key is checked in one pass: its section, its
+    name against the section's fields, then its value.
     """
     sections = {f.name: getattr(config, f.name) for f in fields(PipelineConfig)}
     sections["weights"] = config.engine.weights
-    by_section: dict[str, dict[str, str]] = {}
-    for key, value in flat.items():
+    changes: dict[str, dict] = {}
+    for key, raw in flat.items():
         section, dot, name = key.partition(".")
         if not dot or not name:
             raise ConfigError(f"config key {key!r} is not of the form section.key")
         if section not in sections:
             raise ConfigError(f"unknown config section {section!r}")
-        by_section.setdefault(section, {})[name] = value
-    for section, items in by_section.items():
-        current = sections[section]
-        sections[section] = replace(current, **_section_kwargs(type(current), items, section))
+        hints = typing.get_type_hints(type(sections[section]))
+        if name not in hints:
+            raise ConfigError(f"unknown config key {key}")
+        changes.setdefault(section, {})[name] = _coerce(raw, hints[name], key)
+    for section, values in changes.items():
+        sections[section] = replace(sections[section], **values)
     sections["engine"] = replace(sections["engine"], weights=sections.pop("weights"))
     return PipelineConfig(**sections)
 

@@ -38,7 +38,7 @@ _DEFAULT_SCAN_START_FRAC = 0.093
 _DEFAULT_SCAN_LEN_FRAC = 0.857
 
 # Bounds of what the generator is asked to emit: probes per scan (the default
-# scan over the longest session sends about 1.48M), events per second for
+# scan over the longest session sends about 1.48M) and per salvo, events per second for
 # every Poisson rate of a profile, since each event drawn is one loop pass,
 # events per probe, reply or salvo for each burst count of the scan, and the
 # events a whole session is expected to hold (about 20M by default at most),
@@ -90,7 +90,8 @@ class ScanProfile:
         check_fields(self, positive=("target_count", "ports_per_host", "probe_interval",
                                      "salvo_rate", "scanner_pid", "parent_pid"),
                      words=("scanner_label", "parent_label"),
-                     hosts_up=(1, self.target_count), open_port_fraction=(0, 1),
+                     hosts_up=(1, self.target_count), probe_interval=(0, MAX_DURATION),
+                     salvo_rate=(0, MAX_PROBES), open_port_fraction=(0, 1),
                      icmp_reply_rate=(0, 1), syscalls_per_probe=burst, syscalls_per_reply=burst,
                      relay_syscalls_per_reply=burst, relay_packets_per_salvo=burst,
                      relay_packet_size=(MIN_PACKET_SIZE, MAX_PACKET_SIZE))
@@ -357,8 +358,8 @@ def gen_dataset(kind: str, duration: float, seed: int, *,
     expected, salvos = session.sshd_syscall_rate * duration, 0
     if include_scan:
         if scan.ports_per_host is None:
-            per_host = scan_duration / scan.probe_interval / scan.target_count
-            # The clamp keeps round() finite and still fails the bound below.
+            # The clamps keep the division and round() finite and still fail the bound below.
+            per_host = scan_duration / scan.probe_interval / min(scan.target_count, MAX_PROBES + 1)
             scan = replace(scan, ports_per_host=max(1, round(min(per_host, MAX_PROBES + 1))))
         if (probes := scan.target_count * scan.ports_per_host) > MAX_PROBES:
             raise ConfigError(f"target_count x ports_per_host exceeds {MAX_PROBES:,} probes")

@@ -108,11 +108,11 @@ def test_polar_streams_give_extreme_scores(capsys):
     safe = drive(SignalVector(0, 0, 0, 0, 100, 100, 0))
     pamp = drive(SignalVector(100, 100, 0, 0, 0, 0, 0))
     elapsed = time.perf_counter() - start
-    scoring = AnalysisConfig(window_size=50, include_partial=True)
+    scoring = AnalysisConfig(window_size=50)
 
     def means(records):
         windows = compute_mcav_windows([(a.process_name, c) for a, c in records], scoring)
-        return {lb: s.mean_mcav for lb, s in session_summary(windows, scoring).items()}
+        return {lb: s.mean_mcav for lb, s in session_summary(windows).items()}
 
     safe_means, pamp_means = means(safe), means(pamp)
     checks = [

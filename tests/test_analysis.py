@@ -26,7 +26,7 @@ def _rec(label, context):
 
 
 def _summarize(records, config):
-    return session_summary(compute_mcav_windows(records, config), config)
+    return session_summary(compute_mcav_windows(records, config))
 
 
 def _example_records():
@@ -120,10 +120,6 @@ def test_summary_partial_window_excluded_by_default():
     assert default["nmap"].std_mcav == pytest.approx(0.2)
     assert default["nmap"].presentations == 16
     assert default["nmap"].proportion == pytest.approx(16 / 25)
-
-    kept = _summarize(records, AnalysisConfig(window_size=10, include_partial=True))
-    assert kept["nmap"].windows == 3
-    assert kept["nmap"].mean_mcav == pytest.approx((1.0 + 0.6 + 0.0) / 3)
 
 
 def test_summary_label_only_in_partial_window():

@@ -89,6 +89,10 @@ def test_generate_rejects_bad_session_window(tmp_path, capsys, flags):
     "signals.icmp_multiplier = -1",
     # used to end in an OverflowError traceback from deque(maxlen=...) after the fork
     "signals.ss2_window_seconds = 100000000000000000000",
+    # keys no rule reads: an IndexError traceback, an ignored line, and a deleted knob
+    "engine.weights = 1",
+    "engine.weights = none",
+    "analysis.include_partial = yes",
 ])
 def test_pipeline_rejects_event_breaking_config_at_load(tmp_path, capsys, setting):
     conf = tmp_path / "bad.conf"
@@ -131,6 +135,11 @@ def test_generate_rejects_non_finite_profile_values(tmp_path, capsys, kind, sett
     ("active-normal", "normal.activity_pps = 1e9"),
     ("active-normal", "normal.download_pps = 1e9"),
     ("active-normal", "normal.stall_flush_syscalls = 1e9"),
+    # each used to load and then crash the generator: an OverflowError at the derived
+    # port count, a NaN salvo second's ValueError, an OverflowError in a burst's times
+    ("passive-normal", "scan.target_count = 1" + "0" * 400),
+    ("passive-normal", "scan.probe_interval = 1e306"),
+    ("passive-normal", "scan.salvo_rate = 1e308"),
 ])
 def test_generate_rejects_unbounded_output(tmp_path, capsys, kind, setting):
     conf = tmp_path / "big.conf"

@@ -103,8 +103,7 @@ EVERY_KEY = {
                "tcp_fraction": 0.7, "udp_fraction": 0.2, "sent_fraction": 0.5},
     "session": {"sshd_pid": 3000, "sshd_label": "dropbear", "sshd_syscall_rate": 0.3,
                 "login_time": 4.0},
-    "analysis": {"window_size": 5000, "mcav_threshold": 0.6, "min_confidence": 500,
-                 "include_partial": True},
+    "analysis": {"window_size": 5000, "mcav_threshold": 0.6, "min_confidence": 500},
 }
 
 
@@ -141,13 +140,11 @@ def test_every_field_of_every_section_round_trips():
 
 def test_override_typed_values():
     config = apply_overrides(PipelineConfig(), {
-        "analysis.include_partial": "yes",
         "scan.ports_per_host": "none",
         "normal.child_pids": "10, 11, 12",
         "normal.activity_length": "2, 6",
         "signals.ss2_step_bounds": "40, 55, 70",
     })
-    assert config.analysis.include_partial is True
     assert config.scan.ports_per_host is None
     assert config.normal.child_pids == (10, 11, 12)
     assert config.normal.activity_length == (2.0, 6.0)
@@ -164,12 +161,16 @@ def test_override_typed_values():
         ({"flat": "1"}, "section.key"),
         ({"engine.population_size": "tiny"}, "expected an integer"),
         ({"normal.mean_pps": "fast"}, "expected a number"),
-        ({"analysis.include_partial": "perhaps"}, "expected a boolean"),
+        # deleted with the one rule that read booleans; it keeps the old case's place
+        ({"analysis.include_partial": "yes"}, "unknown config key analysis.include_partial"),
         ({"normal.activity_length": "1, 2, 3"}, "comma-separated"),
         # keys deleted because they had no effect or only one value in use
         ({"scan.start_time": "5"}, "unknown config key scan.start_time"),
         ({"signals.ss2_weighting": "packets"}, "unknown config key signals.ss2_weighting"),
         ({"engine.seed": "5"}, "unknown config key engine.seed"),
+        # a section of its own, not a flat key: these used to raise an IndexError or be ignored
+        ({"engine.weights": "1"}, "unknown config key engine.weights"),
+        ({"engine.weights": "none"}, "unknown config key engine.weights"),
     ],
 )
 def test_override_rejects_bad_input(flat, fragment):
@@ -221,6 +222,23 @@ def test_readme_configuration_block_loads():
     flat = parse_flat_config(block)
     assert len(flat) >= 5
     apply_overrides(PipelineConfig(), flat)
+
+
+def test_readme_configuration_names_only_live_or_gone_keys():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    key = r"`([a-z][a-z0-9_]*\.[a-z][a-z0-9_]*)`"
+    named = {k for k in re.findall(key, section) if k.partition(".")[0] in SECTION_CLASSES}
+    gone_text = next(p for p in section.split("\n\n") if " are gone " in p).split(" are gone ", 1)[1]
+    gone = set(re.findall(key, gone_text))
+    assert gone and gone <= named
+    for name in sorted(gone):
+        with pytest.raises(ConfigError, match=f"^unknown config key {re.escape(name)}$"):
+            apply_overrides(PipelineConfig(), {name: "1"})
+    for name in sorted(named - gone):
+        section_name, _, field_name = name.partition(".")
+        default = getattr(_section(PipelineConfig(), section_name), field_name, None)
+        apply_overrides(PipelineConfig(), {name: _flat_text(default)})
 
 
 def test_override_runs_section_validation():
