@@ -154,8 +154,8 @@ def write_presentations(records: list[tuple], second: int, write) -> None:
 
 
 def read_presentations(path) -> Iterator[tuple[str, int]]:
-    """Check each row of a presentation log and yield its (label, context)
-    pair, one row at a time."""
+    """Check each row of a presentation log, its time and pid numeric and its
+    context the text ``0`` or ``1``, and yield its (label, context) pair, one row at a time."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -170,12 +170,11 @@ def read_presentations(path) -> Iterator[tuple[str, int]]:
                 try:
                     float(row[0])
                     int(row[1])
-                    context = int(row[3])
                 except ValueError as exc:
                     raise ValidationError(f"row {line_no}: {exc}") from None
-                if context not in (0, 1):
+                if row[3] not in ("0", "1"):  # the only texts a run writes
                     raise ValidationError(f"row {line_no}: context must be 0 or 1")
-                yield row[2], context
+                yield row[2], int(row[3])
         except csv.Error as exc:
             # A line csv cannot read, the header included, e.g. a field over its size limit.
             raise ValidationError(f"row {reader.line_num}: {exc}") from None

@@ -223,8 +223,9 @@ class DcaEngine:
                 migrating.append(cell)
         records: list[tuple[ProcessEvent, int]] = []
         for cell in migrating:
-            context = cell.context()
-            records += [(antigen, context) for antigen in cell.antigen_store]
+            if cell.antigen_store:  # most migrating cells hold nothing and only reset
+                context = cell.context()
+                records += [(antigen, context) for antigen in cell.antigen_store]
             cell.reset(rng, self.config.threshold_min, self.config.threshold_max)
         self.presented_total += len(records)
         self.ticks_run += 1

@@ -42,7 +42,7 @@ MAX_PACKET_SIZE = 65_535  # the IPv4 total-length limit
 MAX_DURATION = 86_400.0
 
 _DURATION_PREFIX = "# duration="
-MAX_TAILS = 4_096  # distinct line tails, the text after the time, that write_frames keeps
+MAX_TAILS = 4_096  # parsed line tails, the text after the time, that write_frames' memo holds
 FRAME_LINES = 8_192  # events in one frame of write_frames
 
 
@@ -150,7 +150,7 @@ def _parse_packet(parts: list[str], line_no: int) -> tuple:
         raise StreamParseError(line_no, f"size {size} below minimum {MIN_PACKET_SIZE}")
     if size > MAX_PACKET_SIZE:
         raise StreamParseError(line_no, f"size {size} above maximum {MAX_PACKET_SIZE}")
-    return PacketEvent, (direction, protocol, flags, size, icmp_type)
+    return direction, protocol, flags, size, icmp_type
 
 
 def _parse_process(parts: list[str], line_no: int) -> tuple:
@@ -162,11 +162,7 @@ def _parse_process(parts: list[str], line_no: int) -> tuple:
     kind = _PROCESS_KIND.get(parts[4])
     if kind is None:
         raise StreamParseError(line_no, f"unknown process event kind {parts[4]!r}")
-    return ProcessEvent, (pid, parts[3], kind)
-
-
-# Check a line's tail, given all the line's fields: the event type and fields.
-_TAILS = {"P": _parse_packet, "E": _parse_process}
+    return pid, parts[3], kind
 
 
 def _time_error(line_no: int, name: str, value: float, last: float, limit: float):
@@ -183,22 +179,21 @@ def _time_error(line_no: int, name: str, value: float, last: float, limit: float
 
 
 def write_frames(lines: Iterable[str]) -> Iterator[tuple | float]:
-    """The check step: check event lines one at a time and yield their
-    ``(time, tail id)`` pairs in frames of FRAME_LINES, ``(times, tail ids,
-    new tails)``, then the duration.
+    """The check step: check event lines one at a time and yield, in frames
+    of up to FRAME_LINES lines, each line's time and parsed tail, ``(times,
+    tails)``, then the duration.
 
     Event times must not decrease and lie in [0, duration], the duration in
     [0, MAX_DURATION]; without an annotation it is the last event's time.  A
     violation raises a StreamParseError naming its line, after a frame of the
-    pairs checked before it; nothing is sorted.  Up to MAX_TAILS distinct line
-    tails after the time are numbered, so a repeated tail costs only the time
-    check.  A frame carries each tail it uses first as ``(id, tag, text)``; a
-    full memo is cleared, its ids reused, and ends the frame, so an id names
-    one tail in it.  Building the events is left to _Frames.
+    lines checked before it; nothing is sorted.  A tail, the text after the
+    time, is parsed to ``(is_packet, fields)`` once and kept in a memo of up
+    to MAX_TAILS tails, cleared when full, so a repeated tail costs only the
+    time check and is one object in its frame.  _Frames builds the events.
     """
     duration, last, last_text, limit = None, 0.0, None, MAX_DURATION
-    tails: dict[tuple[str, str], int] = {}
-    times, ids, new = [], [], []
+    memo: dict[tuple[str, str], tuple] = {}
+    times, tails = [], []
     try:
         for line_no, raw in enumerate(lines, start=1):
             head = raw.split(None, 2)
@@ -207,23 +202,22 @@ def write_frames(lines: Iterable[str]) -> Iterator[tuple | float]:
             tag = head[0]
             if tag == "P" or tag == "E":
                 key = (tag, head[2] if len(head) == 3 else "")
-                if (i := tails.get(key)) is None:
-                    _TAILS[tag](raw.split(), line_no)  # checked here, built by _Frames
+                if (tail := memo.get(key)) is None:
+                    is_packet = tag == "P"
+                    tail = (is_packet, (_parse_packet if is_packet else _parse_process)(raw.split(), line_no))
+                    if len(memo) == MAX_TAILS:
+                        memo.clear()
+                    memo[key] = tail
                 if head[1] != last_text:  # a repeated time passed every check already
                     ts = _number(head[1], line_no, float, format_time)
                     if not last <= ts <= limit:
                         raise _time_error(line_no, "timestamp", ts, last, limit)
                     last, last_text = ts, head[1]
-                if len(times) == FRAME_LINES or i is None and len(tails) == MAX_TAILS:
-                    yield times, ids, new
-                    times, ids, new = [], [], []
-                if i is None:
-                    if len(tails) == MAX_TAILS:
-                        tails.clear()
-                    tails[key] = i = len(tails)
-                    new.append((i, *key))
+                if len(times) == FRAME_LINES:
+                    yield times, tails
+                    times, tails = [], []
                 times.append(last)
-                ids.append(i)
+                tails.append(tail)
             elif tag[0] == "#":
                 if raw.strip().startswith(_DURATION_PREFIX):
                     text = raw.partition("=")[2].strip()
@@ -239,29 +233,26 @@ def write_frames(lines: Iterable[str]) -> Iterator[tuple | float]:
             else:
                 raise StreamParseError(line_no, f"unknown record tag {tag!r}")
     except Exception:
-        yield times, ids, new
+        yield times, tails
         raise
-    yield times, ids, new
+    yield times, tails
     yield last if duration is None else duration
 
 
 class _Frames:
     """The build step: the events of the frames that ``receive()`` returns,
-    in file order; ``duration`` holds the file's once they are exhausted."""
+    in file order, each made from its time and parsed tail with no parse of
+    its own; ``duration`` holds the file's once the frames are exhausted."""
 
     def __init__(self, receive):
         self.receive = receive
         self.duration = 0.0
 
     def __iter__(self) -> Iterator[PacketEvent | ProcessEvent]:
-        table: list[tuple | None] = [None] * MAX_TAILS
+        makers = (ProcessEvent, PacketEvent)
         while type(frame := self.receive()) is tuple:
-            times, ids, new = frame
-            for i, tag, text in new:  # parsed again, so events share the parser's objects
-                table[i] = _TAILS[tag]((tag, "", *text.split()), 0)
-            for ts, i in zip(times, ids):
-                make, fields = table[i]
-                yield make(ts, *fields)
+            for ts, (is_packet, fields) in zip(*frame):
+                yield makers[is_packet](ts, *fields)
         self.duration = frame
 
 

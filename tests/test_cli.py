@@ -592,7 +592,7 @@ def test_a_replay_error_ends_a_reader_blocked_on_a_full_pipe(tmp_path, capsys):
 
 def test_run_over_more_tails_than_the_memo_holds_matches_in_process(tmp_path, capsys,
                                                                     monkeypatch):
-    # Every pid is a new tail, so tail ids are reused after each clear of the memo.
+    # Every pid is a new tail, so the memo clears and the repeated pids are parsed anew.
     pids = [*range(1, 2 * MAX_TAILS + 500), *range(1, 3000)]
     events_file = tmp_path / "events.txt"
     events_file.write_text("".join(f"E {format_time(i / 200)} {pid} sshd syscall\n"
@@ -725,7 +725,13 @@ _HUGE_FIELD = "x" * 131_073  # one past csv's default field size limit
     # an oversized field used to end in an uncaught _csv.Error traceback
     (_HEADER + f"1.0,5,{_HUGE_FIELD},1\n", "row 2: field larger than field limit (131072)"),
     (_HUGE_FIELD + "\n", "row 1: field larger than field limit (131072)"),
-], ids=["bad-number", "bad-time", "huge-field", "huge-header"])
+    # int() read these as contexts 1 and 0; a run writes a context only as 0 or 1
+    (_HEADER + "1.0,5,y,+1\n", "row 2: context must be 0 or 1"),
+    (_HEADER + "1.0,5,y, 1\n", "row 2: context must be 0 or 1"),
+    (_HEADER + "1.0,5,y,\u0660\n", "row 2: context must be 0 or 1"),
+    (_HEADER + "1.0,5,y,01\n", "row 2: context must be 0 or 1"),
+], ids=["bad-number", "bad-time", "huge-field", "huge-header",
+        "signed-context", "spaced-context", "arabic-indic-context", "padded-context"])
 def test_analyze_corrupt_log(tmp_path, capsys, text, fragment):
     log = tmp_path / "bad.csv"
     log.write_text(text)

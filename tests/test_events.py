@@ -175,14 +175,21 @@ def test_a_remembered_tail_still_checks_its_time(time_text, fragment):
 
 
 def test_reader_bounds_its_tail_memo_and_round_trips_many_tails():
-    sizes = [*range(MIN_PACKET_SIZE, 5_001), *range(MIN_PACKET_SIZE, 100)]
+    distinct = [*range(MIN_PACKET_SIZE, 5_001)]  # more tails than the memo holds
+    sizes = distinct + [*range(MIN_PACKET_SIZE, 100)] * 50
     text = f"# duration={float(len(sizes))!r}\n" + "".join(
         f"P {i} sent udp - {size}\n" for i, size in enumerate(sizes))
     *frames, duration = write_frames(io.StringIO(text))
-    new_ids = [i for _, _, new in frames for i, _, _ in new]
-    # The memo numbers MAX_TAILS tails, then clears, which ends the frame, and numbers from 0 again.
-    assert new_ids == [*range(MAX_TAILS), *range(len(new_ids) - MAX_TAILS)]
-    assert MAX_TAILS < len(new_ids) < 2 * MAX_TAILS and len(frames[0][0]) == MAX_TAILS
+    # A frame is its lines' times and parsed tails, at most FRAME_LINES of each.
+    assert [len(times) for times, _ in frames] == [FRAME_LINES, len(sizes) - FRAME_LINES]
+    assert all(len(times) == len(tails) for times, tails in frames)
+    tails = [tail for _, frame_tails in frames for tail in frame_tails]
+    assert tails == [(True, ("sent", "udp", None, size, None)) for size in sizes]
+    # The memo cleared at MAX_TAILS tails, so the first repeats are parsed anew;
+    # from then on the lines of one tail text share one object.
+    n = len(distinct)
+    assert MAX_TAILS < n and all(a is not b for a, b in zip(tails, tails[n:n + 80]))
+    assert all(tail is tails[n + (i - n) % 80] for i, tail in enumerate(tails[n:], n))
     assert duration == len(sizes)
     assert serialize_stream(parse_stream(text)) == text
 
@@ -450,14 +457,25 @@ def _framed(lines):
     return read_frames(map(marshal.loads, map(marshal.dumps, write_frames(lines))).__next__)
 
 
-def test_frames_reuse_tail_ids_after_the_memo_clears():
-    # The tails of lines 1 to MAX_TAILS get ids that the lines after them reuse,
-    # all inside the first frame.
+def test_frames_round_trip_marshal_across_a_memo_clear():
+    # The tails of lines 1 to MAX_TAILS fill the memo, which clears; the lines
+    # after them, some repeating earlier tails, are parsed anew, all inside the first frame.
     pids = [*range(1, MAX_TAILS + 1001), *range(1, 1001), *range(MAX_TAILS, MAX_TAILS + 20)]
     text = "".join(f"E {format_time(i / 100)} {pid} sshd syscall\n" for i, pid in enumerate(pids))
     events = [ProcessEvent(i / 100, pid, "sshd", "syscall") for i, pid in enumerate(pids)]
     stream = EventStream(events, events[-1].timestamp)
     assert list(_framed(io.StringIO(text))) == list(iter_buckets(stream))
+
+
+def test_a_marshalled_frame_keeps_one_object_per_repeated_tail():
+    text = ("P 0 sent udp - 60\nE 0.5 5 sshd syscall\nP 1 sent udp - 60\n"
+            "E 2 5 sshd syscall\nP 2 recv tcp ack 40\n")
+    frame, duration = write_frames(io.StringIO(text))
+    times, tails = marshal.loads(marshal.dumps(frame))  # as the pipe of a forked reader passes it
+    assert times == [0.0, 0.5, 1.0, 2.0, 2.0]
+    assert tails[0] is tails[2] and tails[1] is tails[3] and len(set(map(id, tails))) == 3
+    built = read_frames(iter([(times, tails), duration]).__next__)
+    assert list(built) == list(iter_buckets(parse_stream(text)))
 
 
 def test_read_buckets_yields_before_reading_the_whole_file():
