@@ -7,7 +7,7 @@ population engine, and MCAV-based analysis of what the cells present.
 
 from .analysis import AnalysisConfig, classify, compute_mcav_windows, session_summary
 from .engine import DcaEngine, EngineConfig, WeightMatrix
-from .events import EventStream, PacketEvent, ProcessEvent, parse_stream, serialize_stream
+from .events import PacketEvent, ProcessEvent
 from .pipeline import RunResult, run_stream
 from .scenario import NormalProfile, ScanProfile, SessionProfile, gen_dataset
 from .signals import SignalConfig, SignalDeriver, SignalVector
@@ -16,7 +16,6 @@ __all__ = [
     "AnalysisConfig",
     "DcaEngine",
     "EngineConfig",
-    "EventStream",
     "NormalProfile",
     "PacketEvent",
     "ProcessEvent",
@@ -30,8 +29,6 @@ __all__ = [
     "classify",
     "compute_mcav_windows",
     "gen_dataset",
-    "parse_stream",
     "run_stream",
-    "serialize_stream",
     "session_summary",
 ]

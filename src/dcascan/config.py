@@ -11,10 +11,10 @@ comment lines.  Sections map onto the dataclasses of the package:
     session.*   monitoring session framing
     analysis.*  window size, verdict thresholds
 
-Tuple-valued fields take comma-separated values.  Each section bounds its
-fields with ``errors.check_fields``, whose range checks NaN fails; infinity
-passes a range open above and fields with no range take any number, so
-``_coerce`` rejects every non-finite number.
+Every value is a number, or comma-separated numbers for a tuple field.  Each
+section bounds its fields with ``errors.check_fields``, whose range checks
+NaN fails; infinity passes a range open above and fields with no range take
+any number, so ``_coerce`` rejects every non-finite number.
 """
 
 from __future__ import annotations
@@ -61,8 +61,8 @@ def parse_flat_config(text: str) -> dict[str, str]:
 
 
 def _coerce(raw: str, typ, key: str):
-    """Read ``raw`` as ``typ``: int, float, str, a tuple of these (fixed length or ``...``),
-    or ``int | None``.  A field of any other type, ``engine.weights``, is not a key."""
+    """Read ``raw`` as ``typ``: int, float, or a tuple of these (fixed length or ``...``).
+    A field of any other type, ``engine.weights``, is not a key."""
     args = typing.get_args(typ)
     if typing.get_origin(typ) is tuple:
         parts = [p.strip() for p in raw.split(",") if p.strip()]
@@ -71,10 +71,6 @@ def _coerce(raw: str, typ, key: str):
         elif len(parts) != len(args):
             raise ConfigError(f"{key}: expected {len(args)} comma-separated values")
         return tuple(_coerce(p, a, key) for p, a in zip(parts, args))
-    if args == (int, type(None)):
-        return None if raw.lower() in ("none", "null") else _coerce(raw, int, key)
-    if typ is str:
-        return raw
     if typ not in (int, float):
         raise ConfigError(f"unknown config key {key}")
     try:

@@ -36,26 +36,21 @@ def _bound(x) -> str:
     return f"{x:,}" if isinstance(x, int) else repr(x).removesuffix(".0")
 
 
-def check_fields(obj, *, positive=(), words=(), **ranges) -> None:
+def check_fields(obj, *, positive=(), **ranges) -> None:
     """Raise ConfigError for the first named field of ``obj`` that breaks a rule.
 
-    ``positive`` fields must exceed 0, ``words`` fields must be one word
-    without whitespace, and each ``name=(lo, hi)`` keyword bounds that field
-    to [lo, hi]; a field under two rules is checked in that order.  A tuple
-    field is checked element by element, ``name[i]`` in the message, and a
-    None field is skipped.  NaN fails every rule.
+    ``positive`` fields must exceed 0, and each ``name=(lo, hi)`` keyword
+    bounds that field to [lo, hi]; a field under both rules is checked in
+    that order.  A tuple field is checked element by element, ``name[i]`` in
+    the message.  NaN fails every rule.
     """
-    for name in dict.fromkeys((*positive, *words, *ranges)):
+    for name in dict.fromkeys((*positive, *ranges)):
         value = getattr(obj, name)
-        if value is None:
-            continue
         items = ([(f"{name}[{i}]", v) for i, v in enumerate(value)]
                  if isinstance(value, tuple) else [(name, value)])
         for label, v in items:
             if name in positive and not v > 0:
                 raise ConfigError(f"{label} must be positive, got {v}")
-            if name in words and not (isinstance(v, str) and v.split() == [v]):
-                raise ConfigError(f"{label} must be one word, got {v!r}")
             if name in ranges:
                 lo, hi = ranges[name]
                 if not lo <= v <= hi:

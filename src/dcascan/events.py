@@ -8,7 +8,7 @@ An event file is UTF-8 text with one record per line:
 Lines beginning with ``#`` are comments.  The serializer writes one
 annotation comment, ``# duration=<seconds>``, so that a stream whose
 duration extends past its last event survives a round trip; parsers that
-ignore comments still read the same events.
+ignore comments still read the same events.  A file holds at most one.
 """
 
 from __future__ import annotations
@@ -184,7 +184,7 @@ def write_frames(lines: Iterable[str]) -> Iterator[tuple | float]:
     tails)``, then the duration.
 
     Event times must not decrease and lie in [0, duration], the duration in
-    [0, MAX_DURATION]; without an annotation it is the last event's time.  A
+    [0, MAX_DURATION], set by one annotation at most, else the last event's time.  A
     violation raises a StreamParseError naming its line, after a frame of the
     lines checked before it; nothing is sorted.  A tail, the text after the
     time, is parsed to ``(is_packet, fields)`` once and kept in a memo of up
@@ -220,6 +220,8 @@ def write_frames(lines: Iterable[str]) -> Iterator[tuple | float]:
                 tails.append(tail)
             elif tag[0] == "#":
                 if raw.strip().startswith(_DURATION_PREFIX):
+                    if duration is not None:
+                        raise StreamParseError(line_no, "second duration annotation")
                     text = raw.partition("=")[2].strip()
                     try:
                         duration = float(text)

@@ -21,7 +21,7 @@ import math
 import random
 from bisect import bisect_left, bisect_right
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain
 from operator import attrgetter
 from typing import Iterator
@@ -48,6 +48,14 @@ MAX_RATE = 10_000.0
 MAX_BURST = 1_000
 MAX_EVENTS = 25_000_000
 
+# The generated processes, each a (pid, label): the scanner, the terminal that relays its
+# output and the ssh session's shell; the browser's system calls draw one of its pids.
+SCANNER = (3411, "nmap")
+PARENT = (3402, "pts")
+SSHD = (3319, "sshd")
+BROWSER_PIDS = (2864, 2871, 2902)
+BROWSER_LABEL = "firefox"
+
 
 def _poisson(rng: random.Random, lam: float) -> int:
     if lam <= 0:
@@ -70,12 +78,7 @@ class ScanProfile:
 
     target_count: int = 254
     hosts_up: int = 70
-    ports_per_host: int | None = None
     probe_interval: float = 0.05
-    scanner_pid: int = 3411
-    scanner_label: str = "nmap"
-    parent_pid: int = 3402
-    parent_label: str = "pts"
     open_port_fraction: float = 0.02
     icmp_reply_rate: float = 0.05
     salvo_rate: float = 450.0
@@ -87,9 +90,7 @@ class ScanProfile:
 
     def __post_init__(self):
         burst = (0, MAX_BURST)
-        check_fields(self, positive=("target_count", "ports_per_host", "probe_interval",
-                                     "salvo_rate", "scanner_pid", "parent_pid"),
-                     words=("scanner_label", "parent_label"),
+        check_fields(self, positive=("target_count", "probe_interval", "salvo_rate"),
                      hosts_up=(1, self.target_count), probe_interval=(0, MAX_DURATION),
                      salvo_rate=(0, MAX_PROBES), open_port_fraction=(0, 1),
                      icmp_reply_rate=(0, 1), syscalls_per_probe=burst, syscalls_per_reply=burst,
@@ -103,9 +104,6 @@ class NormalProfile:
 
     mean_pps: float = 15.0
     mean_packet_size: float = 74.0
-    browser_pid: int = 2864
-    browser_label: str = "firefox"
-    child_pids: tuple[int, ...] = (2871, 2902)
     syscall_rate: float = 0.25
     activity_period: float = 70.0
     activity_pps: float = 40.0
@@ -121,8 +119,7 @@ class NormalProfile:
 
     def __post_init__(self):
         rate = (0, MAX_RATE)
-        check_fields(self, positive=("browser_pid", "child_pids"), words=("browser_label",),
-                     mean_pps=rate, syscall_rate=rate, activity_pps=rate, download_pps=rate,
+        check_fields(self, mean_pps=rate, syscall_rate=rate, activity_pps=rate, download_pps=rate,
                      stall_flush_syscalls=rate, tcp_fraction=(0, 1), udp_fraction=(0, 1),
                      sent_fraction=(0, 1), download_size=(MIN_PACKET_SIZE, MAX_PACKET_SIZE))
         if self.mean_pps > 0 and not 70 <= self.mean_packet_size <= 90:
@@ -142,12 +139,10 @@ def _burst(pid, label, t, count):
     return [ProcessEvent(n / 10000, pid, label, "syscall") for n in range(k, k + 2 * count, 2)]
 
 
-def gen_syn_scan(profile: ScanProfile, rng: random.Random, start: float = 0.0):
-    """Make the draws of one scan whose first salvo is due at ``start``: return each salvo's
-    second and the outcomes of its probes, from which scan_salvos makes the events."""
-    if profile.ports_per_host is None:
-        raise ConfigError("ports_per_host must be set before generating a scan")
-    total_probes = profile.target_count * profile.ports_per_host
+def gen_syn_scan(profile: ScanProfile, total_probes: int, rng: random.Random, start: float = 0.0):
+    """Make the draws of one scan of ``total_probes`` probes whose first salvo is due at
+    ``start``: return each salvo's second and the outcomes of its probes, from which
+    scan_salvos makes the events.  gen_dataset derives the count from the scan window."""
     salvo_size = max(1, round(profile.salvo_rate))
     period = salvo_size * profile.probe_interval
     up_fraction = profile.hosts_up / profile.target_count
@@ -165,7 +160,6 @@ def gen_syn_scan(profile: ScanProfile, rng: random.Random, start: float = 0.0):
 
 def scan_salvos(profile: ScanProfile, salvos: list[tuple[int, bytearray]]):
     """Yield the events of gen_syn_scan's salvos, one (second, packets, process events) each."""
-    scanner, parent = (profile.scanner_pid, profile.scanner_label), (profile.parent_pid, profile.parent_label)
     n_relay = profile.relay_packets_per_salvo
     for sec, outcomes in salvos:
         packets, procs = [], []
@@ -173,7 +167,7 @@ def scan_salvos(profile: ScanProfile, salvos: list[tuple[int, bytearray]]):
         for j, outcome in enumerate(outcomes):
             pt = round(sec + 0.02 + j * step, 4)
             packets.append(PacketEvent(pt, "sent", "tcp", TCP_FLAG_SETS["syn"], 40))
-            procs += _burst(*scanner, pt, profile.syscalls_per_probe)
+            procs += _burst(*SCANNER, pt, profile.syscalls_per_probe)
             if outcome >= _CLOSED:
                 rt = round(pt + 0.004, 4)
                 if outcome == _OPEN:
@@ -182,8 +176,8 @@ def scan_salvos(profile: ScanProfile, salvos: list[tuple[int, bytearray]]):
                                                TCP_FLAG_SETS["rst"], 40))
                 else:
                     packets.append(PacketEvent(rt, "recv", "tcp", TCP_FLAG_SETS["ack,rst"], 40))
-                procs += _burst(*scanner, rt, profile.syscalls_per_reply)
-                procs += _burst(*parent, rt + 0.001, profile.relay_syscalls_per_reply)
+                procs += _burst(*SCANNER, rt, profile.syscalls_per_reply)
+                procs += _burst(*PARENT, rt + 0.001, profile.relay_syscalls_per_reply)
             elif outcome == _UNREACHABLE:
                 packets.append(PacketEvent(round(pt + 0.02, 4), "recv", "icmp",
                                            None, 56, "dest_unreachable"))
@@ -201,7 +195,6 @@ def scan_salvos(profile: ScanProfile, salvos: list[tuple[int, bytearray]]):
 def gen_normal(profile: NormalProfile, duration: float, rng: random.Random,
                busy_seconds: frozenset[int] | set[int] = frozenset()):
     """Yield desktop traffic of the given length, one (second, packets, process events) a second."""
-    pids = (profile.browser_pid, *profile.child_pids)
     rate = profile.mean_pps
     next_activity = rng.expovariate(1.0 / profile.activity_period) if profile.activity_period > 0 else math.inf
     activity_until = -1.0
@@ -247,9 +240,8 @@ def gen_normal(profile: NormalProfile, duration: float, rng: random.Random,
         if sec in busy_seconds:
             lam += profile.stall_flush_syscalls
         for _ in range(_poisson(rng, lam)):
-            pid = pids[rng.randrange(len(pids))]
-            procs.append(ProcessEvent(round(sec + rng.random(), 4), pid,
-                                      profile.browser_label, "syscall"))
+            pid = BROWSER_PIDS[rng.randrange(len(BROWSER_PIDS))]
+            procs.append(ProcessEvent(round(sec + rng.random(), 4), pid, BROWSER_LABEL, "syscall"))
         yield sec, packets, procs
 
 
@@ -257,21 +249,18 @@ def gen_normal(profile: NormalProfile, duration: float, rng: random.Random,
 class SessionProfile:
     """Monitoring-session framing shared by every dataset."""
 
-    sshd_pid: int = 3319
-    sshd_label: str = "sshd"
     sshd_syscall_rate: float = 0.2
     login_time: float = 2.0
 
     def __post_init__(self):
-        check_fields(self, positive=("sshd_pid",), words=("sshd_label",),
-                     sshd_syscall_rate=(0, MAX_RATE), login_time=(0, MAX_DURATION))
+        check_fields(self, sshd_syscall_rate=(0, MAX_RATE), login_time=(0, MAX_DURATION))
 
 
 def _sshd(session: SessionProfile, duration: float, rng: random.Random):
     """Yield the session shell's system calls, one (second, (), process events) chunk a second."""
     for sec in range(math.ceil(duration)):
-        yield sec, (), [ProcessEvent(round(sec + rng.random(), 4), session.sshd_pid, session.sshd_label,
-                                     "syscall") for _ in range(_poisson(rng, session.sshd_syscall_rate))]
+        yield sec, (), [ProcessEvent(round(sec + rng.random(), 4), *SSHD, "syscall")
+                        for _ in range(_poisson(rng, session.sshd_syscall_rate))]
 
 
 class GeneratedStream:
@@ -357,12 +346,12 @@ def gen_dataset(kind: str, duration: float, seed: int, *,
     # The events the session is expected to hold: rates times seconds, bursts times their causes.
     expected, salvos = session.sshd_syscall_rate * duration, 0
     if include_scan:
-        if scan.ports_per_host is None:
-            # The clamps keep the division and round() finite and still fail the bound below.
-            per_host = scan_duration / scan.probe_interval / min(scan.target_count, MAX_PROBES + 1)
-            scan = replace(scan, ports_per_host=max(1, round(min(per_host, MAX_PROBES + 1))))
-        if (probes := scan.target_count * scan.ports_per_host) > MAX_PROBES:
-            raise ConfigError(f"target_count x ports_per_host exceeds {MAX_PROBES:,} probes")
+        # Each target gets the ports the scan window holds.  The clamps keep the division
+        # and round() finite and still fail the bound below.
+        per_host = scan_duration / scan.probe_interval / min(scan.target_count, MAX_PROBES + 1)
+        probes = scan.target_count * max(1, round(min(per_host, MAX_PROBES + 1)))
+        if probes > MAX_PROBES:
+            raise ConfigError(f"the scan window x target_count exceeds {MAX_PROBES:,} probes")
         salvos = math.ceil(probes / max(1, round(scan.salvo_rate)))
         per_probe = 1 + scan.syscalls_per_probe + scan.icmp_reply_rate + scan.hosts_up * (
             2 + scan.syscalls_per_reply + scan.relay_syscalls_per_reply) / scan.target_count
@@ -379,8 +368,8 @@ def gen_dataset(kind: str, duration: float, seed: int, *,
     # Make every draw up to the desktop's, which come last, and keep what the events need.
     rng = random.Random(seed)
     deque(_sshd(session, duration, rng), 0)
-    salvos = gen_syn_scan(scan, rng, scan_start) if include_scan else []
-    login = ProcessEvent(session.login_time, session.sshd_pid, session.sshd_label, "login")
+    salvos = gen_syn_scan(scan, probes, rng, scan_start) if include_scan else []
+    login = ProcessEvent(session.login_time, *SSHD, "login")
 
     def sources():
         return [[(int(login.timestamp), (), [login])],

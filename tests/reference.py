@@ -19,14 +19,13 @@ with one stable sort.
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 
 from dcascan.analysis import LOG_HEADER, open_table, write_presentations
 from dcascan.engine import DendriticCell, TissueCompartment, WeightMatrix, increments
 from dcascan.events import EventStream, ProcessEvent
 from dcascan.pipeline import run_stream
-from dcascan.scenario import (NormalProfile, ScanProfile, SessionProfile, _sshd, gen_normal,
-                              gen_syn_scan, scan_salvos)
+from dcascan.scenario import (SSHD, NormalProfile, ScanProfile, SessionProfile, _sshd,
+                              gen_normal, gen_syn_scan, scan_salvos)
 
 
 def draw_slots(rng: random.Random, n: int, k: int) -> list[int]:
@@ -117,17 +116,16 @@ def reference_dataset(kind: str, duration: float, seed: int, *, scan_start=None,
     if scan_duration is None:
         scan_duration = 0.857 * duration
     scan_duration = min(scan_duration, duration - scan_start)
-    if scan.ports_per_host is None:
-        per_host = scan_duration / scan.probe_interval / scan.target_count
-        scan = replace(scan, ports_per_host=max(1, round(per_host)))
+    per_host = scan_duration / scan.probe_interval / scan.target_count
+    probes = scan.target_count * max(1, round(per_host))
 
     rng = random.Random(seed)
     packets: list = []
-    procs: list = [ProcessEvent(session.login_time, session.sshd_pid, session.sshd_label, "login")]
+    procs: list = [ProcessEvent(session.login_time, *SSHD, "login")]
     procs += flatten(_sshd(session, duration, rng))[1]
     salvos = []
     if include_scan:
-        salvos = gen_syn_scan(scan, rng, scan_start)
+        salvos = gen_syn_scan(scan, probes, rng, scan_start)
         scan_packets, scan_procs = flatten(scan_salvos(scan, salvos))
         packets += scan_packets
         procs += scan_procs

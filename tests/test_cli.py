@@ -46,6 +46,19 @@ def test_generate_different_seed_changes_file(tmp_path):
     assert a.read_bytes() != b.read_bytes()
 
 
+def test_generate_scan_duration_sets_the_probe_count(tmp_path):
+    # A set port count used to override the window: both files held 2,540 probes.
+    probes = []
+    for window in ("100", "500"):
+        out = tmp_path / f"scan-{window}.txt"
+        code = main(["generate", "passive-normal", "--duration", "1000", "--seed", "1",
+                     "--scan-duration", window, "--out", str(out)])
+        assert code == 0
+        lines = out.read_text().splitlines()
+        probes.append(sum(line.endswith(" sent tcp syn 40") for line in lines))
+    assert probes == [254 * 8, 254 * 39]  # round(window / 0.05 / 254) ports per target
+
+
 def test_generate_rejects_zero_duration(tmp_path, capsys):
     code = main(["generate", "passive-normal", "--duration", "0",
                  "--seed", "1", "--out", str(tmp_path / "x.txt")])
@@ -84,15 +97,17 @@ def test_generate_rejects_bad_session_window(tmp_path, capsys, flags):
 
 
 @pytest.mark.parametrize("setting", [
-    "scan.scanner_label = n map",
-    "session.sshd_pid = 0",
     "signals.icmp_multiplier = -1",
     # used to end in an OverflowError traceback from deque(maxlen=...) after the fork
     "signals.ss2_window_seconds = 100000000000000000000",
-    # keys no rule reads: an IndexError traceback, an ignored line, and a deleted knob
+    # keys no rule reads: an IndexError traceback, an ignored line, and deleted knobs
     "engine.weights = 1",
     "engine.weights = none",
     "analysis.include_partial = yes",
+    "scan.scanner_label = n map",
+    "session.sshd_pid = 0",
+    # used to merge the scanner's presentations into the browser's under one label
+    "scan.scanner_label = firefox",
 ])
 def test_pipeline_rejects_event_breaking_config_at_load(tmp_path, capsys, setting):
     conf = tmp_path / "bad.conf"
@@ -127,7 +142,6 @@ def test_generate_rejects_non_finite_profile_values(tmp_path, capsys, kind, sett
     ("passive-normal", "scan.probe_interval = 0.000001"),  # about 86M probes: MemoryError
     ("passive-normal", "scan.probe_interval = 5e-324"),  # an infinite port count: OverflowError
     ("passive-normal", "scan.target_count = 1000000000"),  # one port on each of 1e9 targets
-    ("passive-normal", "scan.ports_per_host = 100000"),
     # each looped about 1e9 times per virtual second
     ("passive-normal", "session.sshd_syscall_rate = 1e9"),
     ("active-normal", "normal.syscall_rate = 1e9"),
@@ -349,6 +363,9 @@ def test_run_rejects_non_finite_times(tmp_path, capsys, text, fragment):
          "line 1: duration 1000000000.0 exceeds the maximum 86400"),
         # a size past float range used to end in an OverflowError traceback in ss2
         (f"P 1 sent udp - {10**309}\n", f"line 1: size {10**309} above maximum 65535"),
+        # a later annotation used to lift the first one's limit and replay 100 ticks
+        ("# duration=5\nE 1 7 sshd syscall\n# duration=100\nE 50 7 sshd syscall\n",
+         "line 3: second duration annotation"),
     ],
 )
 def test_run_rejects_invalid_event_files(tmp_path, capsys, text, fragment):

@@ -88,21 +88,17 @@ EVERY_KEY = {
                 "ds1_input_cap": 900.0, "ss1_delta_max": 400.0, "ss2_window_seconds": 30,
                 "ss2_default": 90.0, "ss2_step_bounds": (40.0, 55.0, 70.0),
                 "ss2_step_values": (5.0, 20.0, 60.0), "ss2_top": 95.0},
-    "scan": {"target_count": 100, "hosts_up": 30, "ports_per_host": 7,
-             "probe_interval": 0.1, "scanner_pid": 4000, "scanner_label": "zmap",
-             "parent_pid": 3999, "parent_label": "tty", "open_port_fraction": 0.1,
-             "icmp_reply_rate": 0.2, "salvo_rate": 300.0, "syscalls_per_probe": 3,
-             "syscalls_per_reply": 20, "relay_syscalls_per_reply": 4,
+    "scan": {"target_count": 100, "hosts_up": 30, "probe_interval": 0.1,
+             "open_port_fraction": 0.1, "icmp_reply_rate": 0.2, "salvo_rate": 300.0,
+             "syscalls_per_probe": 3, "syscalls_per_reply": 20, "relay_syscalls_per_reply": 4,
              "relay_packets_per_salvo": 10, "relay_packet_size": 120},
-    "normal": {"mean_pps": 12.0, "mean_packet_size": 80.0, "browser_pid": 2000,
-               "browser_label": "chrome", "child_pids": (2001, 2002, 2003),
-               "syscall_rate": 0.5, "activity_period": 50.0, "activity_pps": 30.0,
+    "normal": {"mean_pps": 12.0, "mean_packet_size": 80.0, "syscall_rate": 0.5,
+               "activity_period": 50.0, "activity_pps": 30.0,
                "activity_length": (2.0, 5.0), "download_period": 500.0,
                "download_pps": 150.0, "download_size": 300.0,
                "download_length": (4.0, 10.0), "stall_flush_syscalls": 50.0,
                "tcp_fraction": 0.7, "udp_fraction": 0.2, "sent_fraction": 0.5},
-    "session": {"sshd_pid": 3000, "sshd_label": "dropbear", "sshd_syscall_rate": 0.3,
-                "login_time": 4.0},
+    "session": {"sshd_syscall_rate": 0.3, "login_time": 4.0},
     "analysis": {"window_size": 5000, "mcav_threshold": 0.6, "min_confidence": 500},
 }
 
@@ -140,17 +136,11 @@ def test_every_field_of_every_section_round_trips():
 
 def test_override_typed_values():
     config = apply_overrides(PipelineConfig(), {
-        "scan.ports_per_host": "none",
-        "normal.child_pids": "10, 11, 12",
         "normal.activity_length": "2, 6",
         "signals.ss2_step_bounds": "40, 55, 70",
     })
-    assert config.scan.ports_per_host is None
-    assert config.normal.child_pids == (10, 11, 12)
     assert config.normal.activity_length == (2.0, 6.0)
     assert config.signals.ss2_step_bounds == (40.0, 55.0, 70.0)
-    with_port = apply_overrides(PipelineConfig(), {"scan.ports_per_host": "77"})
-    assert with_port.scan.ports_per_host == 77
 
 
 @pytest.mark.parametrize(

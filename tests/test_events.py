@@ -143,6 +143,9 @@ def test_parse_rejects_unknown_tag():
         ("# duration=1e1\n", 1, "bad duration annotation"),
         ("# duration=10.00\n", 1, "bad duration annotation"),
         ("# duration=010\n", 1, "bad duration annotation"),
+        # a later annotation used to lift the limit the first one set
+        ("# duration=5\nE 1 7 sshd syscall\n# duration=100\nE 50 7 sshd syscall\n", 3,
+         "second duration annotation"),
     ],
 )
 def test_parse_rejects_invalid_line(text, line_no, fragment):
