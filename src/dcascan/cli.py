@@ -19,7 +19,6 @@ import signal
 import sys
 from collections import deque
 from contextlib import contextmanager, nullcontext, suppress
-from dataclasses import replace
 from functools import partial
 
 from . import analysis, pipeline
@@ -80,9 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
     ana = commands.add_parser("analyze", help="score a presentation log")
     ana.add_argument("log", metavar="PRESENTATIONS_CSV")
     ana.add_argument("--out-dir", default=".", metavar="DIR")
-    ana.add_argument("--window-size", type=int, default=None)
-    ana.add_argument("--mcav-threshold", type=float, default=None)
-    ana.add_argument("--min-confidence", type=int, default=None)
     _add_config_arg(ana)
     ana.set_defaults(func=cmd_analyze)
 
@@ -201,11 +197,9 @@ def _analyze(log, out_dir, config: analysis.AnalysisConfig) -> None:
 
 
 def cmd_analyze(args) -> int:
-    flags = ("window_size", "mcav_threshold", "min_confidence")
     _check_paths([("log", args.log), ("config file", args.config)],
                  _analysis_outputs(args.out_dir))
-    updates = {name: getattr(args, name) for name in flags if getattr(args, name) is not None}
-    _analyze(args.log, args.out_dir, replace(build_config(args.config).analysis, **updates))
+    _analyze(args.log, args.out_dir, build_config(args.config).analysis)
     return 0
 
 

@@ -213,8 +213,7 @@ class DcaEngine:
                     store.append(take(j))
                     free.append(j)
                     room -= 1
-            csm = cell.csm + d_csm
-            cell.csm = csm = csm if csm > 0.0 else 0.0
+            cell.csm = csm = cell.csm + d_csm
             semi = cell.semi + d_semi
             cell.semi = semi if semi > 0.0 else 0.0
             mature = cell.mature + d_mature

@@ -27,7 +27,6 @@ from .errors import StreamParseError
 DIRECTIONS = ("sent", "recv")
 PROTOCOLS = ("tcp", "udp", "icmp", "other")
 TCP_FLAGS = ("syn", "ack", "rst", "fin")  # also the order flags are written in
-_TCP_FLAG_SET = frozenset(TCP_FLAGS)
 # Every tcp flag set keyed by its written text, "-" for none; events share these sets.
 TCP_FLAG_SETS = {",".join(c) or "-": frozenset(c)
                  for n in range(5) for c in itertools.combinations(TCP_FLAGS, n)}
@@ -76,10 +75,6 @@ class EventStream:
 
     events: list[PacketEvent | ProcessEvent] = field(default_factory=list)
     duration: float = 0.0
-
-    @property
-    def event_count(self) -> int:
-        return len(self.events)
 
 
 @dataclass(slots=True)
@@ -136,13 +131,9 @@ def _parse_packet(parts: list[str], line_no: int) -> tuple:
         raise StreamParseError(line_no, f"unknown direction {direction!r}")
     if protocol not in PROTOCOLS:
         raise StreamParseError(line_no, f"unknown protocol {protocol!r}")
-    if flags_text == "-" and protocol != "tcp":
-        flags = None
-    elif protocol != "tcp" or (flags := TCP_FLAG_SETS.get(flags_text)) is None:
-        flags = frozenset(flags_text.split(","))
-        if protocol != "tcp" or not flags <= _TCP_FLAG_SET:
-            raise StreamParseError(line_no, f"bad tcp flags {flags_text!r} for protocol {protocol}")
-        flags = TCP_FLAG_SETS[_flags_text(flags)]
+    flags = TCP_FLAG_SETS.get(flags_text) if protocol == "tcp" else None
+    if flags is None and (protocol == "tcp" or flags_text != "-"):
+        raise StreamParseError(line_no, f"bad tcp flags {flags_text!r} for protocol {protocol}")
     icmp_type = parts[6] if len(parts) == 7 else None
     if icmp_type not in (ICMP_TYPES if protocol == "icmp" else (None,)):
         raise StreamParseError(line_no, f"bad icmp type {icmp_type!r} for protocol {protocol}")

@@ -37,12 +37,12 @@ DATASET_KINDS = ("passive-normal", "active-normal")
 _DEFAULT_SCAN_START_FRAC = 0.093
 _DEFAULT_SCAN_LEN_FRAC = 0.857
 
-# Bounds of what the generator is asked to emit: probes per scan (the default
-# scan over the longest session sends about 1.48M) and per salvo, events per second for
-# every Poisson rate of a profile, since each event drawn is one loop pass,
-# events per probe, reply or salvo for each burst count of the scan, and the
-# events a whole session is expected to hold (about 20M by default at most),
-# which bounds the time, not the memory, that making them takes.
+# Bounds of what the generator is asked to emit: probes per scan (the default scan over the
+# longest session sends about 1.48M) and per salvo; events per second for each Poisson rate of
+# a profile, as each event drawn is one loop pass; events per probe, reply or salvo for each
+# burst count, so that a burst (0.2 ms a call) spans under a second, as GeneratedStream keeps
+# and re-sorts its lane each second it runs on; and the events a session is expected to hold
+# (about 20M by default at most), which bounds the time, not the memory, of making them.
 MAX_PROBES = 2_000_000
 MAX_RATE = 10_000.0
 MAX_BURST = 1_000

@@ -366,6 +366,8 @@ def test_run_rejects_non_finite_times(tmp_path, capsys, text, fragment):
         # a later annotation used to lift the first one's limit and replay 100 ticks
         ("# duration=5\nE 1 7 sshd syscall\n# duration=100\nE 50 7 sshd syscall\n",
          "line 3: second duration annotation"),
+        # a flag set spelled as the writer never writes it used to replay
+        ("P 1 recv tcp ack,syn 44\n", "line 1: bad tcp flags 'ack,syn' for protocol tcp"),
     ],
 )
 def test_run_rejects_invalid_event_files(tmp_path, capsys, text, fragment):
@@ -696,8 +698,9 @@ def test_analyze_verdict_per_label(tmp_path, capsys):
     )
     write_log(records, log)
     out_dir = tmp_path / "scores"
-    code = main(["analyze", str(log), "--out-dir", str(out_dir),
-                 "--window-size", "20", "--min-confidence", "10"])
+    conf = tmp_path / "scores.conf"
+    conf.write_text("analysis.window_size = 20\nanalysis.min_confidence = 10\n")
+    code = main(["analyze", str(log), "--out-dir", str(out_dir), "--config", str(conf)])
     assert code == 0
     verdict_lines = (out_dir / "verdicts.csv").read_text().splitlines()
     assert verdict_lines[0] == "label,verdict,mean_mcav,presentations"
@@ -725,10 +728,22 @@ def test_analyze_rejects_a_window_longer_than_islice_takes(tmp_path, capsys):
     # used to end in a ValueError traceback from itertools.islice, with exit code 1
     log = tmp_path / "log.csv"
     write_log([_rec("nmap", 1, 1.0)] * 3, log)
+    conf = tmp_path / "scores.conf"
+    conf.write_text("analysis.window_size = 100000000000000000000\n")
     assert main(["analyze", str(log), "--out-dir", str(tmp_path / "scores"),
-                 "--window-size", "100000000000000000000"]) == 2
+                 "--config", str(conf)]) == 2
     assert capsys.readouterr().err == ("config error: window_size must lie in "
                                        "[1, 9,223,372,036,854,775,807], got 100000000000000000000\n")
+    assert not (tmp_path / "scores").exists()
+
+
+@pytest.mark.parametrize("flag", ["--window-size", "--mcav-threshold", "--min-confidence"])
+def test_analyze_takes_its_settings_only_from_the_config_file(tmp_path, capsys, flag):
+    # The analysis.* keys set these; the flags that set them a second way are gone.
+    log = tmp_path / "log.csv"
+    write_log([_rec("nmap", 1, 1.0)] * 3, log)
+    assert main(["analyze", str(log), "--out-dir", str(tmp_path / "scores"), flag, "20"]) == 1
+    assert capsys.readouterr() == ("", f"usage error: unrecognized arguments: {flag} 20\n")
     assert not (tmp_path / "scores").exists()
 
 

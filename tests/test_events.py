@@ -46,7 +46,7 @@ def _buckets_of(lines):
 
 def test_parse_empty_input():
     stream = parse_stream("")
-    assert stream.event_count == 0
+    assert len(stream.events) == 0
     assert stream.duration == 0.0
 
 
@@ -119,6 +119,10 @@ def test_parse_rejects_unknown_tag():
         ("P 1 up tcp syn 40\n", 1, "unknown direction 'up'"),
         ("P 1 sent sctp - 40\n", 1, "unknown protocol 'sctp'"),
         ("P 1 sent tcp syn,urg 40\n", 1, "bad tcp flags 'syn,urg' for protocol tcp"),
+        # a flag set is spelled as the writer writes it: in TCP_FLAGS order, each flag once
+        ("P 1 recv tcp ack,syn 44\n", 1, "bad tcp flags 'ack,syn' for protocol tcp"),
+        ("P 1 sent tcp syn,syn 40\n", 1, "bad tcp flags 'syn,syn' for protocol tcp"),
+        ("P 1 sent tcp fin,syn,ack 40\n", 1, "bad tcp flags 'fin,syn,ack' for protocol tcp"),
         ("P 1 recv icmp - 56 bogus\n", 1, "bad icmp type 'bogus'"),
         ("E 2 5 sshd login\nP 1.5 sent udp - 60\n", 2, "before the earlier event at 2"),
         ("P 5 sent udp - 60\n# duration=3\n", 2, "duration 3.0 is before the earlier event at 5"),
@@ -512,7 +516,7 @@ def test_both_readers_end_lines_where_a_text_file_does(tmp_path, text, events):
                 list(_buckets_of(fh))
         return
     stream = parse_stream(text)
-    assert stream.event_count == events
+    assert len(stream.events) == events
     with open(path, encoding="utf-8") as fh:
         assert list(_buckets_of(fh)) == list(iter_buckets(stream))
 
@@ -541,7 +545,7 @@ def test_save_stream_writes_line_by_line(tmp_path, kind):
 
 
 def test_both_readers_share_one_set_per_flag_text(tmp_path):
-    text = ("P 1 sent tcp syn,ack 44\nP 2 recv tcp ack,syn 44\nP 3 sent tcp syn,ack 44\n"
+    text = ("P 1 sent tcp syn,ack 44\nP 2 recv tcp syn,ack 44\nP 3 sent tcp syn,ack 44\n"
             "P 4 sent tcp - 40\nP 5 recv tcp - 40\n")
     path = tmp_path / "events.txt"
     path.write_text(text, encoding="utf-8")

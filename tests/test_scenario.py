@@ -163,6 +163,14 @@ def test_scan_burst_counts_are_bounded(name):
             ScanProfile(**{name: value})
 
 
+def test_the_largest_burst_spans_under_a_second():
+    # GeneratedStream keeps a burst that runs past its second in a lane and re-sorts that lane
+    # every second it runs on; MAX_EVENTS alone would admit one of over an hour.
+    burst = _burst(*scenario.SCANNER, 5.0, MAX_BURST)
+    assert len(burst) == MAX_BURST
+    assert burst[-1].timestamp - burst[0].timestamp < 1.0
+
+
 # --------------------------------------------------------------------------
 # desktop traffic
 
