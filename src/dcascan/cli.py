@@ -24,7 +24,7 @@ from functools import partial
 from . import analysis, pipeline
 from .config import PipelineConfig, build_config
 from .errors import ConfigError, DcaError
-from .events import iter_buckets, read_frames, replacing, save_stream, write_frames, write_stream
+from .events import FrameStream, iter_buckets, replacing, save_stream, write_frames, write_stream
 from .scenario import DATASET_KINDS, gen_dataset
 
 
@@ -163,7 +163,7 @@ def cmd_run(args) -> int:
     with open(args.events, "r", encoding="utf-8") as fh, \
             _tick_writer(args.out, args.signal_trace) as each_tick, \
             _in_child(f"the reader of {args.events}", partial(write_frames, fh)) as receive:
-        result = pipeline.run_stream(read_frames(receive), config.engine, config.signals,
+        result = pipeline.run_stream(iter_buckets(FrameStream(receive)), config.engine, config.signals,
                                      seed=args.seed, each_tick=each_tick)
     print(f"replayed {result.ticks} ticks: {result.audit['presented']} presentations "
           f"({result.audit['ingested']} antigen ingested, "

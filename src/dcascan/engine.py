@@ -48,25 +48,18 @@ class WeightMatrix:
             raise ConfigError(f"mature_safe must be negative, got {self.mature_safe}")
 
 
-def increments(pamp: float, danger: float, safe: float, inflammation: int,
-               weights: WeightMatrix) -> tuple[float, float, float]:
-    """The (csm, semi, mature) increments one tick adds to every cell."""
-    factor = weights.inflammation_base + inflammation
+def increments(signals: SignalVector, weights: WeightMatrix) -> tuple[float, float, float]:
+    """The (csm, semi, mature) increments one tick's signals add to every cell:
+    each category is the mean of its two signals, scaled by the inflammation factor."""
+    pamp = (signals.pamp1 + signals.pamp2) / 2.0
+    danger = (signals.ds1 + signals.ds2) / 2.0
+    safe = (signals.ss1 + signals.ss2) / 2.0
+    factor = weights.inflammation_base + signals.inflammation
     return (
         factor * (weights.csm_pamp * pamp + weights.csm_danger * danger + weights.csm_safe * safe),
         factor * (weights.semi_pamp * pamp + weights.semi_danger * danger + weights.semi_safe * safe),
         factor * (weights.mature_pamp * pamp + weights.mature_danger * danger
                   + weights.mature_safe * safe),
-    )
-
-
-def combine_categories(signals: SignalVector) -> tuple[float, float, float, int]:
-    """Collapse the seven signals into (pamp, danger, safe, inflammation)."""
-    return (
-        (signals.pamp1 + signals.pamp2) / 2.0,
-        (signals.ds1 + signals.ds2) / 2.0,
-        (signals.ss1 + signals.ss2) / 2.0,
-        signals.inflammation,
     )
 
 
@@ -189,8 +182,7 @@ class DcaEngine:
         """
         tissue = self.tissue
         tissue.store_all(antigens)
-        pamp, danger, safe, inflammation = combine_categories(signals)
-        d_csm, d_semi, d_mature = increments(pamp, danger, safe, inflammation, self.config.weights)
+        d_csm, d_semi, d_mature = increments(signals, self.config.weights)
         rng = self.rng
         n = tissue.capacity
         getrandbits = rng.getrandbits

@@ -30,6 +30,8 @@ TCP_FLAGS = ("syn", "ack", "rst", "fin")  # also the order flags are written in
 # Every tcp flag set keyed by its written text, "-" for none; events share these sets.
 TCP_FLAG_SETS = {",".join(c) or "-": frozenset(c)
                  for n in range(5) for c in itertools.combinations(TCP_FLAGS, n)}
+# The written text of each tcp flag set, "-" for none: TCP_FLAG_SETS read backwards.
+_FLAG_TEXT = {None: "-", **{flags: text for text, flags in TCP_FLAG_SETS.items()}}
 ICMP_TYPES = ("dest_unreachable", "echo_request", "echo_reply", "time_exceeded", "other")
 PROCESS_KINDS = ("syscall", "login", "logout")
 # Parsed events share these strings, not one fresh copy per line.
@@ -91,14 +93,10 @@ def format_time(t: float) -> str:
     return str(int(t)) if t.is_integer() else repr(t)
 
 
-def _flags_text(flags: frozenset[str]) -> str:
-    return ",".join(f for f in TCP_FLAGS if f in flags)
-
-
 def _packet_line(p: PacketEvent) -> str:
-    flags = _flags_text(p.tcp_flags) if p.tcp_flags else "-"
     tail = f" {p.icmp_type}" if p.icmp_type is not None else ""
-    return f"P {format_time(p.timestamp)} {p.direction} {p.protocol} {flags} {p.size_bytes}{tail}\n"
+    return (f"P {format_time(p.timestamp)} {p.direction} {p.protocol} {_FLAG_TEXT[p.tcp_flags]} "
+            f"{p.size_bytes}{tail}\n")
 
 
 def _process_line(e: ProcessEvent) -> str:
@@ -180,7 +178,7 @@ def write_frames(lines: Iterable[str]) -> Iterator[tuple | float]:
     lines checked before it; nothing is sorted.  A tail, the text after the
     time, is parsed to ``(is_packet, fields)`` once and kept in a memo of up
     to MAX_TAILS tails, cleared when full, so a repeated tail costs only the
-    time check and is one object in its frame.  _Frames builds the events.
+    time check and is one object in its frame.  FrameStream builds the events.
     """
     duration, last, last_text, limit = None, 0.0, None, MAX_DURATION
     memo: dict[tuple[str, str], tuple] = {}
@@ -232,16 +230,18 @@ def write_frames(lines: Iterable[str]) -> Iterator[tuple | float]:
     yield last if duration is None else duration
 
 
-class _Frames:
-    """The build step: the events of the frames that ``receive()`` returns,
-    in file order, each made from its time and parsed tail with no parse of
-    its own; ``duration`` holds the file's once the frames are exhausted."""
+class FrameStream:
+    """The build step, read like an EventStream: ``events`` builds the events
+    of the frames that ``receive()`` returns, in file order, each from its
+    time and parsed tail with no parse of its own.  The frames are read once;
+    ``duration`` holds the file's once those events are exhausted."""
 
     def __init__(self, receive):
         self.receive = receive
         self.duration = 0.0
 
-    def __iter__(self) -> Iterator[PacketEvent | ProcessEvent]:
+    @property
+    def events(self) -> Iterator[PacketEvent | ProcessEvent]:
         makers = (ProcessEvent, PacketEvent)
         while type(frame := self.receive()) is tuple:
             for ts, (is_packet, fields) in zip(*frame):
@@ -252,8 +252,8 @@ class _Frames:
 def parse_stream(text: str) -> EventStream:
     """Parse event-file text into an EventStream; every rule of write_frames applies."""
     # newline=None ends lines where a file opened in text mode does, as `run` reads them.
-    frames = _Frames(write_frames(io.StringIO(text, newline=None)).__next__)
-    return EventStream(list(frames), frames.duration)
+    frames = FrameStream(write_frames(io.StringIO(text, newline=None)).__next__)
+    return EventStream(list(frames.events), frames.duration)
 
 
 def load_stream(path) -> EventStream:
@@ -296,36 +296,24 @@ def save_stream(stream: EventStream, path) -> tuple[int, int]:
         return write_stream(stream, fh)
 
 
-def _bucketed(events: Iterable[PacketEvent | ProcessEvent], source) -> Iterator[TickBucket]:
-    """Split time-ordered events into one TickBucket per whole virtual second.
+def iter_buckets(stream) -> Iterator[TickBucket]:
+    """Yield one TickBucket per whole virtual second of a stream's time-ordered
+    events, in order: of an EventStream, a generated stream or a FrameStream.
 
     Every event lands in the bucket of its floored timestamp; seconds without
-    events get empty buckets, up to ``source.duration`` read at the end.  A
-    final partial second is a whole bucket, and an event exactly on an
-    integral duration gets a bucket of its own.
+    events get empty buckets, up to ``stream.duration`` read once the events
+    are exhausted.  A final partial second is a whole bucket, and an event
+    exactly on an integral duration gets a bucket of its own.
     """
     bucket = TickBucket(0)
-    for event in events:
+    for event in stream.events:
         if event.timestamp >= bucket.second + 1:
             yield bucket
             second = math.floor(event.timestamp)
             yield from map(TickBucket, range(bucket.second + 1, second))
             bucket = TickBucket(second)
         (bucket.packet_events if type(event) is PacketEvent else bucket.process_events).append(event)
-    end = math.ceil(source.duration)
+    end = math.ceil(stream.duration)
     if bucket.second < end or bucket.packet_events or bucket.process_events:
         yield bucket
     yield from map(TickBucket, range(bucket.second + 1, end))
-
-
-def iter_buckets(stream: EventStream) -> Iterator[TickBucket]:
-    """Yield one TickBucket per whole virtual second of the stream, in order."""
-    yield from _bucketed(stream.events, stream)
-
-
-def read_frames(receive) -> Iterator[TickBucket]:
-    """The buckets of the frames of write_frames, holding one second of events
-    and one frame at a time: the buckets iter_buckets yields for the stream
-    parse_stream would build from the same lines."""
-    frames = _Frames(receive)
-    yield from _bucketed(frames, frames)

@@ -23,11 +23,11 @@ def run_stream(buckets: Iterable[TickBucket],
                seed: int = 0,
                each_tick: Callable[[int, SignalVector, list[tuple[ProcessEvent, int]]], object]
                ) -> RunResult:
-    """Replay one-second buckets in order, as ``events.iter_buckets`` or
-    ``events.read_frames`` yields them, through a fresh deriver and an engine
-    seeded with ``seed``; each bucket's syscall events are the antigens, not
-    copies.  After each tick's conservation check, ``each_tick(second,
-    signals, records)`` gets the tick's output, which the replay does not keep."""
+    """Replay one-second buckets in order, as ``events.iter_buckets`` yields
+    them, through a fresh deriver and an engine seeded with ``seed``; each
+    bucket's syscall events are the antigens, not copies.  After each tick's
+    conservation check, ``each_tick(second, signals, records)`` gets the
+    tick's output, which the replay does not keep."""
     deriver = SignalDeriver(signal_config)
     engine = DcaEngine(engine_config, seed)
     for bucket in buckets:

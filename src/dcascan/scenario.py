@@ -318,11 +318,10 @@ def gen_dataset(kind: str, duration: float, seed: int, *,
     """Generate a complete labelled session as a GeneratedStream.
 
     ``passive-normal`` holds the scan and its ssh session only;
-    ``active-normal`` adds concurrent desktop traffic; underscores may
-    stand for the hyphen.  The scan window defaults to roughly the middle
-    nine tenths of the session.  Arguments are checked here, not on a read.
+    ``active-normal`` adds concurrent desktop traffic.  The scan window
+    defaults to roughly the middle nine tenths of the session.  Arguments
+    are checked here, not on a read.
     """
-    kind = kind.replace("_", "-")
     if kind not in DATASET_KINDS:
         raise ConfigError(f"unknown dataset kind {kind!r}")
     for name, value in (("duration", duration), ("scan_start", scan_start),

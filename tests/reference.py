@@ -26,6 +26,7 @@ from dcascan.events import EventStream, ProcessEvent
 from dcascan.pipeline import run_stream
 from dcascan.scenario import (SSHD, NormalProfile, ScanProfile, SessionProfile, _sshd,
                               gen_normal, gen_syn_scan, scan_salvos)
+from dcascan.signals import SignalVector
 
 
 def draw_slots(rng: random.Random, n: int, k: int) -> list[int]:
@@ -77,9 +78,8 @@ class ReferenceCell(DendriticCell):
                 if antigen is not None:
                     self.antigen_store.append(antigen)
 
-    def update_signals(self, pamp: float, danger: float, safe: float,
-                       inflammation: int, weights: WeightMatrix) -> None:
-        d_csm, d_semi, d_mature = increments(pamp, danger, safe, inflammation, weights)
+    def update_signals(self, signals: SignalVector, weights: WeightMatrix) -> None:
+        d_csm, d_semi, d_mature = increments(signals, weights)
         self.csm = max(0.0, self.csm + d_csm)
         self.semi = max(0.0, self.semi + d_semi)
         self.mature = max(0.0, self.mature + d_mature)
@@ -109,7 +109,6 @@ def reference_dataset(kind: str, duration: float, seed: int, *, scan_start=None,
                       scan_duration=None, scan=None, normal=None, session=None,
                       include_scan=True) -> EventStream:
     """The session ``gen_dataset`` makes for valid arguments, held whole."""
-    kind = kind.replace("_", "-")
     scan, normal, session = scan or ScanProfile(), normal or NormalProfile(), session or SessionProfile()
     if scan_start is None:
         scan_start = round(0.093 * duration, 1)

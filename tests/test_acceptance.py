@@ -129,7 +129,7 @@ def test_polar_streams_give_extreme_scores(capsys):
 
 @pytest.fixture(scope="module")
 def full_scale_run():
-    stream = gen_dataset("passive_normal", FULL_DURATION, 7)
+    stream = gen_dataset("passive-normal", FULL_DURATION, 7)
     start = time.perf_counter()
     error, result = None, None
     try:
@@ -154,7 +154,7 @@ def test_antigen_conservation_full_run(capsys, full_scale_run):
 
 def test_lone_scan_windows_all_flagged(capsys):
     start = time.perf_counter()
-    stream = gen_dataset("passive_normal", DESK_DURATION, 1,
+    stream = gen_dataset("passive-normal", DESK_DURATION, 1,
                          scan_start=SCAN_START, scan_duration=SCAN_LENGTH)
     _, records, _ = collect_run(iter_buckets(stream))
     elapsed = time.perf_counter() - start
@@ -183,7 +183,7 @@ def test_lone_scan_windows_all_flagged(capsys):
 
 def test_browsing_co_elevates_only_during_scan(capsys):
     start = time.perf_counter()
-    stream = gen_dataset("active_normal", DESK_DURATION, 1,
+    stream = gen_dataset("active-normal", DESK_DURATION, 1,
                          scan_start=SCAN_START, scan_duration=SCAN_LENGTH)
     _, records, _ = collect_run(iter_buckets(stream))
     elapsed = time.perf_counter() - start

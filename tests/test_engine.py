@@ -15,15 +15,14 @@ from dcascan.engine import (
     EngineConfig,
     TissueCompartment,
     WeightMatrix,
-    combine_categories,
     increments,
 )
 from dcascan.errors import ConfigError, EngineInvariantError
 from dcascan.events import (
+    FrameStream,
     ProcessEvent,
     TickBucket,
     iter_buckets,
-    read_frames,
     serialize_stream,
     write_frames,
 )
@@ -125,14 +124,17 @@ def test_every_slot_is_free_or_resident_after_every_tick(capacity, data):
 # signal fusion and cell state
 
 
-def test_combine_categories_means():
+def test_increments_average_each_signal_pair():
     sv = _vector(pamp1=30, pamp2=50, ds1=10, ds2=20, ss1=0, ss2=100, inflammation=1)
-    assert combine_categories(sv) == (40.0, 15.0, 50.0, 1)
+    means = _vector(pamp1=40, pamp2=40, ds1=15, ds2=15, ss1=50, ss2=50, inflammation=1)
+    # pamp 40, danger 15, safe 50, each doubled by the inflammation
+    expected = (390.0, 300.0, -110.0)
+    assert increments(sv, WeightMatrix()) == increments(means, WeightMatrix()) == expected
 
 
 def test_update_pamp_and_danger_raise_both_outputs():
     cell = ReferenceCell(50, 150.0)
-    cell.update_signals(100.0, 50.0, 0.0, 0, WeightMatrix())
+    cell.update_signals(_vector(pamp1=100, pamp2=100, ds1=50, ds2=50), WeightMatrix())
     # csm: 2*100 + 1*50, semi: 0, mature: 2*100 + 1*50
     assert cell.csm == 250.0
     assert cell.semi == 0.0
@@ -141,11 +143,11 @@ def test_update_pamp_and_danger_raise_both_outputs():
 
 def test_update_safe_floors_mature_at_zero():
     cell = ReferenceCell(50, 150.0)
-    cell.update_signals(0.0, 0.0, 100.0, 0, WeightMatrix())
+    cell.update_signals(_vector(ss1=100, ss2=100), WeightMatrix())
     assert cell.csm == 200.0
     assert cell.semi == 300.0
     assert cell.mature == 0.0  # 0 - 300 clamped
-    cell.update_signals(100.0, 50.0, 0.0, 0, WeightMatrix())
+    cell.update_signals(_vector(pamp1=100, pamp2=100, ds1=50, ds2=50), WeightMatrix())
     assert cell.csm == 450.0
     assert cell.semi == 300.0
     assert cell.mature == 250.0
@@ -154,8 +156,8 @@ def test_update_safe_floors_mature_at_zero():
 
 def test_update_inflammation_doubles_every_increment():
     calm, inflamed = ReferenceCell(50, 150.0), ReferenceCell(50, 150.0)
-    calm.update_signals(10.0, 20.0, 5.0, 0, WeightMatrix())
-    inflamed.update_signals(10.0, 20.0, 5.0, 1, WeightMatrix())
+    calm.update_signals(_vector(10, 10, 20, 20, 5, 5, 0), WeightMatrix())
+    inflamed.update_signals(_vector(10, 10, 20, 20, 5, 5, 1), WeightMatrix())
     assert inflamed.csm == 2 * calm.csm
     assert inflamed.semi == 2 * calm.semi
     assert inflamed.mature == 2 * calm.mature
@@ -310,7 +312,7 @@ def test_tick_matches_cell_methods(per_tick):
             tissue.store_all((antigen,))
         for cell in cells:
             cell.sample(tissue, rng, config.antigens_per_update)
-            cell.update_signals(*combine_categories(sv), config.weights)
+            cell.update_signals(sv, config.weights)
         for cell in cells:
             if cell.wants_migration:
                 expected += cell.present()
@@ -525,7 +527,8 @@ def test_presented_antigens_are_the_parsed_syscall_events():
             syscalls.extend(ev for ev in bucket.process_events if ev.kind == "syscall")
             yield bucket
 
-    _, records, _ = collect_run(noting_syscalls(read_frames(write_frames(io.StringIO(text)).__next__)))
+    frames = FrameStream(write_frames(io.StringIO(text)).__next__)
+    _, records, _ = collect_run(noting_syscalls(iter_buckets(frames)))
     parsed = {id(ev) for ev in syscalls}
     assert records
     assert all(id(antigen) in parsed for _, antigen, _ in records)
@@ -538,7 +541,7 @@ def _context_rule_agreement(kind, config):
     _, records, trace = collect_run(iter_buckets(gen_dataset(kind, 500, 7)), config, seed=7)
     mature = {}
     for second, signals in trace:
-        _, d_semi, d_mature = increments(*combine_categories(signals), config.weights)
+        _, d_semi, d_mature = increments(signals, config.weights)
         mature[second] = d_mature > d_semi
     agree = sum(context == mature[second] for second, _, context in records)
     return len(records), agree / len(records)

@@ -24,14 +24,15 @@ from dcascan.events import (
     MAX_TAILS,
     MIN_PACKET_SIZE,
     PROCESS_KINDS,
+    TCP_FLAG_SETS,
     EventStream,
+    FrameStream,
     PacketEvent,
     ProcessEvent,
     TickBucket,
     format_time,
     iter_buckets,
     parse_stream,
-    read_frames,
     save_stream,
     serialize_stream,
     write_frames,
@@ -41,7 +42,7 @@ from dcascan.scenario import DATASET_KINDS, gen_dataset
 
 def _buckets_of(lines):
     """The buckets of an event file's lines, checked and built as ``run`` reads them."""
-    return read_frames(write_frames(lines).__next__)
+    return iter_buckets(FrameStream(write_frames(lines).__next__))
 
 
 def test_parse_empty_input():
@@ -461,7 +462,8 @@ def test_run_with_and_without_fork_agree(text):
 def _framed(lines):
     """The buckets of _buckets_of, with every object that write_frames yields
     passed through marshal, as the pipe of a forked reader passes it."""
-    return read_frames(map(marshal.loads, map(marshal.dumps, write_frames(lines))).__next__)
+    frames = map(marshal.loads, map(marshal.dumps, write_frames(lines)))
+    return iter_buckets(FrameStream(frames.__next__))
 
 
 def test_frames_round_trip_marshal_across_a_memo_clear():
@@ -481,7 +483,7 @@ def test_a_marshalled_frame_keeps_one_object_per_repeated_tail():
     times, tails = marshal.loads(marshal.dumps(frame))  # as the pipe of a forked reader passes it
     assert times == [0.0, 0.5, 1.0, 2.0, 2.0]
     assert tails[0] is tails[2] and tails[1] is tails[3] and len(set(map(id, tails))) == 3
-    built = read_frames(iter([(times, tails), duration]).__next__)
+    built = iter_buckets(FrameStream(iter([(times, tails), duration]).__next__))
     assert list(built) == list(iter_buckets(parse_stream(text)))
 
 
@@ -556,3 +558,14 @@ def test_both_readers_share_one_set_per_flag_text(tmp_path):
     assert flags[:5] == [frozenset(("syn", "ack"))] * 3 + [frozenset()] * 2
     assert len({id(f) for f in flags[:3] + flags[5:8]}) == 1
     assert len({id(f) for f in flags[3:5] + flags[8:]}) == 1
+
+
+def test_every_tcp_flag_set_is_written_as_its_text_and_read_back_as_its_set():
+    assert len(TCP_FLAG_SETS) == 16
+    for text, flags in TCP_FLAG_SETS.items():
+        written = serialize_stream(EventStream([PacketEvent(1.0, "sent", "tcp", flags, 40)], 1.0))
+        assert written.splitlines()[1] == f"P 1 sent tcp {text} 40"
+        assert parse_stream(written).events[0].tcp_flags is flags
+    # A set the format cannot spell fails at write, not as a line the reader rejects.
+    with pytest.raises(KeyError):
+        serialize_stream(EventStream([PacketEvent(1.0, "sent", "tcp", frozenset({"urg"}))], 1.0))

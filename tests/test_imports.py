@@ -115,3 +115,18 @@ def test_every_file_is_written_through_one_part_writer():
                 renames.append(where)
     assert set(writers) - {"cli._in_child"} == {"events.replacing"}
     assert renames == ["events.replacing"]
+
+
+def test_every_bucket_is_made_by_one_bucketer():
+    """Only ``events.iter_buckets`` calls ``TickBucket`` or passes it on, as
+    ``map(TickBucket, ...)`` does: every command buckets its stream there."""
+    makers = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for owner, node in _owned_nodes(tree):
+            if isinstance(node, ast.Call) and any(
+                    isinstance(arg, ast.Name) and arg.id == "TickBucket"
+                    or isinstance(arg, ast.Attribute) and arg.attr == "TickBucket"
+                    for arg in [node.func, *node.args, *(kw.value for kw in node.keywords)]):
+                makers.append(f"{path.stem}.{owner}")
+    assert set(makers) == {"events.iter_buckets"}

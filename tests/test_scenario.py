@@ -251,29 +251,30 @@ def test_dataset_kinds_and_aliases():
     for kind in DATASET_KINDS:
         stream = gen_dataset(kind, 120, 1)
         assert stream.duration == 120.0
-    hyphen = gen_dataset("active-normal", 120, 1)
-    assert list(hyphen.events) == list(gen_dataset("active_normal", 120, 1).events)
+    for kind in ("passive_normal", "active_normal"):
+        with pytest.raises(ConfigError, match="unknown dataset kind"):
+            gen_dataset(kind, 120, 1)
 
 
 def test_dataset_rejects_bad_arguments():
     with pytest.raises(ConfigError, match="unknown dataset kind"):
         gen_dataset("mixed", 120, 1)
     with pytest.raises(ConfigError):
-        gen_dataset("passive_normal", 0, 1)
+        gen_dataset("passive-normal", 0, 1)
     with pytest.raises(ConfigError):
-        gen_dataset("passive_normal", 100, 1, scan_start=100)
+        gen_dataset("passive-normal", 100, 1, scan_start=100)
     with pytest.raises(ConfigError, match="scan_start lies outside the session"):
-        gen_dataset("passive_normal", 100, 1, scan_start=-5)
+        gen_dataset("passive-normal", 100, 1, scan_start=-5)
     with pytest.raises(ConfigError, match="scan_duration must be positive"):
-        gen_dataset("passive_normal", 100, 1, scan_duration=-50)
+        gen_dataset("passive-normal", 100, 1, scan_duration=-50)
     with pytest.raises(ConfigError, match="duration must lie in"):
-        gen_dataset("passive_normal", 86_400.5, 1)
+        gen_dataset("passive-normal", 86_400.5, 1)
     too_wide = ScanProfile(target_count=MAX_PROBES + 1, hosts_up=1)
     with pytest.raises(ConfigError, match="exceeds 2,000,000 probes"):
-        gen_dataset("passive_normal", 100, 1, scan=too_wide)
-    gen_dataset("passive_normal", 100, 1, scan=too_wide, include_scan=False)
+        gen_dataset("passive-normal", 100, 1, scan=too_wide)
+    gen_dataset("passive-normal", 100, 1, scan=too_wide, include_scan=False)
     with pytest.raises(ConfigError, match="exceeds 2,000,000 probes"):
-        gen_dataset("passive_normal", 100, 1, scan=ScanProfile(probe_interval=5e-324))
+        gen_dataset("passive-normal", 100, 1, scan=ScanProfile(probe_interval=5e-324))
 
 
 def test_probe_bound_admits_the_default_scan_over_the_longest_session(monkeypatch):
@@ -332,7 +333,7 @@ def _procs(stream):
 
 
 def test_dataset_event_ordering_and_bounds():
-    stream = gen_dataset("active_normal", 300, 6)
+    stream = gen_dataset("active-normal", 300, 6)
     times = [ev.timestamp for ev in stream.events]
     assert times == sorted(times)
     assert all(t <= 300 for t in times)
@@ -354,15 +355,15 @@ def test_dataset_events_are_in_file_order(kind, include_scan, seed, duration):
 
 
 def test_dataset_same_seed_reproduces_exactly():
-    first = list(gen_dataset("active_normal", 240, 42).events)
-    second = list(gen_dataset("active_normal", 240, 42).events)
-    other = list(gen_dataset("active_normal", 240, 43).events)
+    first = list(gen_dataset("active-normal", 240, 42).events)
+    second = list(gen_dataset("active-normal", 240, 42).events)
+    other = list(gen_dataset("active-normal", 240, 43).events)
     assert first == second
     assert first != other
 
 
 def test_passive_dataset_is_dominated_by_scanner_syscalls():
-    stream = gen_dataset("passive_normal", 600, 11)
+    stream = gen_dataset("passive-normal", 600, 11)
     by_name = Counter(e.process_name for e in _procs(stream) if e.kind == "syscall")
     share = (by_name["nmap"] + by_name["pts"]) / sum(by_name.values())
     assert share >= 0.95
@@ -381,14 +382,14 @@ def test_bench_scores_the_generated_scanner_labels():
 def test_dataset_derives_port_count_from_window():
     # 1000 s session: scan window 857 s at 0.05 s/probe over 254 targets
     # works out to 67 ports each, hence exactly 254 * 67 first contacts.
-    stream = gen_dataset("passive_normal", 1000, 4)
+    stream = gen_dataset("passive-normal", 1000, 4)
     syns = sum(1 for p in _packets(stream)
                if p.direction == "sent" and p.tcp_flags == frozenset(("syn",)))
     assert syns == 254 * 67
 
 
 def test_dataset_without_scan_has_no_probe_flood():
-    stream = gen_dataset("active_normal", 200, 9, include_scan=False)
+    stream = gen_dataset("active-normal", 200, 9, include_scan=False)
     packets = _packets(stream)
     per_second = Counter(int(p.timestamp) for p in packets if p.direction == "sent")
     assert max(per_second.values(), default=0) < 300
@@ -399,7 +400,7 @@ def test_dataset_without_scan_has_no_probe_flood():
 
 def test_session_profile_defaults():
     session = SessionProfile()
-    stream = gen_dataset("passive_normal", 60, 2, session=session,
+    stream = gen_dataset("passive-normal", 60, 2, session=session,
                          include_scan=False)
     logins = [e for e in _procs(stream) if e.kind == "login"]
     assert len(logins) == 1
