@@ -16,7 +16,7 @@ import statistics
 import sys
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import ValidationError, check_fields
@@ -36,22 +36,6 @@ class AnalysisConfig:
 
 
 @dataclass(frozen=True)
-class LabelWindowStats:
-    presentations: int
-    mature: int
-    mcav: float
-    proportion: float
-
-
-@dataclass
-class McavWindow:
-    index: int
-    size: int
-    partial: bool
-    labels: dict[str, LabelWindowStats] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
 class LabelSummary:
     windows: int
     mean_mcav: float
@@ -65,61 +49,42 @@ VERDICT_NORMAL = "normal"
 VERDICT_INSUFFICIENT = "insufficient-evidence"
 
 
-def compute_mcav_windows(records: Iterable[tuple[str, int]],
-                         config: AnalysisConfig = AnalysisConfig()) -> list[McavWindow]:
-    """Cut the (label, context) pairs, any iterable, into count windows and
-    score each label, holding one window of pairs at a time."""
-    windows: list[McavWindow] = []
-    size = config.window_size
+def compute_mcav_windows(records: Iterable[tuple[str, int]], config: AnalysisConfig = AnalysisConfig()
+                         ) -> list[tuple[int, Counter, Counter]]:
+    """Cut the (label, context) pairs, any iterable, into count windows,
+    holding one window of pairs at a time.  A window is its size and, per
+    label, its presentations and its mature presentations: two ``Counter``s."""
+    windows = []
     records = iter(records)
-    while chunk := list(itertools.islice(records, size)):
-        window = McavWindow(
-            index=len(windows),
-            size=len(chunk),
-            partial=len(chunk) < size,
-        )
-        totals = Counter(label for label, _ in chunk)
-        mature = Counter(label for label, context in chunk if context == 1)
-        for label in sorted(totals):
-            window.labels[label] = LabelWindowStats(
-                presentations=totals[label],
-                mature=mature[label],
-                mcav=mature[label] / totals[label],
-                proportion=totals[label] / len(chunk),
-            )
-        windows.append(window)
+    while chunk := list(itertools.islice(records, config.window_size)):
+        windows.append((len(chunk), Counter(label for label, _ in chunk),
+                        Counter(label for label, context in chunk if context == 1)))
     return windows
 
 
-def session_summary(windows: list[McavWindow]) -> dict[str, LabelSummary]:
-    """Average the per-window MCAVs of ``compute_mcav_windows`` per label.
+def session_summary(windows: list[tuple[int, Counter, Counter]],
+                    config: AnalysisConfig) -> dict[str, LabelSummary]:
+    """Average each label's MCAV over the windows of ``compute_mcav_windows``.
 
     Windows where a label never appears do not contribute to its mean, and
-    neither does a trailing partial window.  Counts and proportions cover
-    every record, partial window included.
+    neither does a partial window, one shorter than ``config.window_size``.
+    Counts and proportions cover every record, partial window included.
     """
-    total_records = sum(window.size for window in windows)
-    session_counts: dict[str, int] = {}
+    counts: Counter = Counter()
     per_label_mcavs: dict[str, list[float]] = {}
-    for window in windows:
-        for label, stats in window.labels.items():
-            session_counts[label] = session_counts.get(label, 0) + stats.presentations
+    for size, totals, mature in windows:
+        counts.update(totals)
+        for label, presentations in totals.items():
             mcavs = per_label_mcavs.setdefault(label, [])
-            if not window.partial:
-                mcavs.append(stats.mcav)
-    summaries: dict[str, LabelSummary] = {}
-    for label in sorted(session_counts):
-        mcavs = per_label_mcavs[label]
-        mean = statistics.fmean(mcavs) if mcavs else 0.0
-        std = statistics.pstdev(mcavs) if mcavs else 0.0
-        summaries[label] = LabelSummary(
-            windows=len(mcavs),
-            mean_mcav=mean,
-            std_mcav=std,
-            presentations=session_counts[label],
-            proportion=session_counts[label] / total_records,
-        )
-    return summaries
+            if size >= config.window_size:
+                mcavs.append(mature[label] / presentations)
+    total_records = sum(size for size, _, _ in windows)
+    return {label: LabelSummary(windows=len(mcavs),
+                                mean_mcav=statistics.fmean(mcavs) if mcavs else 0.0,
+                                std_mcav=statistics.pstdev(mcavs) if mcavs else 0.0,
+                                presentations=counts[label],
+                                proportion=counts[label] / total_records)
+            for label, mcavs in sorted(per_label_mcavs.items())}
 
 
 def classify(summaries: dict[str, LabelSummary],
@@ -154,8 +119,9 @@ def write_presentations(records: list[tuple], second: int, write) -> None:
 
 
 def read_presentations(path) -> Iterator[tuple[str, int]]:
-    """Check each row of a presentation log, its time and pid numeric and its
-    context the text ``0`` or ``1``, and yield its (label, context) pair, one row at a time."""
+    """Check that each row of a presentation log is one a run writes, its time finite and not
+    negative, its pid ``str(pid)`` of a positive int and its context the text ``0`` or ``1``,
+    and yield its (label, context) pair, one row at a time."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -168,10 +134,13 @@ def read_presentations(path) -> Iterator[tuple[str, int]]:
                 if len(row) != 4:
                     raise ValidationError(f"row {line_no}: expected 4 columns, got {len(row)}")
                 try:
-                    float(row[0])
-                    int(row[1])
+                    second, pid = float(row[0]), int(row[1])
                 except ValueError as exc:
                     raise ValidationError(f"row {line_no}: {exc}") from None
+                if not 0 <= second < math.inf:
+                    raise ValidationError(f"row {line_no}: time must be finite and not negative")
+                if pid <= 0 or str(pid) != row[1]:  # spelled as a run writes it
+                    raise ValidationError(f"row {line_no}: pid must be a positive integer")
                 if row[3] not in ("0", "1"):  # the only texts a run writes
                     raise ValidationError(f"row {line_no}: context must be 0 or 1")
                 yield row[2], int(row[3])
@@ -180,11 +149,11 @@ def read_presentations(path) -> Iterator[tuple[str, int]]:
             raise ValidationError(f"row {reader.line_num}: {exc}") from None
 
 
-def write_mcav_csv(windows: list[McavWindow], path) -> None:
+def write_mcav_csv(windows: list[tuple[int, Counter, Counter]], path) -> None:
     with open_table(path, ["window", "label", "presentations", "mature", "mcav", "proportion"]) as write:
-        write([window.index, label, stats.presentations, stats.mature,
-               f"{stats.mcav:.6f}", f"{stats.proportion:.6f}"]
-              for window in windows for label, stats in window.labels.items())
+        write([index, label, totals[label], mature[label], f"{mature[label] / totals[label]:.6f}",
+               f"{totals[label] / size:.6f}"]
+              for index, (size, totals, mature) in enumerate(windows) for label in sorted(totals))
 
 
 def write_summary_csv(summaries: dict[str, LabelSummary], path) -> None:

@@ -182,7 +182,7 @@ def _analyze(log, out_dir, config: analysis.AnalysisConfig) -> None:
     windows = analysis.compute_mcav_windows(analysis.read_presentations(log), config)
     if not windows:
         print("warning: presentation log is empty", file=sys.stderr)
-    summaries = analysis.session_summary(windows)
+    summaries = analysis.session_summary(windows, config)
     verdicts = analysis.classify(summaries, config)
     os.makedirs(out_dir, exist_ok=True)
     mcav_path, summary_path, verdicts_path = (path for _, path in _analysis_outputs(out_dir))

@@ -14,10 +14,14 @@ with one stable sort.
 ``collect_run`` keeps all of it as (second, antigen, context) records,
 ``write_log`` writes such records as a log, and ``labelled`` gives the
 (label, context) pairs that ``analysis`` scores.
+
+``recount_scores`` scores such pairs by counting every label of every
+window afresh, for the scorer's windows, summaries and ``mcav.csv``.
 """
 
 from __future__ import annotations
 
+import math
 import random
 
 from dcascan.analysis import LOG_HEADER, open_table, write_presentations
@@ -164,3 +168,31 @@ def write_log(records, path) -> None:
 def labelled(records) -> list[tuple[str, int]]:
     """The (label, context) pairs of (second, antigen, context) records."""
     return [(antigen.process_name, context) for _, antigen, context in records]
+
+
+def recount_scores(pairs: list[tuple[str, int]], window_size: int) -> tuple[list, dict]:
+    """Score (label, context) pairs by recounting each label in each window.
+
+    Returns ``mcav.csv``'s rows as text, and per label, in label order, its
+    (windows, mean MCAV, population std, presentations, proportion), where
+    only the full windows give MCAVs and every pair counts.
+    """
+    rows: list[list[str]] = []
+    full_mcavs: dict[str, list[float]] = {}
+    for index, start in enumerate(range(0, len(pairs), window_size)):
+        chunk = pairs[start:start + window_size]
+        for label in sorted({name for name, _ in chunk}):
+            mine = [context for name, context in chunk if name == label]
+            mcav = sum(mine) / len(mine)
+            rows.append([str(index), label, str(len(mine)), str(sum(mine)), f"{mcav:.6f}",
+                         f"{len(mine) / len(chunk):.6f}"])
+            if len(chunk) == window_size:
+                full_mcavs.setdefault(label, []).append(mcav)
+    summaries = {}
+    for label in sorted({name for name, _ in pairs}):
+        mcavs = full_mcavs.get(label, [])
+        mean = sum(mcavs) / len(mcavs) if mcavs else 0.0
+        std = math.sqrt(sum((m - mean) ** 2 for m in mcavs) / len(mcavs)) if mcavs else 0.0
+        count = sum(1 for name, _ in pairs if name == label)
+        summaries[label] = (len(mcavs), mean, std, count, count / len(pairs))
+    return rows, summaries

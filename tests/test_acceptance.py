@@ -112,7 +112,7 @@ def test_polar_streams_give_extreme_scores(capsys):
 
     def means(records):
         windows = compute_mcav_windows([(a.process_name, c) for a, c in records], scoring)
-        return {lb: s.mean_mcav for lb, s in session_summary(windows).items()}
+        return {lb: s.mean_mcav for lb, s in session_summary(windows, scoring).items()}
 
     safe_means, pamp_means = means(safe), means(pamp)
     checks = [
@@ -161,10 +161,10 @@ def test_lone_scan_windows_all_flagged(capsys):
     windows = compute_mcav_windows(labelled(records), DESK_WINDOWS)
     spans = _window_spans(records, DESK_WINDOWS.window_size)
     overlap_mcavs = [
-        w.labels["nmap"].mcav
-        for w, (t_first, t_last) in zip(windows, spans)
-        if not w.partial and t_last >= SCAN_START and t_first <= SCAN_END
-        and "nmap" in w.labels
+        mature["nmap"] / totals["nmap"]
+        for (size, totals, mature), (t_first, t_last) in zip(windows, spans)
+        if size == DESK_WINDOWS.window_size and t_last >= SCAN_START and t_first <= SCAN_END
+        and "nmap" in totals
     ]
     scan_share = sum(1 for _, antigen, _ in records
                      if antigen.process_name in ("nmap", "pts")) / len(records)
@@ -190,10 +190,10 @@ def test_browsing_co_elevates_only_during_scan(capsys):
     windows = compute_mcav_windows(labelled(records), DESK_WINDOWS)
     spans = _window_spans(records, DESK_WINDOWS.window_size)
     browser_during = [
-        w.labels["firefox"].mcav
-        for w, (t_first, t_last) in zip(windows, spans)
-        if not w.partial and t_last >= SCAN_START and t_first <= SCAN_END
-        and "firefox" in w.labels
+        mature["firefox"] / totals["firefox"]
+        for (size, totals, mature), (t_first, t_last) in zip(windows, spans)
+        if size == DESK_WINDOWS.window_size and t_last >= SCAN_START and t_first <= SCAN_END
+        and "firefox" in totals
     ]
     off_scan = [r for r in records
                 if r[0] < SCAN_START or r[0] > SCAN_END + 60]

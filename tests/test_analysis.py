@@ -1,9 +1,14 @@
 """Windowed MCAV scoring, session summaries, verdicts, and the CSV logs."""
 
 import csv
+import os
 import random
+import tempfile
+from collections import Counter
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from dcascan.analysis import (
     AnalysisConfig,
@@ -18,7 +23,7 @@ from dcascan.analysis import (
 )
 from dcascan.errors import ConfigError, ValidationError
 from dcascan.events import ProcessEvent
-from reference import write_log
+from reference import recount_scores, write_log
 
 
 def _rec(label, context):
@@ -26,7 +31,7 @@ def _rec(label, context):
 
 
 def _summarize(records, config):
-    return session_summary(compute_mcav_windows(records, config))
+    return session_summary(compute_mcav_windows(records, config), config)
 
 
 def _example_records():
@@ -40,47 +45,63 @@ def _example_records():
 
 def test_window_partition_and_scores():
     windows = compute_mcav_windows(_example_records(), AnalysisConfig(window_size=10))
-    assert [w.size for w in windows] == [10, 10, 5]
-    assert [w.partial for w in windows] == [False, False, True]
-    w0, w1, w2 = windows
-    assert w0.labels["nmap"].mcav == 0.6 / 0.6  # 6 of 6 mature
-    assert w0.labels["nmap"].proportion == 0.6
-    assert w0.labels["firefox"].mcav == 0.0
-    assert w1.labels["nmap"].presentations == 5
-    assert w1.labels["nmap"].mature == 3
-    assert w1.labels["nmap"].mcav == 0.6
-    assert w1.labels["sshd"].proportion == 0.5
-    assert w2.labels["nmap"].mcav == 0.0
+    assert windows == [
+        (10, Counter(nmap=6, firefox=4), Counter(nmap=6)),
+        (10, Counter(nmap=5, sshd=5), Counter(nmap=3)),
+        (5, Counter(nmap=5), Counter()),
+    ]
 
 
 def test_exact_multiple_has_no_partial_window():
-    records = [_rec("a", 1)] * 10
-    windows = compute_mcav_windows(records, AnalysisConfig(window_size=5))
-    assert [w.partial for w in windows] == [False, False]
+    config = AnalysisConfig(window_size=5)
+    windows = compute_mcav_windows([_rec("a", 1)] * 10, config)
+    assert [size for size, _, _ in windows] == [5, 5]
+    assert session_summary(windows, config)["a"].windows == 2
 
 
-def test_window_proportions_sum_to_one():
+def test_window_proportions_sum_to_one(tmp_path):
     rng = random.Random(4)
     records = [_rec(rng.choice("abc"), rng.randint(0, 1)) for _ in range(137)]
-    for window in compute_mcav_windows(records, AnalysisConfig(window_size=25)):
-        assert sum(s.proportion for s in window.labels.values()) == pytest.approx(1.0)
-        assert sum(s.presentations for s in window.labels.values()) == window.size
+    windows = compute_mcav_windows(records, AnalysisConfig(window_size=25))
+    write_mcav_csv(windows, tmp_path / "mcav.csv")
+    with open(tmp_path / "mcav.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    for index, (size, _, _) in enumerate(windows):
+        mine = [row for row in rows if row["window"] == str(index)]
+        assert sum(float(row["proportion"]) for row in mine) == pytest.approx(1.0, abs=1e-5)
+        assert sum(int(row["presentations"]) for row in mine) == size
 
 
-def test_windows_match_brute_force_recount():
+def _seed_17_records():
     rng = random.Random(17)
     labels = ["nmap", "pts", "firefox", "sshd"]
-    records = [_rec(rng.choice(labels), rng.randint(0, 1)) for _ in range(rng.randint(1, 1000))]
-    size = 64
-    windows = compute_mcav_windows(records, AnalysisConfig(window_size=size))
-    for w in windows:
-        chunk = records[w.index * size:(w.index + 1) * size]
-        for label, stats in w.labels.items():
-            mine = [context for name, context in chunk if name == label]
-            assert stats.presentations == len(mine)
-            assert stats.mature == sum(mine)
-            assert stats.mcav == pytest.approx(sum(mine) / len(mine))
-    assert sum(w.size for w in windows) == len(records)
+    return [_rec(rng.choice(labels), rng.randint(0, 1)) for _ in range(rng.randint(1, 1000))]
+
+
+@given(pairs=st.lists(st.tuples(st.sampled_from(["nmap", "pts", "firefox", "sshd", "x"]),
+                                st.integers(0, 1)), max_size=200),
+       size=st.integers(1, 64))
+@example(pairs=[], size=3)
+@example(pairs=[_rec("a", 1)] * 6 + [_rec("b", 0)] * 6, size=4)  # an exact multiple
+@example(pairs=[_rec("a", 0)] * 4 + [_rec("tail", 1)] * 2, size=4)  # "tail": partial window only
+@example(pairs=_seed_17_records(), size=64)
+def test_windows_match_brute_force_recount(pairs, size):
+    config = AnalysisConfig(window_size=size)
+    windows = compute_mcav_windows(pairs, config)
+    rows, expected = recount_scores(pairs, size)
+    assert sum(length for length, _, _ in windows) == len(pairs)
+    with tempfile.TemporaryDirectory() as tmp:
+        write_mcav_csv(windows, os.path.join(tmp, "mcav.csv"))
+        with open(os.path.join(tmp, "mcav.csv"), newline="") as fh:
+            assert list(csv.reader(fh))[1:] == rows
+    summaries = session_summary(windows, config)
+    assert list(summaries) == list(expected)
+    for label, summary in summaries.items():
+        n_windows, mean, std, presentations, proportion = expected[label]
+        assert (summary.windows, summary.presentations) == (n_windows, presentations)
+        assert summary.mean_mcav == pytest.approx(mean)
+        assert summary.std_mcav == pytest.approx(std, abs=1e-12)
+        assert summary.proportion == pytest.approx(proportion)
 
 
 def test_scores_ignore_order_within_a_window():
@@ -88,9 +109,8 @@ def test_scores_ignore_order_within_a_window():
     chunk = [_rec(rng.choice("xyz"), rng.randint(0, 1)) for _ in range(50)]
     shuffled = chunk[:]
     rng.shuffle(shuffled)
-    a = compute_mcav_windows(chunk, AnalysisConfig(window_size=50))[0]
-    b = compute_mcav_windows(shuffled, AnalysisConfig(window_size=50))[0]
-    assert a.labels == b.labels
+    config = AnalysisConfig(window_size=50)
+    assert compute_mcav_windows(chunk, config) == compute_mcav_windows(shuffled, config)
 
 
 def test_summary_uses_population_std():
@@ -172,7 +192,7 @@ def test_analysis_config_validation():
 
 def test_empty_record_list():
     assert compute_mcav_windows([]) == []
-    assert session_summary([]) == {}
+    assert session_summary([], AnalysisConfig()) == {}
     assert classify({}) == {}
 
 
@@ -206,6 +226,15 @@ def test_presentation_log_rejects_bad_content(tmp_path):
     path.write_text("presented_at,pid,label,context\nnan?,5,x\n")
     with pytest.raises(ValidationError):
         list(read_presentations(path))
+    # float() and int() read these rows; a run writes none of them
+    for row, fragment in [("nan,-5,nmap,1", "time"), ("inf,+3,nmap,1", "time"),
+                          ("-1.0,5,nmap,1", "time"), ("1_0,\u0663,nmap,0", "pid"),
+                          ("1.0,-5,nmap,1", "pid"), ("1.0,0,nmap,1", "pid"),
+                          ("1.0,+3,nmap,1", "pid"), ("1.0,05,nmap,1", "pid"),
+                          ("1.0,1_0,nmap,1", "pid")]:
+        path.write_text(f"presented_at,pid,label,context\n1.0,5,x,1\n{row}\n")
+        with pytest.raises(ValidationError, match=f"^row 3: {fragment} must be "):
+            list(read_presentations(path))
 
 
 def test_mcav_csv_layout(tmp_path):

@@ -762,8 +762,13 @@ _HUGE_FIELD = "x" * 131_073  # one past csv's default field size limit
     (_HEADER + "1.0,5,y, 1\n", "row 2: context must be 0 or 1"),
     (_HEADER + "1.0,5,y,\u0660\n", "row 2: context must be 0 or 1"),
     (_HEADER + "1.0,5,y,01\n", "row 2: context must be 0 or 1"),
+    # float() and int() read these; a run writes a finite time >= 0 and a pid as str(pid) of one > 0
+    (_HEADER + "nan,-5,nmap,1\n", "row 2: time must be finite and not negative"),
+    (_HEADER + "inf,+3,nmap,1\n", "row 2: time must be finite and not negative"),
+    (_HEADER + "1_0,\u0663,nmap,0\n", "row 2: pid must be a positive integer"),
 ], ids=["bad-number", "bad-time", "huge-field", "huge-header",
-        "signed-context", "spaced-context", "arabic-indic-context", "padded-context"])
+        "signed-context", "spaced-context", "arabic-indic-context", "padded-context",
+        "nan-time", "infinite-time", "arabic-indic-pid"])
 def test_analyze_corrupt_log(tmp_path, capsys, text, fragment):
     log = tmp_path / "bad.csv"
     log.write_text(text)
