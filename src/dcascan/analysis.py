@@ -119,9 +119,9 @@ def write_presentations(records: list[tuple], second: int, write) -> None:
 
 
 def read_presentations(path) -> Iterator[tuple[str, int]]:
-    """Check that each row of a presentation log is one a run writes, its time finite and not
-    negative, its pid ``str(pid)`` of a positive int and its context the text ``0`` or ``1``,
-    and yield its (label, context) pair, one row at a time."""
+    """Check that each row of a presentation log is one a run writes, its time ``str(t)`` of
+    an int not negative, its pid ``str(pid)`` of a positive int, its label printable and its
+    context the text ``0`` or ``1``, and yield its (label, context) pair, one row at a time."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -134,13 +134,15 @@ def read_presentations(path) -> Iterator[tuple[str, int]]:
                 if len(row) != 4:
                     raise ValidationError(f"row {line_no}: expected 4 columns, got {len(row)}")
                 try:
-                    second, pid = float(row[0]), int(row[1])
+                    second, pid = int(row[0]), int(row[1])
                 except ValueError as exc:
                     raise ValidationError(f"row {line_no}: {exc}") from None
-                if not 0 <= second < math.inf:
-                    raise ValidationError(f"row {line_no}: time must be finite and not negative")
-                if pid <= 0 or str(pid) != row[1]:  # spelled as a run writes it
+                if second < 0 or str(second) != row[0]:  # each spelled as a run writes it
+                    raise ValidationError(f"row {line_no}: time must be a whole second, not negative")
+                if pid <= 0 or str(pid) != row[1]:
                     raise ValidationError(f"row {line_no}: pid must be a positive integer")
+                if not row[2].isprintable():
+                    raise ValidationError(f"row {line_no}: label {row[2]!r} is not printable")
                 if row[3] not in ("0", "1"):  # the only texts a run writes
                     raise ValidationError(f"row {line_no}: context must be 0 or 1")
                 yield row[2], int(row[3])

@@ -7,18 +7,6 @@ class DcaError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class StreamParseError(DcaError):
-    """A malformed line was found while parsing an event file.  Its args are
-    ``(line_no, message)``, so ``StreamParseError(*err.args)`` rebuilds it."""
-
-    def __init__(self, line_no: int, message: str):
-        super().__init__(line_no, message)
-        self.line_no = line_no
-
-    def __str__(self) -> str:
-        return "line {}: {}".format(*self.args)
-
-
 class ValidationError(DcaError):
     """A value violates a documented range or structural constraint."""
 

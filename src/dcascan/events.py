@@ -22,7 +22,7 @@ from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from .errors import StreamParseError
+from .errors import ValidationError
 
 DIRECTIONS = ("sent", "recv")
 PROTOCOLS = ("tcp", "udp", "icmp", "other")
@@ -114,48 +114,50 @@ def _number(text: str, line_no: int, parse=int, spell=str):
     try:
         value = parse(text)
     except ValueError as exc:
-        raise StreamParseError(line_no, f"bad numeric field: {exc}") from None
+        raise ValidationError(f"line {line_no}: bad numeric field: {exc}") from None
     if spell(value) != text:
-        raise StreamParseError(line_no, f"bad numeric field: {text!r}")
+        raise ValidationError(f"line {line_no}: bad numeric field: {text!r}")
     return value
 
 
 def _parse_packet(parts: list[str], line_no: int) -> tuple:
     if len(parts) not in (6, 7):
-        raise StreamParseError(line_no, f"packet line needs 6 or 7 fields, got {len(parts)}")
+        raise ValidationError(f"line {line_no}: packet line needs 6 or 7 fields, got {len(parts)}")
     size = _number(parts[5], line_no)
     direction, protocol, flags_text = parts[2], parts[3], parts[4]
     if direction not in DIRECTIONS:
-        raise StreamParseError(line_no, f"unknown direction {direction!r}")
+        raise ValidationError(f"line {line_no}: unknown direction {direction!r}")
     if protocol not in PROTOCOLS:
-        raise StreamParseError(line_no, f"unknown protocol {protocol!r}")
+        raise ValidationError(f"line {line_no}: unknown protocol {protocol!r}")
     flags = TCP_FLAG_SETS.get(flags_text) if protocol == "tcp" else None
     if flags is None and (protocol == "tcp" or flags_text != "-"):
-        raise StreamParseError(line_no, f"bad tcp flags {flags_text!r} for protocol {protocol}")
+        raise ValidationError(f"line {line_no}: bad tcp flags {flags_text!r} for protocol {protocol}")
     icmp_type = parts[6] if len(parts) == 7 else None
     if icmp_type not in (ICMP_TYPES if protocol == "icmp" else (None,)):
-        raise StreamParseError(line_no, f"bad icmp type {icmp_type!r} for protocol {protocol}")
+        raise ValidationError(f"line {line_no}: bad icmp type {icmp_type!r} for protocol {protocol}")
     if size < MIN_PACKET_SIZE:
-        raise StreamParseError(line_no, f"size {size} below minimum {MIN_PACKET_SIZE}")
+        raise ValidationError(f"line {line_no}: size {size} below minimum {MIN_PACKET_SIZE}")
     if size > MAX_PACKET_SIZE:
-        raise StreamParseError(line_no, f"size {size} above maximum {MAX_PACKET_SIZE}")
+        raise ValidationError(f"line {line_no}: size {size} above maximum {MAX_PACKET_SIZE}")
     return direction, protocol, flags, size, icmp_type
 
 
 def _parse_process(parts: list[str], line_no: int) -> tuple:
     if len(parts) != 5:
-        raise StreamParseError(line_no, f"process line needs 5 fields, got {len(parts)}")
+        raise ValidationError(f"line {line_no}: process line needs 5 fields, got {len(parts)}")
     pid = _number(parts[2], line_no)
     if pid <= 0:
-        raise StreamParseError(line_no, f"pid must be positive, got {pid}")
+        raise ValidationError(f"line {line_no}: pid must be positive, got {pid}")
     kind = _PROCESS_KIND.get(parts[4])
     if kind is None:
-        raise StreamParseError(line_no, f"unknown process event kind {parts[4]!r}")
+        raise ValidationError(f"line {line_no}: unknown process event kind {parts[4]!r}")
+    if not parts[3].isprintable():  # no control character reaches a log or a terminal
+        raise ValidationError(f"line {line_no}: process name {parts[3]!r} is not printable")
     return pid, parts[3], kind
 
 
 def _time_error(line_no: int, name: str, value: float, last: float, limit: float):
-    """The StreamParseError saying why ``last <= value <= limit`` failed."""
+    """The ValidationError saying why ``last <= value <= limit`` failed."""
     if not math.isfinite(value):
         reason = "is not finite"
     elif value < 0:
@@ -164,7 +166,7 @@ def _time_error(line_no: int, name: str, value: float, last: float, limit: float
         reason = f"is before the earlier event at {format_time(last)}"
     else:
         reason = f"exceeds the {'maximum' if limit == MAX_DURATION else 'duration'} {format_time(limit)}"
-    return StreamParseError(line_no, f"{name} {value} {reason}")
+    return ValidationError(f"line {line_no}: {name} {value} {reason}")
 
 
 def write_frames(lines: Iterable[str]) -> Iterator[tuple | float]:
@@ -174,7 +176,7 @@ def write_frames(lines: Iterable[str]) -> Iterator[tuple | float]:
 
     Event times must not decrease and lie in [0, duration], the duration in
     [0, MAX_DURATION], set by one annotation at most, else the last event's time.  A
-    violation raises a StreamParseError naming its line, after a frame of the
+    violation raises a ValidationError naming its line, after a frame of the
     lines checked before it; nothing is sorted.  A tail, the text after the
     time, is parsed to ``(is_packet, fields)`` once and kept in a memo of up
     to MAX_TAILS tails, cleared when full, so a repeated tail costs only the
@@ -210,19 +212,19 @@ def write_frames(lines: Iterable[str]) -> Iterator[tuple | float]:
             elif tag[0] == "#":
                 if raw.strip().startswith(_DURATION_PREFIX):
                     if duration is not None:
-                        raise StreamParseError(line_no, "second duration annotation")
+                        raise ValidationError(f"line {line_no}: second duration annotation")
                     text = raw.partition("=")[2].strip()
                     try:
                         duration = float(text)
                     except ValueError:
-                        raise StreamParseError(line_no, "bad duration annotation") from None
+                        raise ValidationError(f"line {line_no}: bad duration annotation") from None
                     if not last <= duration <= MAX_DURATION:
                         raise _time_error(line_no, "duration", duration, last, MAX_DURATION)
                     if text != repr(duration) and text != format_time(duration):
-                        raise StreamParseError(line_no, "bad duration annotation")
+                        raise ValidationError(f"line {line_no}: bad duration annotation")
                     limit = duration
             else:
-                raise StreamParseError(line_no, f"unknown record tag {tag!r}")
+                raise ValidationError(f"line {line_no}: unknown record tag {tag!r}")
     except Exception:
         yield times, tails
         raise

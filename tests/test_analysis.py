@@ -1,25 +1,30 @@
 """Windowed MCAV scoring, session summaries, verdicts, and the CSV logs."""
 
 import csv
+import io
 import os
 import random
+import re
 import tempfile
 from collections import Counter
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dcascan.analysis import (
+    LOG_HEADER,
     AnalysisConfig,
     VERDICT_ANOMALOUS,
     VERDICT_INSUFFICIENT,
     VERDICT_NORMAL,
     classify,
     compute_mcav_windows,
+    open_table,
     read_presentations,
     session_summary,
     write_mcav_csv,
+    write_presentations,
 )
 from dcascan.errors import ConfigError, ValidationError
 from dcascan.events import ProcessEvent
@@ -198,9 +203,9 @@ def test_empty_record_list():
 
 def test_presentation_log_round_trip(tmp_path):
     records = [
-        (12.0, ProcessEvent(12.0, 3411, "nmap", "syscall"), 1),
-        (12.5, ProcessEvent(12.5, 2864, "firefox", "syscall"), 0),
-        (13.25, ProcessEvent(13.25, 3402, "pts", "syscall"), 1),
+        (12, ProcessEvent(12.0, 3411, "nmap", "syscall"), 1),
+        (12, ProcessEvent(12.5, 2864, "firefox", "syscall"), 0),
+        (13, ProcessEvent(13.25, 3402, "pts", "syscall"), 1),
     ]
     path = tmp_path / "presentations.csv"
     write_log(records, path)
@@ -212,7 +217,7 @@ def test_presentation_log_round_trip(tmp_path):
         assert int(row[1]) == antigen.pid
         assert label == antigen.process_name
         assert back_context == context
-        assert float(row[0]) == second
+        assert int(row[0]) == second
 
 
 def test_presentation_log_rejects_bad_content(tmp_path):
@@ -220,21 +225,83 @@ def test_presentation_log_rejects_bad_content(tmp_path):
     path.write_text("wrong,header\n")
     with pytest.raises(ValidationError, match="header"):
         list(read_presentations(path))
-    path.write_text("presented_at,pid,label,context\n1.0,5,x,7\n")
+    path.write_text("presented_at,pid,label,context\n1,5,x,7\n")
     with pytest.raises(ValidationError, match="context"):
         list(read_presentations(path))
     path.write_text("presented_at,pid,label,context\nnan?,5,x\n")
     with pytest.raises(ValidationError):
         list(read_presentations(path))
-    # float() and int() read these rows; a run writes none of them
-    for row, fragment in [("nan,-5,nmap,1", "time"), ("inf,+3,nmap,1", "time"),
-                          ("-1.0,5,nmap,1", "time"), ("1_0,\u0663,nmap,0", "pid"),
-                          ("1.0,-5,nmap,1", "pid"), ("1.0,0,nmap,1", "pid"),
-                          ("1.0,+3,nmap,1", "pid"), ("1.0,05,nmap,1", "pid"),
-                          ("1.0,1_0,nmap,1", "pid")]:
-        path.write_text(f"presented_at,pid,label,context\n1.0,5,x,1\n{row}\n")
-        with pytest.raises(ValidationError, match=f"^row 3: {fragment} must be "):
+    # float() or int() reads these rows; a run writes none of them
+    for row, fragment in [("nan,5,nmap,1", "invalid literal"), ("inf,3,nmap,1", "invalid literal"),
+                          ("-1,5,nmap,1", "time must be "), ("1_0,5,nmap,0", "time must be "),
+                          ("+3,5,nmap,1", "time must be "), (" 2,5,nmap,1", "time must be "),
+                          ("1e1,5,nmap,1", "invalid literal"), ("1.0,5,nmap,1", "invalid literal"),
+                          ("12.5,5,nmap,1", "invalid literal"), ("05,5,nmap,1", "time must be "),
+                          ("\u0663,5,nmap,1", "time must be "), ("1,\u0663,nmap,0", "pid must be "),
+                          ("1,-5,nmap,1", "pid must be "), ("1,0,nmap,1", "pid must be "),
+                          ("1,+3,nmap,1", "pid must be "), ("1,05,nmap,1", "pid must be "),
+                          ("1,1_0,nmap,1", "pid must be "),
+                          ("1,5,\x1b[2Jnmap,1", "label '\\x1b[2Jnmap' is not printable")]:
+        path.write_text(f"presented_at,pid,label,context\n1,5,x,1\n{row}\n")
+        with pytest.raises(ValidationError, match=f"^row 3: {re.escape(fragment)}"):
             list(read_presentations(path))
+
+
+def _read_log_text(text: str) -> list[tuple[str, int]] | None:
+    """The pairs ``read_presentations`` yields for a log of ``text``, or None if it
+    raises ValidationError; any other exception propagates."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "log.csv")
+        with open(path, "wb") as fh:
+            fh.write(text.encode("utf-8"))
+        try:
+            return list(read_presentations(path))
+        except ValidationError:
+            return None
+
+
+_ARABIC_INDIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669")
+# Texts int() or float() reads as n.  A run writes n only as str(n), drawn half the time,
+# and each other column as a run writes it half the time too.
+_SPELLING = st.just(str) | st.sampled_from((
+    "+{}".format, " {}".format, "0{}".format, "{}.0".format, "{}e0".format,
+    lambda n: "_".join(str(n)), lambda n: str(n).translate(_ARABIC_INDIC)))
+_NUMBER = st.tuples(st.integers(-3, 10**6), _SPELLING).map(lambda drawn: (drawn[0], drawn[1](drawn[0])))
+_LABEL = (st.sampled_from(["nmap", "fire fox", 'a,"b"'])
+          | st.text(st.characters(codec="utf-8", exclude_characters="\0")))
+_CONTEXT = st.sampled_from(["0", "1"]) | st.sampled_from(["01", "+1", " 1", "2", "\u0661", "1.0"])
+_LOG_ROW = st.tuples(_NUMBER, _NUMBER, _LABEL, _CONTEXT)
+
+
+@settings(deadline=None, max_examples=200)
+@given(text=st.text() | st.text().map(lambda tail: ",".join(LOG_HEADER) + "\n" + tail),
+       rows=st.lists(_LOG_ROW, max_size=6))
+def test_log_reader_reads_only_rows_a_run_writes(text, rows):
+    pairs = _read_log_text(text)
+    assert pairs is None or all(type(label) is str and context in (0, 1) for label, context in pairs)
+    # The reader takes a row only as a run writes it, csv quoting included.
+    lines = io.StringIO()
+    writer = csv.writer(lines)
+    writer.writerow(LOG_HEADER)
+    writer.writerows([t, pid, label, context] for (_, t), (_, pid), label, context in rows)
+    written = all(t == str(n) and n >= 0 and pid == str(p) and p > 0 and label.isprintable()
+                  and context in ("0", "1") for (n, t), (p, pid), label, context in rows)
+    expected = [(label, int(context)) for _, _, label, context in rows] if written else None
+    assert _read_log_text(lines.getvalue()) == expected
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.lists(st.tuples(st.integers(0, 86_400), st.integers(1, 2**31),
+                          st.text(st.characters(exclude_categories=("C", "Z"), include_characters=" ")),
+                          st.integers(0, 1)), max_size=20))
+def test_every_written_log_row_reads_back_as_its_pair(rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "log.csv")
+        with open_table(path, LOG_HEADER) as write:
+            for second, pid, label, context in rows:
+                write_presentations([(ProcessEvent(second, pid, label, "syscall"), context)],
+                                    second, write)
+        assert list(read_presentations(path)) == [(label, context) for _, _, label, context in rows]
 
 
 def test_mcav_csv_layout(tmp_path):

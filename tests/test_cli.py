@@ -368,6 +368,9 @@ def test_run_rejects_non_finite_times(tmp_path, capsys, text, fragment):
          "line 3: second duration annotation"),
         # a flag set spelled as the writer never writes it used to replay
         ("P 1 recv tcp ack,syn 44\n", "line 1: bad tcp flags 'ack,syn' for protocol tcp"),
+        # a NUL in a name used to end in a _csv.Error traceback on CPython 3.10, and
+        # to reach the terminal through `analyze` on later releases
+        ("# duration=3.0\nE 1 5 a\0b syscall\n", "line 2: process name 'a\\x00b' is not printable"),
     ],
 )
 def test_run_rejects_invalid_event_files(tmp_path, capsys, text, fragment):
@@ -692,9 +695,9 @@ def test_non_utf8_input_is_a_one_line_error(small_events, tmp_path, capsys, comm
 def test_analyze_verdict_per_label(tmp_path, capsys):
     log = tmp_path / "log.csv"
     records = (
-        [_rec("nmap", 1, 10.0)] * 40
-        + [_rec("firefox", 0, 11.0)] * 40
-        + [_rec("pts", 1, 12.0)] * 3
+        [_rec("nmap", 1, 10)] * 40
+        + [_rec("firefox", 0, 11)] * 40
+        + [_rec("pts", 1, 12)] * 3
     )
     write_log(records, log)
     out_dir = tmp_path / "scores"
@@ -727,7 +730,7 @@ def test_analyze_empty_log_warns(tmp_path, capsys):
 def test_analyze_rejects_a_window_longer_than_islice_takes(tmp_path, capsys):
     # used to end in a ValueError traceback from itertools.islice, with exit code 1
     log = tmp_path / "log.csv"
-    write_log([_rec("nmap", 1, 1.0)] * 3, log)
+    write_log([_rec("nmap", 1, 1)] * 3, log)
     conf = tmp_path / "scores.conf"
     conf.write_text("analysis.window_size = 100000000000000000000\n")
     assert main(["analyze", str(log), "--out-dir", str(tmp_path / "scores"),
@@ -741,7 +744,7 @@ def test_analyze_rejects_a_window_longer_than_islice_takes(tmp_path, capsys):
 def test_analyze_takes_its_settings_only_from_the_config_file(tmp_path, capsys, flag):
     # The analysis.* keys set these; the flags that set them a second way are gone.
     log = tmp_path / "log.csv"
-    write_log([_rec("nmap", 1, 1.0)] * 3, log)
+    write_log([_rec("nmap", 1, 1)] * 3, log)
     assert main(["analyze", str(log), "--out-dir", str(tmp_path / "scores"), flag, "20"]) == 1
     assert capsys.readouterr() == ("", f"usage error: unrecognized arguments: {flag} 20\n")
     assert not (tmp_path / "scores").exists()
@@ -752,23 +755,37 @@ _HUGE_FIELD = "x" * 131_073  # one past csv's default field size limit
 
 
 @pytest.mark.parametrize("text, fragment", [
-    (_HEADER + "1.0,x,y,1\n", "row 2: invalid literal for int()"),
-    (_HEADER + "x,5,y,1\n", "row 2: could not convert string to float"),
+    (_HEADER + "1,x,y,1\n", "row 2: invalid literal for int()"),
+    (_HEADER + "x,5,y,1\n", "row 2: invalid literal for int()"),
     # an oversized field used to end in an uncaught _csv.Error traceback
-    (_HEADER + f"1.0,5,{_HUGE_FIELD},1\n", "row 2: field larger than field limit (131072)"),
+    (_HEADER + f"1,5,{_HUGE_FIELD},1\n", "row 2: field larger than field limit (131072)"),
     (_HUGE_FIELD + "\n", "row 1: field larger than field limit (131072)"),
     # int() read these as contexts 1 and 0; a run writes a context only as 0 or 1
-    (_HEADER + "1.0,5,y,+1\n", "row 2: context must be 0 or 1"),
-    (_HEADER + "1.0,5,y, 1\n", "row 2: context must be 0 or 1"),
-    (_HEADER + "1.0,5,y,\u0660\n", "row 2: context must be 0 or 1"),
-    (_HEADER + "1.0,5,y,01\n", "row 2: context must be 0 or 1"),
-    # float() and int() read these; a run writes a finite time >= 0 and a pid as str(pid) of one > 0
-    (_HEADER + "nan,-5,nmap,1\n", "row 2: time must be finite and not negative"),
-    (_HEADER + "inf,+3,nmap,1\n", "row 2: time must be finite and not negative"),
-    (_HEADER + "1_0,\u0663,nmap,0\n", "row 2: pid must be a positive integer"),
+    (_HEADER + "1,5,y,+1\n", "row 2: context must be 0 or 1"),
+    (_HEADER + "1,5,y, 1\n", "row 2: context must be 0 or 1"),
+    (_HEADER + "1,5,y,\u0660\n", "row 2: context must be 0 or 1"),
+    (_HEADER + "1,5,y,01\n", "row 2: context must be 0 or 1"),
+    # int() reads these; a run writes a time and a pid as str(n) of an int, >= 0 and > 0
+    (_HEADER + "-1,5,nmap,1\n", "row 2: time must be a whole second, not negative"),
+    (_HEADER + "1_0,5,nmap,1\n", "row 2: time must be a whole second, not negative"),
+    (_HEADER + "+3,5,nmap,1\n", "row 2: time must be a whole second, not negative"),
+    (_HEADER + " 2,5,nmap,1\n", "row 2: time must be a whole second, not negative"),
+    (_HEADER + "05,5,nmap,1\n", "row 2: time must be a whole second, not negative"),
+    (_HEADER + "\u0663,5,nmap,1\n", "row 2: time must be a whole second, not negative"),
+    (_HEADER + "3,\u0663,nmap,0\n", "row 2: pid must be a positive integer"),
+    # float() read these, so a log of times no run writes scored as if a run wrote it
+    (_HEADER + "1e1,5,nmap,1\n", "row 2: invalid literal for int()"),
+    (_HEADER + "1.0,5,nmap,1\n", "row 2: invalid literal for int()"),
+    (_HEADER + "12.5,5,nmap,1\n", "row 2: invalid literal for int()"),
+    (_HEADER + "nan,5,nmap,1\n", "row 2: invalid literal for int()"),
+    (_HEADER + "inf,5,nmap,1\n", "row 2: invalid literal for int()"),
+    # a control character in a label used to reach the terminal as it was
+    (_HEADER + "1,5,\x1b[2Jy,1\n", "row 2: label '\\x1b[2Jy' is not printable"),
 ], ids=["bad-number", "bad-time", "huge-field", "huge-header",
         "signed-context", "spaced-context", "arabic-indic-context", "padded-context",
-        "nan-time", "infinite-time", "arabic-indic-pid"])
+        "negative-time", "underscored-time", "signed-time", "spaced-time", "padded-time",
+        "arabic-indic-time", "arabic-indic-pid", "exponent-time", "float-time",
+        "fractional-time", "nan-time", "infinite-time", "escape-label"])
 def test_analyze_corrupt_log(tmp_path, capsys, text, fragment):
     log = tmp_path / "bad.csv"
     log.write_text(text)
@@ -932,7 +949,7 @@ def _analyze_peak_rss_kb(tmp_path, rows):
     labels = ("nmap", "pts", "firefox", "sshd")
     log = tmp_path / f"{rows}.csv"
     log.write_text("presented_at,pid,label,context\n" + "".join(
-        f"{format_time(i / 8)},{3400 + i % 4},{labels[i % 4]},{i % 3 % 2}\n" for i in range(rows)))
+        f"{i // 8},{3400 + i % 4},{labels[i % 4]},{i % 3 % 2}\n" for i in range(rows)))
     return _peak_rss_kb(["analyze", str(log), "--out-dir", str(tmp_path / "scores")])
 
 
@@ -988,7 +1005,7 @@ def test_config_file_reaches_engine(small_events, tmp_path):
     conf.write_text("analysis.window_size = 10\n")
     out_dir = tmp_path / "scores"
     log = tmp_path / "p.csv"
-    write_log([_rec("nmap", 1, 1.0)] * 25, log)
+    write_log([_rec("nmap", 1, 1)] * 25, log)
     assert main(["analyze", str(log), "--out-dir", str(out_dir),
                  "--config", str(conf)]) == 0
     windows = {line.split(",")[0] for line in
