@@ -19,7 +19,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .errors import ValidationError, check_fields
+from .errors import ValidationError, check_fields, check_printable, read_number
 from .events import replacing
 
 
@@ -119,36 +119,32 @@ def write_presentations(records: list[tuple], second: int, write) -> None:
 
 
 def read_presentations(path) -> Iterator[tuple[str, int]]:
-    """Check that each row of a presentation log is one a run writes, its time ``str(t)`` of
-    an int not negative, its pid ``str(pid)`` of a positive int, its label printable and its
-    context the text ``0`` or ``1``, and yield its (label, context) pair, one row at a time."""
+    """Check that each row of a presentation log is one a run writes, each number spelled
+    as a run writes it, ``str(n)`` of an int, its time not negative, its pid positive, its
+    label printable and its context 0 or 1, and yield its (label, context) pair, one row at a time."""
+    line_no = 1  # the header's, also of an empty log
+
+    def lines(fh):  # csv itself refuses a NUL only up to CPython 3.10
+        nonlocal line_no
+        for line_no, line in enumerate(fh, start=1):
+            if "\0" in line:
+                raise ValidationError("line contains NUL")
+            yield line
+
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+        reader = csv.reader(lines(fh))
         try:
-            header = next(reader, None)
-            if header != LOG_HEADER:
+            if (header := next(reader, None)) != LOG_HEADER:
                 raise ValidationError(f"unexpected presentation log header: {header}")
-            for line_no, row in enumerate(reader, start=2):
-                if not row:
-                    continue
+            for row in filter(None, reader):  # csv reads a blank line as []
                 if len(row) != 4:
-                    raise ValidationError(f"row {line_no}: expected 4 columns, got {len(row)}")
-                try:
-                    second, pid = int(row[0]), int(row[1])
-                except ValueError as exc:
-                    raise ValidationError(f"row {line_no}: {exc}") from None
-                if second < 0 or str(second) != row[0]:  # each spelled as a run writes it
-                    raise ValidationError(f"row {line_no}: time must be a whole second, not negative")
-                if pid <= 0 or str(pid) != row[1]:
-                    raise ValidationError(f"row {line_no}: pid must be a positive integer")
-                if not row[2].isprintable():
-                    raise ValidationError(f"row {line_no}: label {row[2]!r} is not printable")
-                if row[3] not in ("0", "1"):  # the only texts a run writes
-                    raise ValidationError(f"row {line_no}: context must be 0 or 1")
-                yield row[2], int(row[3])
-        except csv.Error as exc:
-            # A line csv cannot read, the header included, e.g. a field over its size limit.
-            raise ValidationError(f"row {reader.line_num}: {exc}") from None
+                    raise ValidationError(f"expected 4 columns, got {len(row)}")
+                read_number("presented_at", row[0], bounds=(0, math.inf))
+                read_number("pid", row[1], positive=True)
+                yield check_printable("label", row[2]), read_number("context", row[3], bounds=(0, 1))
+        except (csv.Error, ValidationError) as exc:
+            # csv.Error: a line csv cannot read, the header included, e.g. a field over its size limit.
+            raise ValidationError(f"row {line_no}: {exc}") from None
 
 
 def write_mcav_csv(windows: list[tuple[int, Counter, Counter]], path) -> None:

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the range rule of config sections."""
+"""Exception types shared across the package, and the field rules of config and data files."""
 
 from __future__ import annotations
 
@@ -19,9 +19,14 @@ class EngineInvariantError(DcaError):
     """An internal accounting invariant of the engine was broken."""
 
 
-def _bound(x) -> str:
-    """An int with thousands separators, a float in its shortest form without ``.0``."""
-    return f"{x:,}" if isinstance(x, int) else repr(x).removesuffix(".0")
+def _broken(label: str, v, positive=False, bounds=None) -> str | None:
+    """Why ``v`` breaks its rule, if it does: > 0 if ``positive``, then in ``bounds``, [lo, hi]."""
+    if positive and not v > 0:
+        return f"{label} must be positive, got {v}"
+    if bounds and not bounds[0] <= v <= bounds[1]:
+        # an int bound with thousands separators, a float one shortest, without ``.0``
+        lo, hi = (f"{x:,}" if isinstance(x, int) else repr(x).removesuffix(".0") for x in bounds)
+        return f"{label} must lie in [{lo}, {hi}], got {v}"
 
 
 def check_fields(obj, *, positive=(), **ranges) -> None:
@@ -37,9 +42,25 @@ def check_fields(obj, *, positive=(), **ranges) -> None:
         items = ([(f"{name}[{i}]", v) for i, v in enumerate(value)]
                  if isinstance(value, tuple) else [(name, value)])
         for label, v in items:
-            if name in positive and not v > 0:
-                raise ConfigError(f"{label} must be positive, got {v}")
-            if name in ranges:
-                lo, hi = ranges[name]
-                if not lo <= v <= hi:
-                    raise ConfigError(f"{label} must lie in [{_bound(lo)}, {_bound(hi)}], got {v}")
+            if why := _broken(label, v, name in positive, ranges.get(name)):
+                raise ConfigError(why)
+
+
+def read_number(name: str, text: str, parse=int, spell=str, positive=False, bounds=None):
+    """The number ``text`` of a data file's field ``name``, if spelled as its writer spells it,
+    ``spell(parse(text)) == text``, and within the rules of check_fields; else a ValidationError."""
+    try:
+        if spell(value := parse(text)) != text:
+            raise ValueError
+    except ValueError:
+        raise ValidationError(f"{name}: bad numeric field: {text!r}") from None
+    if (positive or bounds) and (why := _broken(name, value, positive, bounds)):
+        raise ValidationError(why)
+    return value
+
+
+def check_printable(name: str, text: str) -> str:
+    """``text``, a data file's field ``name``, if printable, so no control character reaches a terminal."""
+    if not text.isprintable():
+        raise ValidationError(f"{name} {text!r} is not printable")
+    return text

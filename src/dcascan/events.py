@@ -22,7 +22,7 @@ from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from .errors import ValidationError
+from .errors import ValidationError, check_printable, read_number
 
 DIRECTIONS = ("sent", "recv")
 PROTOCOLS = ("tcp", "udp", "icmp", "other")
@@ -109,54 +109,34 @@ def serialize_stream(stream: EventStream) -> str:
     return text.getvalue()
 
 
-def _number(text: str, line_no: int, parse=int, spell=str):
-    """A numeric field, spelled exactly as the writer writes it."""
-    try:
-        value = parse(text)
-    except ValueError as exc:
-        raise ValidationError(f"line {line_no}: bad numeric field: {exc}") from None
-    if spell(value) != text:
-        raise ValidationError(f"line {line_no}: bad numeric field: {text!r}")
-    return value
-
-
-def _parse_packet(parts: list[str], line_no: int) -> tuple:
+def _parse_packet(parts: list[str]) -> tuple:
     if len(parts) not in (6, 7):
-        raise ValidationError(f"line {line_no}: packet line needs 6 or 7 fields, got {len(parts)}")
-    size = _number(parts[5], line_no)
+        raise ValidationError(f"packet line needs 6 or 7 fields, got {len(parts)}")
+    size = read_number("size", parts[5], bounds=(MIN_PACKET_SIZE, MAX_PACKET_SIZE))
     direction, protocol, flags_text = parts[2], parts[3], parts[4]
     if direction not in DIRECTIONS:
-        raise ValidationError(f"line {line_no}: unknown direction {direction!r}")
+        raise ValidationError(f"unknown direction {direction!r}")
     if protocol not in PROTOCOLS:
-        raise ValidationError(f"line {line_no}: unknown protocol {protocol!r}")
+        raise ValidationError(f"unknown protocol {protocol!r}")
     flags = TCP_FLAG_SETS.get(flags_text) if protocol == "tcp" else None
     if flags is None and (protocol == "tcp" or flags_text != "-"):
-        raise ValidationError(f"line {line_no}: bad tcp flags {flags_text!r} for protocol {protocol}")
+        raise ValidationError(f"bad tcp flags {flags_text!r} for protocol {protocol}")
     icmp_type = parts[6] if len(parts) == 7 else None
     if icmp_type not in (ICMP_TYPES if protocol == "icmp" else (None,)):
-        raise ValidationError(f"line {line_no}: bad icmp type {icmp_type!r} for protocol {protocol}")
-    if size < MIN_PACKET_SIZE:
-        raise ValidationError(f"line {line_no}: size {size} below minimum {MIN_PACKET_SIZE}")
-    if size > MAX_PACKET_SIZE:
-        raise ValidationError(f"line {line_no}: size {size} above maximum {MAX_PACKET_SIZE}")
+        raise ValidationError(f"bad icmp type {icmp_type!r} for protocol {protocol}")
     return direction, protocol, flags, size, icmp_type
 
 
-def _parse_process(parts: list[str], line_no: int) -> tuple:
+def _parse_process(parts: list[str]) -> tuple:
     if len(parts) != 5:
-        raise ValidationError(f"line {line_no}: process line needs 5 fields, got {len(parts)}")
-    pid = _number(parts[2], line_no)
-    if pid <= 0:
-        raise ValidationError(f"line {line_no}: pid must be positive, got {pid}")
+        raise ValidationError(f"process line needs 5 fields, got {len(parts)}")
     kind = _PROCESS_KIND.get(parts[4])
     if kind is None:
-        raise ValidationError(f"line {line_no}: unknown process event kind {parts[4]!r}")
-    if not parts[3].isprintable():  # no control character reaches a log or a terminal
-        raise ValidationError(f"line {line_no}: process name {parts[3]!r} is not printable")
-    return pid, parts[3], kind
+        raise ValidationError(f"unknown process event kind {parts[4]!r}")
+    return read_number("pid", parts[2], positive=True), check_printable("process name", parts[3]), kind
 
 
-def _time_error(line_no: int, name: str, value: float, last: float, limit: float):
+def _time_error(name: str, value: float, last: float, limit: float):
     """The ValidationError saying why ``last <= value <= limit`` failed."""
     if not math.isfinite(value):
         reason = "is not finite"
@@ -166,7 +146,7 @@ def _time_error(line_no: int, name: str, value: float, last: float, limit: float
         reason = f"is before the earlier event at {format_time(last)}"
     else:
         reason = f"exceeds the {'maximum' if limit == MAX_DURATION else 'duration'} {format_time(limit)}"
-    return ValidationError(f"line {line_no}: {name} {value} {reason}")
+    return ValidationError(f"{name} {value} {reason}")
 
 
 def write_frames(lines: Iterable[str]) -> Iterator[tuple | float]:
@@ -195,14 +175,14 @@ def write_frames(lines: Iterable[str]) -> Iterator[tuple | float]:
                 key = (tag, head[2] if len(head) == 3 else "")
                 if (tail := memo.get(key)) is None:
                     is_packet = tag == "P"
-                    tail = (is_packet, (_parse_packet if is_packet else _parse_process)(raw.split(), line_no))
+                    tail = (is_packet, (_parse_packet if is_packet else _parse_process)(raw.split()))
                     if len(memo) == MAX_TAILS:
                         memo.clear()
                     memo[key] = tail
                 if head[1] != last_text:  # a repeated time passed every check already
-                    ts = _number(head[1], line_no, float, format_time)
+                    ts = read_number("timestamp", head[1], float, format_time)
                     if not last <= ts <= limit:
-                        raise _time_error(line_no, "timestamp", ts, last, limit)
+                        raise _time_error("timestamp", ts, last, limit)
                     last, last_text = ts, head[1]
                 if len(times) == FRAME_LINES:
                     yield times, tails
@@ -212,21 +192,23 @@ def write_frames(lines: Iterable[str]) -> Iterator[tuple | float]:
             elif tag[0] == "#":
                 if raw.strip().startswith(_DURATION_PREFIX):
                     if duration is not None:
-                        raise ValidationError(f"line {line_no}: second duration annotation")
+                        raise ValidationError("second duration annotation")
                     text = raw.partition("=")[2].strip()
                     try:
                         duration = float(text)
                     except ValueError:
-                        raise ValidationError(f"line {line_no}: bad duration annotation") from None
+                        raise ValidationError("bad duration annotation") from None
                     if not last <= duration <= MAX_DURATION:
-                        raise _time_error(line_no, "duration", duration, last, MAX_DURATION)
+                        raise _time_error("duration", duration, last, MAX_DURATION)
                     if text != repr(duration) and text != format_time(duration):
-                        raise ValidationError(f"line {line_no}: bad duration annotation")
+                        raise ValidationError("bad duration annotation")
                     limit = duration
             else:
-                raise ValidationError(f"line {line_no}: unknown record tag {tag!r}")
-    except Exception:
+                raise ValidationError(f"unknown record tag {tag!r}")
+    except Exception as exc:
         yield times, tails
+        if isinstance(exc, ValidationError):  # raised without its line
+            raise ValidationError(f"line {line_no}: {exc}") from None
         raise
     yield times, tails
     yield last if duration is None else duration

@@ -232,15 +232,20 @@ def test_presentation_log_rejects_bad_content(tmp_path):
     with pytest.raises(ValidationError):
         list(read_presentations(path))
     # float() or int() reads these rows; a run writes none of them
-    for row, fragment in [("nan,5,nmap,1", "invalid literal"), ("inf,3,nmap,1", "invalid literal"),
-                          ("-1,5,nmap,1", "time must be "), ("1_0,5,nmap,0", "time must be "),
-                          ("+3,5,nmap,1", "time must be "), (" 2,5,nmap,1", "time must be "),
-                          ("1e1,5,nmap,1", "invalid literal"), ("1.0,5,nmap,1", "invalid literal"),
-                          ("12.5,5,nmap,1", "invalid literal"), ("05,5,nmap,1", "time must be "),
-                          ("\u0663,5,nmap,1", "time must be "), ("1,\u0663,nmap,0", "pid must be "),
-                          ("1,-5,nmap,1", "pid must be "), ("1,0,nmap,1", "pid must be "),
-                          ("1,+3,nmap,1", "pid must be "), ("1,05,nmap,1", "pid must be "),
-                          ("1,1_0,nmap,1", "pid must be "),
+    time, pid = "presented_at: bad numeric field: ", "pid: bad numeric field: "
+    for row, fragment in [("nan,5,nmap,1", f"{time}'nan'"), ("inf,3,nmap,1", f"{time}'inf'"),
+                          ("-1,5,nmap,1", "presented_at must lie in [0, inf], got -1"),
+                          ("1_0,5,nmap,0", f"{time}'1_0'"), ("+3,5,nmap,1", f"{time}'+3'"),
+                          (" 2,5,nmap,1", f"{time}' 2'"), ("1e1,5,nmap,1", f"{time}'1e1'"),
+                          ("1.0,5,nmap,1", f"{time}'1.0'"), ("12.5,5,nmap,1", f"{time}'12.5'"),
+                          ("05,5,nmap,1", f"{time}'05'"), ("\u0663,5,nmap,1", f"{time}'\u0663'"),
+                          ("1,\u0663,nmap,0", f"{pid}'\u0663'"), ("1,x,nmap,0", f"{pid}'x'"),
+                          ("1,-5,nmap,1", "pid must be positive, got -5"),
+                          ("1,0,nmap,1", "pid must be positive, got 0"), ("1,+3,nmap,1", f"{pid}'+3'"),
+                          ("1,05,nmap,1", f"{pid}'05'"), ("1,1_0,nmap,1", f"{pid}'1_0'"),
+                          ("1,5,nmap,+1", "context: bad numeric field: '+1'"),
+                          ("1,5,nmap,2", "context must lie in [0, 1], got 2"),
+                          ("1,5,a\0b,1", "line contains NUL"),
                           ("1,5,\x1b[2Jnmap,1", "label '\\x1b[2Jnmap' is not printable")]:
         path.write_text(f"presented_at,pid,label,context\n1,5,x,1\n{row}\n")
         with pytest.raises(ValidationError, match=f"^row 3: {re.escape(fragment)}"):

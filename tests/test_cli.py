@@ -362,7 +362,7 @@ def test_run_rejects_non_finite_times(tmp_path, capsys, text, fragment):
         ("# duration=1e9\nP 1 sent udp - 60\n",
          "line 1: duration 1000000000.0 exceeds the maximum 86400"),
         # a size past float range used to end in an OverflowError traceback in ss2
-        (f"P 1 sent udp - {10**309}\n", f"line 1: size {10**309} above maximum 65535"),
+        (f"P 1 sent udp - {10**309}\n", f"line 1: size must lie in [20, 65,535], got {10**309}"),
         # a later annotation used to lift the first one's limit and replay 100 ticks
         ("# duration=5\nE 1 7 sshd syscall\n# duration=100\nE 50 7 sshd syscall\n",
          "line 3: second duration annotation"),
@@ -755,37 +755,42 @@ _HUGE_FIELD = "x" * 131_073  # one past csv's default field size limit
 
 
 @pytest.mark.parametrize("text, fragment", [
-    (_HEADER + "1,x,y,1\n", "row 2: invalid literal for int()"),
-    (_HEADER + "x,5,y,1\n", "row 2: invalid literal for int()"),
+    (_HEADER + "1,x,y,1\n", "row 2: pid: bad numeric field: 'x'"),
+    (_HEADER + "x,5,y,1\n", "row 2: presented_at: bad numeric field: 'x'"),
     # an oversized field used to end in an uncaught _csv.Error traceback
     (_HEADER + f"1,5,{_HUGE_FIELD},1\n", "row 2: field larger than field limit (131072)"),
     (_HUGE_FIELD + "\n", "row 1: field larger than field limit (131072)"),
     # int() read these as contexts 1 and 0; a run writes a context only as 0 or 1
-    (_HEADER + "1,5,y,+1\n", "row 2: context must be 0 or 1"),
-    (_HEADER + "1,5,y, 1\n", "row 2: context must be 0 or 1"),
-    (_HEADER + "1,5,y,\u0660\n", "row 2: context must be 0 or 1"),
-    (_HEADER + "1,5,y,01\n", "row 2: context must be 0 or 1"),
+    (_HEADER + "1,5,y,+1\n", "row 2: context: bad numeric field: '+1'"),
+    (_HEADER + "1,5,y, 1\n", "row 2: context: bad numeric field: ' 1'"),
+    (_HEADER + "1,5,y,\u0660\n", "row 2: context: bad numeric field: '\u0660'"),
+    (_HEADER + "1,5,y,01\n", "row 2: context: bad numeric field: '01'"),
     # int() reads these; a run writes a time and a pid as str(n) of an int, >= 0 and > 0
-    (_HEADER + "-1,5,nmap,1\n", "row 2: time must be a whole second, not negative"),
-    (_HEADER + "1_0,5,nmap,1\n", "row 2: time must be a whole second, not negative"),
-    (_HEADER + "+3,5,nmap,1\n", "row 2: time must be a whole second, not negative"),
-    (_HEADER + " 2,5,nmap,1\n", "row 2: time must be a whole second, not negative"),
-    (_HEADER + "05,5,nmap,1\n", "row 2: time must be a whole second, not negative"),
-    (_HEADER + "\u0663,5,nmap,1\n", "row 2: time must be a whole second, not negative"),
-    (_HEADER + "3,\u0663,nmap,0\n", "row 2: pid must be a positive integer"),
+    (_HEADER + "-1,5,nmap,1\n", "row 2: presented_at must lie in [0, inf], got -1"),
+    (_HEADER + "1_0,5,nmap,1\n", "row 2: presented_at: bad numeric field: '1_0'"),
+    (_HEADER + "+3,5,nmap,1\n", "row 2: presented_at: bad numeric field: '+3'"),
+    (_HEADER + " 2,5,nmap,1\n", "row 2: presented_at: bad numeric field: ' 2'"),
+    (_HEADER + "05,5,nmap,1\n", "row 2: presented_at: bad numeric field: '05'"),
+    (_HEADER + "\u0663,5,nmap,1\n", "row 2: presented_at: bad numeric field: '\u0663'"),
+    (_HEADER + "3,\u0663,nmap,0\n", "row 2: pid: bad numeric field: '\u0663'"),
     # float() read these, so a log of times no run writes scored as if a run wrote it
-    (_HEADER + "1e1,5,nmap,1\n", "row 2: invalid literal for int()"),
-    (_HEADER + "1.0,5,nmap,1\n", "row 2: invalid literal for int()"),
-    (_HEADER + "12.5,5,nmap,1\n", "row 2: invalid literal for int()"),
-    (_HEADER + "nan,5,nmap,1\n", "row 2: invalid literal for int()"),
-    (_HEADER + "inf,5,nmap,1\n", "row 2: invalid literal for int()"),
+    (_HEADER + "1e1,5,nmap,1\n", "row 2: presented_at: bad numeric field: '1e1'"),
+    (_HEADER + "1.0,5,nmap,1\n", "row 2: presented_at: bad numeric field: '1.0'"),
+    (_HEADER + "12.5,5,nmap,1\n", "row 2: presented_at: bad numeric field: '12.5'"),
+    (_HEADER + "nan,5,nmap,1\n", "row 2: presented_at: bad numeric field: 'nan'"),
+    (_HEADER + "inf,5,nmap,1\n", "row 2: presented_at: bad numeric field: 'inf'"),
     # a control character in a label used to reach the terminal as it was
     (_HEADER + "1,5,\x1b[2Jy,1\n", "row 2: label '\\x1b[2Jy' is not printable"),
+    (_HEADER + "1,0,nmap,1\n", "row 2: pid must be positive, got 0"),
+    (_HEADER + "1,5,nmap,2\n", "row 2: context must lie in [0, 1], got 2"),
+    # csv read a NUL on CPython 3.11 and later, and refused it on 3.10 in its own words
+    (_HEADER + "1,5,a\0b,1\n", "row 2: line contains NUL"),
 ], ids=["bad-number", "bad-time", "huge-field", "huge-header",
         "signed-context", "spaced-context", "arabic-indic-context", "padded-context",
         "negative-time", "underscored-time", "signed-time", "spaced-time", "padded-time",
         "arabic-indic-time", "arabic-indic-pid", "exponent-time", "float-time",
-        "fractional-time", "nan-time", "infinite-time", "escape-label"])
+        "fractional-time", "nan-time", "infinite-time", "escape-label", "zero-pid",
+        "out-of-range-context", "nul-label"])
 def test_analyze_corrupt_log(tmp_path, capsys, text, fragment):
     log = tmp_path / "bad.csv"
     log.write_text(text)

@@ -109,7 +109,7 @@ def test_parse_rejects_unknown_tag():
     [
         ("P -1 sent tcp syn 40\n", 1, "timestamp -1.0 is negative"),
         ("P 1 sent udp syn 40\n", 1, "bad tcp flags 'syn' for protocol udp"),
-        ("P 1 sent tcp syn 12\n", 1, "size 12 below minimum 20"),
+        ("P 1 sent tcp syn 12\n", 1, "size must lie in [20, 65,535], got 12"),
         ("P 1 recv icmp - 56\n", 1, "bad icmp type None for protocol icmp"),
         ("P 1 recv udp - 60 dest_unreachable\n", 1, "bad icmp type 'dest_unreachable'"),
         ("E 1 0 nmap syscall\n", 1, "pid must be positive, got 0"),
@@ -134,7 +134,7 @@ def test_parse_rejects_unknown_tag():
         ("# duration=-1\n", 1, "duration -1.0 is negative"),
         ("# duration=1e9\nP 1 sent udp - 60\n", 1, "duration 1000000000.0 exceeds the maximum 86400"),
         ("P 86400.5 sent udp - 60\n", 1, "timestamp 86400.5 exceeds the maximum 86400"),
-        ("P 1 sent udp - 65536\n", 1, "size 65536 above maximum 65535"),
+        ("P 1 sent udp - 65536\n", 1, "size must lie in [20, 65,535], got 65536"),
         # int() and float() read these spellings; the writer never writes them
         ("P 1_0.5 sent udp - 60\n", 1, "bad numeric field: '1_0.5'"),
         ("P 1 sent udp - 1_000\n", 1, "bad numeric field: '1_000'"),
@@ -152,6 +152,10 @@ def test_parse_rejects_unknown_tag():
         ("# duration=1e1\n", 1, "bad duration annotation"),
         ("# duration=10.00\n", 1, "bad duration annotation"),
         ("# duration=010\n", 1, "bad duration annotation"),
+        # each number's message names its field
+        ("P 01 sent udp - 60\n", 1, "timestamp: bad numeric field: '01'"),
+        ("P 1 sent udp - +60\n", 1, "size: bad numeric field: '+60'"),
+        ("E 1 5.0 sshd syscall\n", 1, "pid: bad numeric field: '5.0'"),
         # a later annotation used to lift the limit the first one set
         ("# duration=5\nE 1 7 sshd syscall\n# duration=100\nE 50 7 sshd syscall\n", 3,
          "second duration annotation"),
@@ -170,8 +174,8 @@ def test_parse_keeps_every_written_number_spelling():
 @pytest.mark.parametrize("time_text, fragment", [
     ("0.5", "timestamp 0.5 is before the earlier event at 1"),
     ("9", "timestamp 9.0 exceeds the duration 8"),
-    ("1_0", "bad numeric field: '1_0'"),
-    ("+1", "bad numeric field: '+1'"),
+    ("1_0", "timestamp: bad numeric field: '1_0'"),
+    ("+1", "timestamp: bad numeric field: '+1'"),
 ])
 def test_a_remembered_tail_still_checks_its_time(time_text, fragment):
     # Line 2 puts the tail of line 3 in the reader's memo, or a different one.
