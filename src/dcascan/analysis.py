@@ -19,7 +19,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .errors import ValidationError, check_fields, check_printable, read_number
+from .errors import ValidationError, check_fields, check_printable, quoted, read_number, undecodable
 from .events import replacing
 
 
@@ -122,7 +122,7 @@ def read_presentations(path) -> Iterator[tuple[str, int]]:
     """Check that each row of a presentation log is one a run writes, each number spelled
     as a run writes it, ``str(n)`` of an int, its time not negative, its pid positive, its
     label printable and its context 0 or 1, and yield its (label, context) pair, one row at a time."""
-    line_no = 1  # the header's, also of an empty log
+    line_no = 0  # the lines read
 
     def lines(fh):  # csv itself refuses a NUL only up to CPython 3.10
         nonlocal line_no
@@ -135,16 +135,18 @@ def read_presentations(path) -> Iterator[tuple[str, int]]:
         reader = csv.reader(lines(fh))
         try:
             if (header := next(reader, None)) != LOG_HEADER:
-                raise ValidationError(f"unexpected presentation log header: {header}")
+                raise ValidationError(f"unexpected presentation log header: {quoted(str(header), str)}")
             for row in filter(None, reader):  # csv reads a blank line as []
                 if len(row) != 4:
                     raise ValidationError(f"expected 4 columns, got {len(row)}")
                 read_number("presented_at", row[0], bounds=(0, math.inf))
                 read_number("pid", row[1], positive=True)
                 yield check_printable("label", row[2]), read_number("context", row[3], bounds=(0, 1))
-        except (csv.Error, ValidationError) as exc:
+        except (csv.Error, ValidationError, UnicodeDecodeError) as exc:
             # csv.Error: a line csv cannot read, the header included, e.g. a field over its size limit.
-            raise ValidationError(f"row {line_no}: {exc}") from None
+            if isinstance(exc, UnicodeDecodeError):
+                line_no, exc = undecodable(exc, line_no, fh)
+            raise ValidationError(f"row {max(line_no, 1)}: {exc}") from None  # an empty log's header: row 1
 
 
 def write_mcav_csv(windows: list[tuple[int, Counter, Counter]], path) -> None:

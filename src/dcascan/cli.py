@@ -324,7 +324,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (DcaError, UnicodeDecodeError) as exc:
+    except DcaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, fields, replace
 
 from .analysis import AnalysisConfig
 from .engine import EngineConfig
-from .errors import ConfigError
+from .errors import ConfigError, not_utf8, quoted
 from .scenario import NormalProfile, ScanProfile, SessionProfile
 from .signals import SignalConfig
 
@@ -55,7 +55,7 @@ def parse_flat_config(text: str) -> dict[str, str]:
         if not key or not value:
             raise ConfigError(f"config line {line_no}: empty key or value")
         if key in values:
-            raise ConfigError(f"config line {line_no}: duplicate key {key!r}")
+            raise ConfigError(f"config line {line_no}: duplicate key {quoted(key)}")
         values[key] = value
     return values
 
@@ -72,14 +72,14 @@ def _coerce(raw: str, typ, key: str):
             raise ConfigError(f"{key}: expected {len(args)} comma-separated values")
         return tuple(_coerce(p, a, key) for p, a in zip(parts, args))
     if typ not in (int, float):
-        raise ConfigError(f"unknown config key {key}")
+        raise ConfigError(f"unknown config key {quoted(key, str)}")
     try:
         value = typ(raw)
     except ValueError:
         expected = "an integer" if typ is int else "a number"
-        raise ConfigError(f"{key}: expected {expected}, got {raw!r}") from None
+        raise ConfigError(f"{key}: expected {expected}, got {quoted(raw)}") from None
     if typ is float and not math.isfinite(value):
-        raise ConfigError(f"{key} must be finite, got {raw!r}")
+        raise ConfigError(f"{key} must be finite, got {quoted(raw)}")
     return value
 
 
@@ -96,12 +96,12 @@ def apply_overrides(config: PipelineConfig, flat: dict[str, str]) -> PipelineCon
     for key, raw in flat.items():
         section, dot, name = key.partition(".")
         if not dot or not name:
-            raise ConfigError(f"config key {key!r} is not of the form section.key")
+            raise ConfigError(f"config key {quoted(key)} is not of the form section.key")
         if section not in sections:
-            raise ConfigError(f"unknown config section {section!r}")
+            raise ConfigError(f"unknown config section {quoted(section)}")
         hints = typing.get_type_hints(type(sections[section]))
         if name not in hints:
-            raise ConfigError(f"unknown config key {key}")
+            raise ConfigError(f"unknown config key {quoted(key, str)}")
         changes.setdefault(section, {})[name] = _coerce(raw, hints[name], key)
     for section, values in changes.items():
         sections[section] = replace(sections[section], **values)
@@ -114,4 +114,8 @@ def build_config(config_path=None) -> PipelineConfig:
     if config_path is None:
         return PipelineConfig()
     with open(config_path, "r", encoding="utf-8") as fh:
-        return apply_overrides(PipelineConfig(), parse_flat_config(fh.read()))
+        try:
+            return apply_overrides(PipelineConfig(), parse_flat_config(fh.read()))
+        except UnicodeDecodeError as exc:  # read in one piece, so exc.object is the whole file
+            line_no = len((exc.object[:exc.start].decode() + "?").splitlines())
+            raise ConfigError(f"config line {line_no}: {not_utf8(exc)}") from None

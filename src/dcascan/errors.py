@@ -19,48 +19,75 @@ class EngineInvariantError(DcaError):
     """An internal accounting invariant of the engine was broken."""
 
 
-def _broken(label: str, v, positive=False, bounds=None) -> str | None:
-    """Why ``v`` breaks its rule, if it does: > 0 if ``positive``, then in ``bounds``, [lo, hi]."""
+QUOTE_CHARS = 40  # the most characters of a rejected field that an error line repeats
+
+
+def quoted(text: str | None, show=repr) -> str:
+    """A rejected field as an error line shows it: ``show(text)``, or for a text longer
+    than QUOTE_CHARS, ``show`` of its start and the text's length."""
+    if text is None or len(text) <= QUOTE_CHARS:
+        return show(text)
+    return f"{show(text[:QUOTE_CHARS])}... ({len(text):,} characters)"
+
+
+def check_value(label: str, v, positive=False, bounds=None, error=ConfigError) -> None:
+    """Raise ``error`` if ``v`` breaks its rule: > 0 if ``positive``, then in ``bounds``,
+    [lo, hi].  Every closed bound in the package is worded here."""
     if positive and not v > 0:
-        return f"{label} must be positive, got {v}"
+        raise error(f"{label} must be positive, got {quoted(str(v), str)}")
     if bounds and not bounds[0] <= v <= bounds[1]:
         # an int bound with thousands separators, a float one shortest, without ``.0``
         lo, hi = (f"{x:,}" if isinstance(x, int) else repr(x).removesuffix(".0") for x in bounds)
-        return f"{label} must lie in [{lo}, {hi}], got {v}"
+        raise error(f"{label} must lie in [{lo}, {hi}], got {quoted(str(v), str)}")
 
 
 def check_fields(obj, *, positive=(), **ranges) -> None:
-    """Raise ConfigError for the first named field of ``obj`` that breaks a rule.
-
-    ``positive`` fields must exceed 0, and each ``name=(lo, hi)`` keyword
-    bounds that field to [lo, hi]; a field under both rules is checked in
-    that order.  A tuple field is checked element by element, ``name[i]`` in
-    the message.  NaN fails every rule.
-    """
+    """Raise ConfigError, by check_value, for the first named field of ``obj`` that breaks
+    a rule: ``positive`` fields must exceed 0, and each ``name=(lo, hi)`` keyword bounds its
+    field to [lo, hi], in that order.  A tuple field is checked element by element,
+    ``name[i]`` in the message.  NaN fails every rule."""
     for name in dict.fromkeys((*positive, *ranges)):
         value = getattr(obj, name)
         items = ([(f"{name}[{i}]", v) for i, v in enumerate(value)]
                  if isinstance(value, tuple) else [(name, value)])
         for label, v in items:
-            if why := _broken(label, v, name in positive, ranges.get(name)):
-                raise ConfigError(why)
+            check_value(label, v, name in positive, ranges.get(name))
 
 
 def read_number(name: str, text: str, parse=int, spell=str, positive=False, bounds=None):
     """The number ``text`` of a data file's field ``name``, if spelled as its writer spells it,
-    ``spell(parse(text)) == text``, and within the rules of check_fields; else a ValidationError."""
+    ``spell(parse(text)) == text``, and within the rules of check_value; else a ValidationError."""
     try:
         if spell(value := parse(text)) != text:
             raise ValueError
     except ValueError:
-        raise ValidationError(f"{name}: bad numeric field: {text!r}") from None
-    if (positive or bounds) and (why := _broken(name, value, positive, bounds)):
-        raise ValidationError(why)
+        raise ValidationError(f"{name}: bad numeric field: {quoted(text)}") from None
+    if positive or bounds:
+        check_value(name, value, positive, bounds, ValidationError)
     return value
 
 
 def check_printable(name: str, text: str) -> str:
     """``text``, a data file's field ``name``, if printable, so no control character reaches a terminal."""
     if not text.isprintable():
-        raise ValidationError(f"{name} {text!r} is not printable")
+        raise ValidationError(f"{name} {quoted(text)} is not printable")
     return text
+
+
+def not_utf8(exc: UnicodeDecodeError) -> str:
+    """Why a file's byte that ``exc`` could not decode is refused."""
+    return f"byte {exc.object[exc.start]:#04x} is not UTF-8 ({exc.reason})"
+
+
+def undecodable(exc: UnicodeDecodeError, lines_read: int, fh) -> tuple[int, ValidationError]:
+    """The line and error of the byte that the text file ``fh``, read by lines to line ``lines_read``,
+    could not decode.  ``fh`` decodes a chunk once it has returned each whole line before it, so the
+    line ends before the byte are in ``exc.object[:exc.start]``, or are a ``\\r`` held back at the
+    end of the chunk before to see if ``\\n`` follows, which only a file that can seek shows."""
+    before = exc.object[:exc.start]
+    if fh.seekable() and (start := fh.buffer.tell() - len(exc.object)) > 0:
+        fh.buffer.seek(start - 1)
+        if fh.buffer.read(1) == b"\r":
+            before = b"\r" + before
+    line = lines_read + 1 + before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n")
+    return line, ValidationError(not_utf8(exc))

@@ -22,7 +22,7 @@ from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from .errors import ValidationError, check_printable, read_number
+from .errors import ValidationError, check_printable, check_value, quoted, read_number, undecodable
 
 DIRECTIONS = ("sent", "recv")
 PROTOCOLS = ("tcp", "udp", "icmp", "other")
@@ -115,15 +115,15 @@ def _parse_packet(parts: list[str]) -> tuple:
     size = read_number("size", parts[5], bounds=(MIN_PACKET_SIZE, MAX_PACKET_SIZE))
     direction, protocol, flags_text = parts[2], parts[3], parts[4]
     if direction not in DIRECTIONS:
-        raise ValidationError(f"unknown direction {direction!r}")
+        raise ValidationError(f"unknown direction {quoted(direction)}")
     if protocol not in PROTOCOLS:
-        raise ValidationError(f"unknown protocol {protocol!r}")
+        raise ValidationError(f"unknown protocol {quoted(protocol)}")
     flags = TCP_FLAG_SETS.get(flags_text) if protocol == "tcp" else None
     if flags is None and (protocol == "tcp" or flags_text != "-"):
-        raise ValidationError(f"bad tcp flags {flags_text!r} for protocol {protocol}")
+        raise ValidationError(f"bad tcp flags {quoted(flags_text)} for protocol {protocol}")
     icmp_type = parts[6] if len(parts) == 7 else None
     if icmp_type not in (ICMP_TYPES if protocol == "icmp" else (None,)):
-        raise ValidationError(f"bad icmp type {icmp_type!r} for protocol {protocol}")
+        raise ValidationError(f"bad icmp type {quoted(icmp_type)} for protocol {protocol}")
     return direction, protocol, flags, size, icmp_type
 
 
@@ -132,21 +132,8 @@ def _parse_process(parts: list[str]) -> tuple:
         raise ValidationError(f"process line needs 5 fields, got {len(parts)}")
     kind = _PROCESS_KIND.get(parts[4])
     if kind is None:
-        raise ValidationError(f"unknown process event kind {parts[4]!r}")
+        raise ValidationError(f"unknown process event kind {quoted(parts[4])}")
     return read_number("pid", parts[2], positive=True), check_printable("process name", parts[3]), kind
-
-
-def _time_error(name: str, value: float, last: float, limit: float):
-    """The ValidationError saying why ``last <= value <= limit`` failed."""
-    if not math.isfinite(value):
-        reason = "is not finite"
-    elif value < 0:
-        reason = "is negative"
-    elif value < last:
-        reason = f"is before the earlier event at {format_time(last)}"
-    else:
-        reason = f"exceeds the {'maximum' if limit == MAX_DURATION else 'duration'} {format_time(limit)}"
-    return ValidationError(f"{name} {value} {reason}")
 
 
 def write_frames(lines: Iterable[str]) -> Iterator[tuple | float]:
@@ -162,7 +149,7 @@ def write_frames(lines: Iterable[str]) -> Iterator[tuple | float]:
     to MAX_TAILS tails, cleared when full, so a repeated tail costs only the
     time check and is one object in its frame.  FrameStream builds the events.
     """
-    duration, last, last_text, limit = None, 0.0, None, MAX_DURATION
+    duration, last, last_text, limit, line_no = None, 0.0, None, MAX_DURATION, 0
     memo: dict[tuple[str, str], tuple] = {}
     times, tails = [], []
     try:
@@ -182,7 +169,7 @@ def write_frames(lines: Iterable[str]) -> Iterator[tuple | float]:
                 if head[1] != last_text:  # a repeated time passed every check already
                     ts = read_number("timestamp", head[1], float, format_time)
                     if not last <= ts <= limit:
-                        raise _time_error("timestamp", ts, last, limit)
+                        check_value("timestamp", ts, bounds=(last, limit), error=ValidationError)
                     last, last_text = ts, head[1]
                 if len(times) == FRAME_LINES:
                     yield times, tails
@@ -198,15 +185,16 @@ def write_frames(lines: Iterable[str]) -> Iterator[tuple | float]:
                         duration = float(text)
                     except ValueError:
                         raise ValidationError("bad duration annotation") from None
-                    if not last <= duration <= MAX_DURATION:
-                        raise _time_error("duration", duration, last, MAX_DURATION)
+                    check_value("duration", duration, bounds=(last, MAX_DURATION), error=ValidationError)
                     if text != repr(duration) and text != format_time(duration):
                         raise ValidationError("bad duration annotation")
                     limit = duration
             else:
-                raise ValidationError(f"unknown record tag {tag!r}")
+                raise ValidationError(f"unknown record tag {quoted(tag)}")
     except Exception as exc:
         yield times, tails
+        if isinstance(exc, UnicodeDecodeError):  # ``lines`` is a text file, read to line ``line_no``
+            line_no, exc = undecodable(exc, line_no, lines)
         if isinstance(exc, ValidationError):  # raised without its line
             raise ValidationError(f"line {line_no}: {exc}") from None
         raise

@@ -26,7 +26,7 @@ from itertools import chain
 from operator import attrgetter
 from typing import Iterator
 
-from .errors import ConfigError, check_fields
+from .errors import ConfigError, check_fields, check_value
 from .events import (MAX_DURATION, MAX_PACKET_SIZE, MIN_PACKET_SIZE, TCP_FLAG_SETS, PacketEvent,
                      ProcessEvent)
 
@@ -122,8 +122,8 @@ class NormalProfile:
         check_fields(self, mean_pps=rate, syscall_rate=rate, activity_pps=rate, download_pps=rate,
                      stall_flush_syscalls=rate, tcp_fraction=(0, 1), udp_fraction=(0, 1),
                      sent_fraction=(0, 1), download_size=(MIN_PACKET_SIZE, MAX_PACKET_SIZE))
-        if self.mean_pps > 0 and not 70 <= self.mean_packet_size <= 90:
-            raise ConfigError("mean_packet_size must stay in the normal band [70, 90]")
+        if self.mean_pps > 0:
+            check_value("mean_packet_size", self.mean_packet_size, bounds=(70, 90))
         if not self.tcp_fraction + self.udp_fraction <= 1:
             raise ConfigError("protocol fractions exceed 1")
 
@@ -324,12 +324,7 @@ def gen_dataset(kind: str, duration: float, seed: int, *,
     """
     if kind not in DATASET_KINDS:
         raise ConfigError(f"unknown dataset kind {kind!r}")
-    for name, value in (("duration", duration), ("scan_start", scan_start),
-                        ("scan_duration", scan_duration)):
-        if value is not None and not math.isfinite(value):
-            raise ConfigError(f"{name} must be finite, got {value}")
-    if not 0 < duration <= MAX_DURATION:
-        raise ConfigError(f"duration must lie in (0, {MAX_DURATION:g}], got {duration}")
+    check_value("duration", duration, positive=True, bounds=(0, MAX_DURATION))
     scan = scan or ScanProfile()
     normal = normal or NormalProfile()
     session = session or SessionProfile()
@@ -339,8 +334,8 @@ def gen_dataset(kind: str, duration: float, seed: int, *,
         raise ConfigError("scan_start lies outside the session")
     if scan_duration is None:
         scan_duration = _DEFAULT_SCAN_LEN_FRAC * duration
-    elif scan_duration <= 0:
-        raise ConfigError("scan_duration must be positive")
+    elif not 0 < scan_duration < math.inf:
+        raise ConfigError(f"scan_duration must be positive and finite, got {scan_duration}")
     scan_duration = min(scan_duration, duration - scan_start)
     # The events the session is expected to hold: rates times seconds, bursts times their causes.
     expected, salvos = session.sshd_syscall_rate * duration, 0

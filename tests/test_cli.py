@@ -67,8 +67,10 @@ def test_generate_rejects_zero_duration(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flag, message", [
-    *(pytest.param(flag, "must be finite", id=flag)
-      for flag in ["--duration=nan", "--scan-start=nan", "--scan-duration=inf"]),
+    pytest.param("--duration=nan", "duration must be positive, got nan", id="--duration=nan"),
+    pytest.param("--scan-start=nan", "scan_start lies outside the session", id="--scan-start=nan"),
+    pytest.param("--scan-duration=inf", "scan_duration must be positive and finite, got inf",
+                 id="--scan-duration=inf"),
     # about 33M events over the default 7000 s; the stream is made after the checks
     pytest.param("--config={tmp}/bursts.conf", "events, above 25,000,000", id="max-events"),
 ])
@@ -331,12 +333,15 @@ def test_run_missing_events_file(tmp_path, capsys):
     "text, fragment",
     [
         # a leading NaN used to stall bucketing and drop every packet silently
-        ("P nan sent tcp syn 40\nP 1.0 sent tcp syn 40\n", "line 1: timestamp nan"),
+        ("P nan sent tcp syn 40\nP 1.0 sent tcp syn 40\n",
+         "line 1: timestamp must lie in [0, 86400], got nan"),
         # a trailing NaN used to end in a raw ValueError traceback
-        ("P 1.5 sent tcp syn 40\nP nan sent tcp syn 40\n", "line 2: timestamp nan"),
-        ("E 1 5 nmap syscall\nE nan 5 nmap syscall\n", "line 2: timestamp nan"),
+        ("P 1.5 sent tcp syn 40\nP nan sent tcp syn 40\n",
+         "line 2: timestamp must lie in [1.5, 86400], got nan"),
+        ("E 1 5 nmap syscall\nE nan 5 nmap syscall\n",
+         "line 2: timestamp must lie in [1, 86400], got nan"),
         # an infinite duration used to end in a raw OverflowError traceback
-        ("# duration=inf\nP 1.0 sent tcp syn 40\n", "line 1: duration inf"),
+        ("# duration=inf\nP 1.0 sent tcp syn 40\n", "line 1: duration must lie in [0, 86400], got inf"),
     ],
 )
 def test_run_rejects_non_finite_times(tmp_path, capsys, text, fragment):
@@ -355,14 +360,19 @@ def test_run_rejects_non_finite_times(tmp_path, capsys, text, fragment):
     [
         # an out-of-order file used to be re-sorted silently
         ("# duration=10\nP 5 sent udp - 60\nP 2 sent udp - 60\n",
-         "line 3: timestamp 2.0 is before the earlier event at 5"),
+         "line 3: timestamp must lie in [5, 10], got 2.0"),
         # an event past the duration used to end in an error without a line
-        ("# duration=3\nP 5 sent udp - 60\n", "line 2: timestamp 5.0 exceeds the duration 3"),
+        ("# duration=3\nP 5 sent udp - 60\n", "line 2: timestamp must lie in [0, 3], got 5.0"),
         # a huge duration used to run about a billion ticks
         ("# duration=1e9\nP 1 sent udp - 60\n",
-         "line 1: duration 1000000000.0 exceeds the maximum 86400"),
-        # a size past float range used to end in an OverflowError traceback in ss2
-        (f"P 1 sent udp - {10**309}\n", f"line 1: size must lie in [20, 65,535], got {10**309}"),
+         "line 1: duration must lie in [0, 86400], got 1000000000.0"),
+        # a size past float range used to end in an OverflowError traceback in ss2; a long
+        # number is cut to its first 40 characters
+        (f"P 1 sent udp - {10**309}\n",
+         f"line 1: size must lie in [20, 65,535], got 1{'0' * 39}... (310 characters)"),
+        # a 5,000-digit size used to be echoed whole
+        (f"# duration=3.0\nP 1 sent udp - {'7' * 5000}\n",
+         f"line 2: size: bad numeric field: '{'7' * 40}'... (5,000 characters)"),
         # a later annotation used to lift the first one's limit and replay 100 ticks
         ("# duration=5\nE 1 7 sshd syscall\n# duration=100\nE 50 7 sshd syscall\n",
          "line 3: second duration annotation"),
@@ -670,12 +680,26 @@ def test_audit_every_must_be_a_non_negative_integer(tmp_path, capsys, command, f
 
 
 NOT_UTF8 = b"\x80\xff not text \xfe\n"
+_BAD_START = "byte 0xff is not UTF-8 (invalid start byte)"
 
 
-@pytest.mark.parametrize("command", ["run", "analyze", "config"])
-def test_non_utf8_input_is_a_one_line_error(small_events, tmp_path, capsys, command):
+@pytest.mark.parametrize("command, data, message", [
+    ("run", NOT_UTF8, "error: line 1: byte 0x80 is not UTF-8 (invalid start byte)"),
+    ("analyze", NOT_UTF8, "error: row 1: byte 0x80 is not UTF-8 (invalid start byte)"),
+    ("config", NOT_UTF8, "config error: config line 1: byte 0x80 is not UTF-8 (invalid start byte)"),
+    # a byte past the first line used to be named only by its offset in a chunk of the file
+    ("run", b"# duration=3.0\nP 1 sent udp - 60\nE 2 5 ab\xff syscall\n", f"error: line 3: {_BAD_START}"),
+    ("analyze", b"presented_at,pid,label,context\r\n1,5,nmap,1\r\n2,5,a\xffb,1\r\n",
+     f"error: row 3: {_BAD_START}"),
+    # in a comment too
+    ("config", b"engine.population_size = 100\r# caf\xe9 au lait\n",
+     "config error: config line 2: byte 0xe9 is not UTF-8 (invalid continuation byte)"),
+    # a file that ends inside a character
+    ("run", b"P 1 sent udp - 60\n# caf\xe9", "error: line 2: byte 0xe9 is not UTF-8 (unexpected end of data)"),
+], ids=["run", "analyze", "config", "run-line-3", "analyze-row-3", "config-comment", "run-comment"])
+def test_non_utf8_input_is_a_one_line_error(small_events, tmp_path, capsys, command, data, message):
     blob = tmp_path / "blob"
-    blob.write_bytes(NOT_UTF8)
+    blob.write_bytes(data)
     argv = {
         "run": ["run", str(blob), "--seed", "1", "--out", str(tmp_path / "p.csv")],
         "analyze": ["analyze", str(blob), "--out-dir", str(tmp_path / "scores")],
@@ -683,8 +707,26 @@ def test_non_utf8_input_is_a_one_line_error(small_events, tmp_path, capsys, comm
                    "--out", str(tmp_path / "p.csv")],
     }[command]
     assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith("error: 'utf-8' codec can't decode")
+    assert capsys.readouterr().err == message + "\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["blob"]
+
+
+@pytest.mark.parametrize("nl", [b"\r", b"\r\n", b"\n"], ids=["cr", "crlf", "lf"])
+@pytest.mark.parametrize("command", ["run", "analyze"])
+def test_a_bad_byte_past_a_chunk_end_names_its_line(tmp_path, capsys, command, nl):
+    # A text file is decoded 8,192 bytes at a time, and a \r that ends a chunk is held back
+    # to see whether \n follows, so the line end before the bad byte may end the chunk before.
+    head, row = ((b"# duration=10", b"E %d 5 %s syscall") if command == "run"
+                 else (b"presented_at,pid,label,context", b"%d,5,%s,1"))
+    blob = tmp_path / "blob"
+    argv = (["run", str(blob), "--seed", "1", "--out", str(tmp_path / "p.csv")] if command == "run"
+            else ["analyze", str(blob), "--out-dir", str(tmp_path / "scores")])
+    where = "line" if command == "run" else "row"
+    for end in range(8188, 8196):  # the byte at which the end of line 2 begins
+        name = b"a" * (end - len(head + nl + row % (1, b"")))
+        blob.write_bytes(nl.join([head, row % (1, name), row % (2, b"a\xffb")]) + nl)
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {where} 3: {_BAD_START}\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["blob"]
 
 

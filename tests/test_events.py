@@ -13,7 +13,7 @@ import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from dcascan.cli import main
@@ -95,7 +95,7 @@ def test_parse_reports_line_number():
     ],
 )
 def test_parse_rejects_non_finite_times(text):
-    with pytest.raises(ValidationError, match="line 1: .* is not finite"):
+    with pytest.raises(ValidationError, match=r"^line 1: \w+ must lie in \[0, 86400\], got -?(inf|nan)$"):
         parse_stream(text)
 
 
@@ -107,7 +107,9 @@ def test_parse_rejects_unknown_tag():
 @pytest.mark.parametrize(
     "text, line_no, fragment",
     [
-        ("P -1 sent tcp syn 40\n", 1, "timestamp -1.0 is negative"),
+        # the ids of the time and duration cases say what is wrong with the value
+        pytest.param("P -1 sent tcp syn 40\n", 1, "timestamp must lie in [0, 86400], got -1.0",
+                     id="P -1 sent tcp syn 40\n-1-timestamp -1.0 is negative"),
         ("P 1 sent udp syn 40\n", 1, "bad tcp flags 'syn' for protocol udp"),
         ("P 1 sent tcp syn 12\n", 1, "size must lie in [20, 65,535], got 12"),
         ("P 1 recv icmp - 56\n", 1, "bad icmp type None for protocol icmp"),
@@ -119,8 +121,9 @@ def test_parse_rejects_unknown_tag():
         ("E 1 5 a\0b syscall\n", 1, "process name 'a\\x00b' is not printable"),
         ("E 1 5 sshd syscall\nE 2 5 \x1b[2Jsshd syscall\n", 2,
          "process name '\\x1b[2Jsshd' is not printable"),
-        ("P 2 sent udp - 60\nP 1 sent udp - 60\n", 2, "timestamp 1.0 is before the earlier event at 2"),
-        ("# duration=1\nP 2 sent udp - 60\n", 2, "timestamp 2.0 exceeds the duration 1"),
+        ("P 2 sent udp - 60\nP 1 sent udp - 60\n", 2, "timestamp must lie in [2, 86400], got 1.0"),
+        pytest.param("# duration=1\nP 2 sent udp - 60\n", 2, "timestamp must lie in [0, 1], got 2.0",
+                     id="# duration=1\nP 2 sent udp - 60\n-2-timestamp 2.0 exceeds the duration 1"),
         ("P 1 up tcp syn 40\n", 1, "unknown direction 'up'"),
         ("P 1 sent sctp - 40\n", 1, "unknown protocol 'sctp'"),
         ("P 1 sent tcp syn,urg 40\n", 1, "bad tcp flags 'syn,urg' for protocol tcp"),
@@ -129,11 +132,22 @@ def test_parse_rejects_unknown_tag():
         ("P 1 sent tcp syn,syn 40\n", 1, "bad tcp flags 'syn,syn' for protocol tcp"),
         ("P 1 sent tcp fin,syn,ack 40\n", 1, "bad tcp flags 'fin,syn,ack' for protocol tcp"),
         ("P 1 recv icmp - 56 bogus\n", 1, "bad icmp type 'bogus'"),
-        ("E 2 5 sshd login\nP 1.5 sent udp - 60\n", 2, "before the earlier event at 2"),
-        ("P 5 sent udp - 60\n# duration=3\n", 2, "duration 3.0 is before the earlier event at 5"),
-        ("# duration=-1\n", 1, "duration -1.0 is negative"),
-        ("# duration=1e9\nP 1 sent udp - 60\n", 1, "duration 1000000000.0 exceeds the maximum 86400"),
-        ("P 86400.5 sent udp - 60\n", 1, "timestamp 86400.5 exceeds the maximum 86400"),
+        pytest.param("E 2 5 sshd login\nP 1.5 sent udp - 60\n", 2,
+                     "timestamp must lie in [2, 86400], got 1.5",
+                     id="E 2 5 sshd login\nP 1.5 sent udp - 60\n-2-before the earlier event at 2"),
+        pytest.param("P 5 sent udp - 60\n# duration=3\n", 2, "duration must lie in [5, 86400], got 3.0",
+                     id="P 5 sent udp - 60\n# duration=3\n-2-duration 3.0 is before the earlier event at 5"),
+        pytest.param("# duration=-1\n", 1, "duration must lie in [0, 86400], got -1.0",
+                     id="# duration=-1\n-1-duration -1.0 is negative"),
+        pytest.param("# duration=1e9\nP 1 sent udp - 60\n", 1,
+                     "duration must lie in [0, 86400], got 1000000000.0",
+                     id="# duration=1e9\nP 1 sent udp - 60\n-1-duration 1000000000.0 exceeds the maximum 86400"),
+        pytest.param("P 86400.5 sent udp - 60\n", 1, "timestamp must lie in [0, 86400], got 86400.5",
+                     id="P 86400.5 sent udp - 60\n-1-timestamp 86400.5 exceeds the maximum 86400"),
+        # the bounds are written as the writer writes a time
+        ("P 1e-05 sent udp - 60\nP 0 sent udp - 60\n", 2, "timestamp must lie in [1e-05, 86400], got 0.0"),
+        # a long field is cut to its first 40 characters and its length
+        (f"P 1 {'u' * 41} udp - 60\n", 1, f"unknown direction '{'u' * 40}'... (41 characters)"),
         ("P 1 sent udp - 65536\n", 1, "size must lie in [20, 65,535], got 65536"),
         # int() and float() read these spellings; the writer never writes them
         ("P 1_0.5 sent udp - 60\n", 1, "bad numeric field: '1_0.5'"),
@@ -172,8 +186,9 @@ def test_parse_keeps_every_written_number_spelling():
 
 
 @pytest.mark.parametrize("time_text, fragment", [
-    ("0.5", "timestamp 0.5 is before the earlier event at 1"),
-    ("9", "timestamp 9.0 exceeds the duration 8"),
+    pytest.param("0.5", "timestamp must lie in [1, 8], got 0.5",
+                 id="0.5-timestamp 0.5 is before the earlier event at 1"),
+    pytest.param("9", "timestamp must lie in [1, 8], got 9.0", id="9-timestamp 9.0 exceeds the duration 8"),
     ("1_0", "timestamp: bad numeric field: '1_0'"),
     ("+1", "timestamp: bad numeric field: '+1'"),
 ])
@@ -463,6 +478,23 @@ def _run_both_ways(text):
 def test_run_with_and_without_fork_agree(text):
     forked, in_process = _run_both_ways(text)
     assert forked == in_process
+
+
+@settings(deadline=None, max_examples=50, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=_event_texts(), ending=st.sampled_from(["\n", "\r\n", "\r"]), data=st.data())
+def test_run_names_the_line_of_a_byte_that_is_not_utf8(fork, text, ending, data):
+    lines = text.split("\n")
+    line_no = data.draw(st.integers(1, len(lines)))
+    at = data.draw(st.integers(0, len(lines[line_no - 1])))
+    lines[line_no - 1] = lines[line_no - 1][:at] + "\udcff" + lines[line_no - 1][at:]
+    with tempfile.TemporaryDirectory() as tmp:
+        events = os.path.join(tmp, "events.txt")
+        with open(events, "wb") as fh:
+            fh.write(ending.join(lines).encode("utf-8", "surrogateescape"))  # "\udcff" as byte 0xff
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main(["run", events, "--seed", "1", "--out", os.path.join(tmp, "p.csv")])
+    assert (code, err.getvalue()) == (2, f"error: line {line_no}: byte 0xff is not UTF-8 (invalid start byte)\n")
 
 
 def _framed(lines):

@@ -1,7 +1,9 @@
 """Scenario generators: scan shape, desktop traffic, dataset assembly."""
 
 import ast
+import math
 import random
+import re
 import tracemalloc
 from collections import Counter, defaultdict
 from pathlib import Path
@@ -202,7 +204,7 @@ def test_normal_stall_flush_concentrates_syscalls():
 def test_normal_profile_validation():
     with pytest.raises(ConfigError):
         NormalProfile(mean_pps=-1)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"^mean_packet_size must lie in \[70, 90\], got 60.0$"):
         NormalProfile(mean_packet_size=60.0)
     with pytest.raises(ConfigError):
         NormalProfile(tcp_fraction=0.7, udp_fraction=0.4)
@@ -259,7 +261,7 @@ def test_dataset_kinds_and_aliases():
 def test_dataset_rejects_bad_arguments():
     with pytest.raises(ConfigError, match="unknown dataset kind"):
         gen_dataset("mixed", 120, 1)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="^duration must be positive, got 0$"):
         gen_dataset("passive-normal", 0, 1)
     with pytest.raises(ConfigError):
         gen_dataset("passive-normal", 100, 1, scan_start=100)
@@ -267,7 +269,7 @@ def test_dataset_rejects_bad_arguments():
         gen_dataset("passive-normal", 100, 1, scan_start=-5)
     with pytest.raises(ConfigError, match="scan_duration must be positive"):
         gen_dataset("passive-normal", 100, 1, scan_duration=-50)
-    with pytest.raises(ConfigError, match="duration must lie in"):
+    with pytest.raises(ConfigError, match=r"^duration must lie in \[0, 86400\], got 86400.5$"):
         gen_dataset("passive-normal", 86_400.5, 1)
     too_wide = ScanProfile(target_count=MAX_PROBES + 1, hosts_up=1)
     with pytest.raises(ConfigError, match="exceeds 2,000,000 probes"):
@@ -316,11 +318,19 @@ def test_event_bound_rejects_sessions_whose_rates_pass_one_by_one(kind, duration
         gen_dataset(kind, duration, 1, **profiles)
 
 
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
-@pytest.mark.parametrize("name", ["duration", "scan_start", "scan_duration"])
-def test_dataset_rejects_non_finite_values(name, value):
+@pytest.mark.parametrize("name, value, message", [
+    ("duration", math.nan, "duration must be positive, got nan"),
+    ("duration", math.inf, "duration must lie in [0, 86400], got inf"),
+    ("duration", -math.inf, "duration must be positive, got -inf"),
+    *(("scan_start", value, "scan_start lies outside the session")
+      for value in (math.nan, math.inf, -math.inf)),
+    *(("scan_duration", value, f"scan_duration must be positive and finite, got {value}")
+      for value in (math.nan, math.inf, -math.inf)),
+], ids=[f"{name}-{value}" for name in ("duration", "scan_start", "scan_duration")
+        for value in ("nan", "inf", "-inf")])
+def test_dataset_rejects_non_finite_values(name, value, message):
     kwargs = {"duration": 100.0, "scan_start": None, "scan_duration": None, name: value}
-    with pytest.raises(ConfigError, match=f"{name} must be finite"):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         gen_dataset("passive-normal", seed=1, **kwargs)
 
 
