@@ -19,7 +19,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .errors import ValidationError, check_fields, check_printable, quoted, read_number, undecodable
+from .errors import ValidationError, check_fields, check_printable, not_utf8, open_text, quoted, read_number
 from .events import replacing
 
 
@@ -127,11 +127,13 @@ def read_presentations(path) -> Iterator[tuple[str, int]]:
     def lines(fh):  # csv itself refuses a NUL only up to CPython 3.10
         nonlocal line_no
         for line_no, line in enumerate(fh, start=1):
+            if why := not_utf8(line):  # checked by line, as a quoted field may hold a line end
+                raise ValidationError(why)
             if "\0" in line:
                 raise ValidationError("line contains NUL")
             yield line
 
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open_text(path, newline="") as fh:
         reader = csv.reader(lines(fh))
         try:
             if (header := next(reader, None)) != LOG_HEADER:
@@ -142,10 +144,8 @@ def read_presentations(path) -> Iterator[tuple[str, int]]:
                 read_number("presented_at", row[0], bounds=(0, math.inf))
                 read_number("pid", row[1], positive=True)
                 yield check_printable("label", row[2]), read_number("context", row[3], bounds=(0, 1))
-        except (csv.Error, ValidationError, UnicodeDecodeError) as exc:
+        except (csv.Error, ValidationError) as exc:
             # csv.Error: a line csv cannot read, the header included, e.g. a field over its size limit.
-            if isinstance(exc, UnicodeDecodeError):
-                line_no, exc = undecodable(exc, line_no, fh)
             raise ValidationError(f"row {max(line_no, 1)}: {exc}") from None  # an empty log's header: row 1
 
 

@@ -23,7 +23,7 @@ from functools import partial
 
 from . import analysis, pipeline
 from .config import PipelineConfig, build_config
-from .errors import ConfigError, DcaError
+from .errors import ConfigError, DcaError, open_text
 from .events import FrameStream, iter_buckets, replacing, save_stream, write_frames, write_stream
 from .scenario import DATASET_KINDS, gen_dataset
 
@@ -160,7 +160,7 @@ def cmd_run(args) -> int:
                  [("--out", args.out), ("--signal-trace", args.signal_trace)])
     config = build_config(args.config)
     # The log's block holds the reader's, so a reader that fails after its last frame leaves no log.
-    with open(args.events, "r", encoding="utf-8") as fh, \
+    with open_text(args.events) as fh, \
             _tick_writer(args.out, args.signal_trace) as each_tick, \
             _in_child(f"the reader of {args.events}", partial(write_frames, fh)) as receive:
         result = pipeline.run_stream(iter_buckets(FrameStream(receive)), config.engine, config.signals,

@@ -19,13 +19,14 @@ any number, so ``_coerce`` rejects every non-finite number.
 
 from __future__ import annotations
 
+import io
 import math
 import typing
 from dataclasses import dataclass, field, fields, replace
 
 from .analysis import AnalysisConfig
 from .engine import EngineConfig
-from .errors import ConfigError, not_utf8, quoted
+from .errors import ConfigError, not_utf8, open_text, quoted
 from .scenario import NormalProfile, ScanProfile, SessionProfile
 from .signals import SignalConfig
 
@@ -41,17 +42,18 @@ class PipelineConfig:
 
 
 def parse_flat_config(text: str) -> dict[str, str]:
-    """Read ``key = value`` lines into a dict, preserving value text."""
+    """Read ``key = value`` lines, which end where a text file's do, into a dict, preserving
+    value text.  A line with a byte that is not UTF-8, as errors.open_text reads one, is refused."""
     values: dict[str, str] = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(io.StringIO(text, newline=None), start=1):
+        if why := not_utf8(raw):
+            raise ConfigError(f"config line {line_no}: {why}")
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if "=" not in line:
+        key, eq, value = (part.strip() for part in line.partition("="))
+        if not eq:
             raise ConfigError(f"config line {line_no}: expected key = value")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
         if not key or not value:
             raise ConfigError(f"config line {line_no}: empty key or value")
         if key in values:
@@ -113,9 +115,5 @@ def build_config(config_path=None) -> PipelineConfig:
     """Defaults, overlaid with an optional config file."""
     if config_path is None:
         return PipelineConfig()
-    with open(config_path, "r", encoding="utf-8") as fh:
-        try:
-            return apply_overrides(PipelineConfig(), parse_flat_config(fh.read()))
-        except UnicodeDecodeError as exc:  # read in one piece, so exc.object is the whole file
-            line_no = len((exc.object[:exc.start].decode() + "?").splitlines())
-            raise ConfigError(f"config line {line_no}: {not_utf8(exc)}") from None
+    with open_text(config_path) as fh:
+        return apply_overrides(PipelineConfig(), parse_flat_config(fh.read()))

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the field rules of config and data files."""
+"""Exception types shared across the package, and the reading and field rules of config and data files."""
 
 from __future__ import annotations
 
@@ -74,20 +74,21 @@ def check_printable(name: str, text: str) -> str:
     return text
 
 
-def not_utf8(exc: UnicodeDecodeError) -> str:
-    """Why a file's byte that ``exc`` could not decode is refused."""
-    return f"byte {exc.object[exc.start]:#04x} is not UTF-8 ({exc.reason})"
+def open_text(path, newline=None):
+    """Open an input file as UTF-8 text that always decodes: a byte that is not UTF-8 is read as a
+    lone surrogate (``surrogateescape``), which a reader refuses, by not_utf8, on the line it is on."""
+    return open(path, "r", encoding="utf-8", errors="surrogateescape", newline=newline)
 
 
-def undecodable(exc: UnicodeDecodeError, lines_read: int, fh) -> tuple[int, ValidationError]:
-    """The line and error of the byte that the text file ``fh``, read by lines to line ``lines_read``,
-    could not decode.  ``fh`` decodes a chunk once it has returned each whole line before it, so the
-    line ends before the byte are in ``exc.object[:exc.start]``, or are a ``\\r`` held back at the
-    end of the chunk before to see if ``\\n`` follows, which only a file that can seek shows."""
-    before = exc.object[:exc.start]
-    if fh.seekable() and (start := fh.buffer.tell() - len(exc.object)) > 0:
-        fh.buffer.seek(start - 1)
-        if fh.buffer.read(1) == b"\r":
-            before = b"\r" + before
-    line = lines_read + 1 + before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n")
-    return line, ValidationError(not_utf8(exc))
+def not_utf8(line: str) -> str | None:
+    """Why ``line``, read by open_text, is refused for its first byte that is not UTF-8, worded as
+    a strict decoder words it; None if it has none."""
+    if line.isascii():
+        return None
+    try:
+        line.encode("utf-8", "surrogateescape").decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return f"byte {exc.object[exc.start]:#04x} is not UTF-8 ({exc.reason})"
+    except UnicodeEncodeError:  # a lone surrogate that no byte of a file gives
+        pass
+    return None

@@ -22,7 +22,7 @@ from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from .errors import ValidationError, check_printable, check_value, quoted, read_number, undecodable
+from .errors import ValidationError, check_printable, check_value, not_utf8, open_text, quoted, read_number
 
 DIRECTIONS = ("sent", "recv")
 PROTOCOLS = ("tcp", "udp", "icmp", "other")
@@ -144,10 +144,11 @@ def write_frames(lines: Iterable[str]) -> Iterator[tuple | float]:
     Event times must not decrease and lie in [0, duration], the duration in
     [0, MAX_DURATION], set by one annotation at most, else the last event's time.  A
     violation raises a ValidationError naming its line, after a frame of the
-    lines checked before it; nothing is sorted.  A tail, the text after the
-    time, is parsed to ``(is_packet, fields)`` once and kept in a memo of up
-    to MAX_TAILS tails, cleared when full, so a repeated tail costs only the
-    time check and is one object in its frame.  FrameStream builds the events.
+    lines checked before it; nothing is sorted.  A line with a byte that is not
+    UTF-8, as errors.open_text reads one, is refused for that byte.  A tail, the
+    text after the time, is parsed to ``(is_packet, fields)`` once and kept in a
+    memo of up to MAX_TAILS tails, cleared when full, so a repeated tail costs only
+    the time check and is one object in its frame.  FrameStream builds the events.
     """
     duration, last, last_text, limit, line_no = None, 0.0, None, MAX_DURATION, 0
     memo: dict[tuple[str, str], tuple] = {}
@@ -177,6 +178,8 @@ def write_frames(lines: Iterable[str]) -> Iterator[tuple | float]:
                 times.append(last)
                 tails.append(tail)
             elif tag[0] == "#":
+                if why := not_utf8(raw):  # every other line that holds such a byte is refused
+                    raise ValidationError(why)
                 if raw.strip().startswith(_DURATION_PREFIX):
                     if duration is not None:
                         raise ValidationError("second duration annotation")
@@ -193,10 +196,8 @@ def write_frames(lines: Iterable[str]) -> Iterator[tuple | float]:
                 raise ValidationError(f"unknown record tag {quoted(tag)}")
     except Exception as exc:
         yield times, tails
-        if isinstance(exc, UnicodeDecodeError):  # ``lines`` is a text file, read to line ``line_no``
-            line_no, exc = undecodable(exc, line_no, lines)
-        if isinstance(exc, ValidationError):  # raised without its line
-            raise ValidationError(f"line {line_no}: {exc}") from None
+        if isinstance(exc, ValidationError):  # raised without its line; a byte that is not UTF-8 first
+            raise ValidationError(f"line {line_no}: {not_utf8(raw) or exc}") from None
         raise
     yield times, tails
     yield last if duration is None else duration
@@ -229,7 +230,7 @@ def parse_stream(text: str) -> EventStream:
 
 
 def load_stream(path) -> EventStream:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         return parse_stream(fh.read())
 
 

@@ -16,6 +16,10 @@ from dcascan.cli import main
 from dcascan.events import MAX_TAILS, ProcessEvent, format_time
 from reference import write_log
 
+# The environment of a CLI started in a child interpreter: this checkout's src first on its path.
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+_CHILD_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join([_SRC, os.environ.get("PYTHONPATH", "")]))
+
 
 def _rec(label, context, t, pid=1):
     return t, ProcessEvent(t, pid, label, "syscall"), context
@@ -194,13 +198,11 @@ def test_generate_rejects_unbounded_scan_bursts(tmp_path, setting):
     conf = tmp_path / "big.conf"
     conf.write_text(setting + "\n")
     out = tmp_path / "x.txt"
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
         [sys.executable, "-c", "import sys; from dcascan.cli import main; sys.exit(main())",
          "generate", "passive-normal", "--duration", "100", "--seed", "1",
          "--config", str(conf), "--out", str(out)],
-        capture_output=True, text=True, env=env, timeout=60)
+        capture_output=True, text=True, env=_CHILD_ENV, timeout=60)
     assert proc.returncode == 2
     assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("config error: ")
     assert not out.exists()
@@ -696,7 +698,10 @@ _BAD_START = "byte 0xff is not UTF-8 (invalid start byte)"
      "config error: config line 2: byte 0xe9 is not UTF-8 (invalid continuation byte)"),
     # a file that ends inside a character
     ("run", b"P 1 sent udp - 60\n# caf\xe9", "error: line 2: byte 0xe9 is not UTF-8 (unexpected end of data)"),
-], ids=["run", "analyze", "config", "run-line-3", "analyze-row-3", "config-comment", "run-comment"])
+    # a quoted field carries a row across lines: the byte is named on its own line
+    ("analyze", b'presented_at,pid,label,context\n1,5,"a\xff\nb",1\n', f"error: row 2: {_BAD_START}"),
+], ids=["run", "analyze", "config", "run-line-3", "analyze-row-3", "config-comment", "run-comment",
+        "analyze-quoted"])
 def test_non_utf8_input_is_a_one_line_error(small_events, tmp_path, capsys, command, data, message):
     blob = tmp_path / "blob"
     blob.write_bytes(data)
@@ -728,6 +733,45 @@ def test_a_bad_byte_past_a_chunk_end_names_its_line(tmp_path, capsys, command, n
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: {where} 3: {_BAD_START}\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["blob"]
+
+
+# Per command: the first line, a good line and a refused one at a second, and its error.
+_REFUSED = {
+    "run": (b"# duration=9000", b"E %d 5 %s syscall", b"P %d sent udp - 6X", "size: bad numeric field: '6X'"),
+    "analyze": (b"presented_at,pid,label,context", b"%d,5,%s,1", b"%d,5X,nmap,1",
+                "pid: bad numeric field: '5X'"),
+}
+
+
+@pytest.mark.parametrize("case, feed", [("a", "file"), ("a", "pipe"), ("b", "file"), ("b", "pipe"),
+                                        ("c", "pipe")])
+@pytest.mark.parametrize("command", ["run", "analyze"])
+def test_the_first_refused_line_wins(tmp_path, capsys, command, case, feed):
+    # A file used to be decoded a chunk ahead of its lines, so a bad byte later in the chunk was
+    # reported before a line refused for a field, and a pipe could not see a \r held back.
+    head, row, refused, why = _REFUSED[command]
+    nl, where = b"\n", {"a": 2, "b": 8001, "c": 3}[case]
+    if case == "a":  # line 2 refused, a bad byte on line 3
+        lines = [head, refused % 1, row % (2, b"ab\xff")]
+    elif case == "b":  # the same past the first 8,192-byte chunk: lines 8,001 and 8,002
+        lines = [head, *(row % (t, b"sshd") for t in range(1, 8000)), refused % 8000, row % (8001, b"a\xffb")]
+    else:  # line 2 ends in a \r at byte 8,191, the last of a chunk, and line 3 holds a bad byte
+        nl, why = b"\r", _BAD_START
+        name = b"a" * (8191 - len(head + nl + row % (1, b"")))
+        lines = [head, row % (1, name), row % (2, b"a\xffb")]
+    data = nl.join(lines) + nl
+    source = "/dev/stdin" if feed == "pipe" else str(tmp_path / "blob")
+    argv = ([command, source, "--seed", "1", "--out", str(tmp_path / "p.csv")] if command == "run"
+            else [command, source, "--out-dir", str(tmp_path / "scores")])
+    if feed == "pipe":
+        proc = subprocess.run([sys.executable, "-m", "dcascan.cli", *argv], input=data, env=_CHILD_ENV,
+                              capture_output=True, timeout=60)
+        code, err = proc.returncode, proc.stderr.decode()
+    else:
+        (tmp_path / "blob").write_bytes(data)
+        code, err = main(argv), capsys.readouterr().err
+    assert (code, err) == (2, f"error: {'line' if command == 'run' else 'row'} {where}: {why}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ([] if feed == "pipe" else ["blob"])
 
 
 # --------------------------------------------------------------------------
@@ -974,9 +1018,7 @@ _LAUNCHER = ("import os, sys; argv = [sys.executable, '-m', 'dcascan.cli', *sys.
 
 def _peak_rss_kb(argv):
     """The peak resident set size of one CLI call in a fresh interpreter."""
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run([sys.executable, "-c", _LAUNCHER, *argv], env=env, check=True,
+    out = subprocess.run([sys.executable, "-c", _LAUNCHER, *argv], env=_CHILD_ENV, check=True,
                          capture_output=True, text=True).stdout
     code, peak = map(int, out.split()[-2:])
     assert code == 0

@@ -56,6 +56,19 @@ def test_parse_error_carries_line_number():
         parse_flat_config("a.b = 1\n# fine\nbroken line\n")
 
 
+@pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+def test_config_lines_end_where_a_text_file_does(tmp_path, sep):
+    # str.splitlines also ends a line at these, which used to load two keys from one line
+    text = f"engine.population_size = 5{sep}engine.tissue_capacity = 9"
+    assert parse_flat_config(text) == {"engine.population_size": f"5{sep}engine.tissue_capacity = 9"}
+    conf = tmp_path / "c.conf"
+    conf.write_bytes(text.encode("utf-8"))
+    with pytest.raises(ConfigError, match=r"^engine\.population_size: expected an integer, got '5"):
+        build_config(conf)
+    # \r and \r\n end a line, as in a text file
+    assert parse_flat_config("a.b = 1\rc.d = 2\r\ne.f = 3") == {"a.b": "1", "c.d": "2", "e.f": "3"}
+
+
 def test_overrides_reach_every_section():
     config = apply_overrides(PipelineConfig(), {
         "engine.population_size": "64",

@@ -32,6 +32,7 @@ from dcascan.events import (
     TickBucket,
     format_time,
     iter_buckets,
+    load_stream,
     parse_stream,
     save_stream,
     serialize_stream,
@@ -170,6 +171,9 @@ def test_parse_rejects_unknown_tag():
         ("P 01 sent udp - 60\n", 1, "timestamp: bad numeric field: '01'"),
         ("P 1 sent udp - +60\n", 1, "size: bad numeric field: '+60'"),
         ("E 1 5.0 sshd syscall\n", 1, "pid: bad numeric field: '5.0'"),
+        # a lone surrogate that no file's byte gives is refused by its field's rule
+        ("E 1 5 ss\ud800hd syscall\n", 1, "process name 'ss\\ud800hd' is not printable"),
+        ("# \ud800\nP 1 sent udp - 6\ud800\n", 2, "size: bad numeric field: '6\\ud800'"),
         # a later annotation used to lift the limit the first one set
         ("# duration=5\nE 1 7 sshd syscall\n# duration=100\nE 50 7 sshd syscall\n", 3,
          "second duration annotation"),
@@ -559,6 +563,15 @@ def test_both_readers_end_lines_where_a_text_file_does(tmp_path, text, events):
     assert len(stream.events) == events
     with open(path, encoding="utf-8") as fh:
         assert list(_buckets_of(fh)) == list(iter_buckets(stream))
+
+
+def test_load_stream_names_the_line_of_a_byte_that_is_not_utf8(tmp_path):
+    # load_stream used to let the UnicodeDecodeError of its whole-file read out
+    path = tmp_path / "events.txt"
+    path.write_bytes(b"# duration=3.0\nP 1 sent udp - 60\nE 2 5 ab\xff syscall\n")
+    with pytest.raises(ValidationError) as info:
+        load_stream(path)
+    assert str(info.value) == "line 3: byte 0xff is not UTF-8 (invalid start byte)"
 
 
 @pytest.mark.parametrize("include_scan", [True, False])
