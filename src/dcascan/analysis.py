@@ -68,19 +68,23 @@ def session_summary(windows: list[tuple[int, Counter, Counter]],
 
     Windows where a label never appears do not contribute to its mean, and
     neither does a partial window, one shorter than ``config.window_size``.
-    Counts and proportions cover every record, partial window included.
+    A label with no complete window takes its session MCAV, its mature over
+    all of its presentations, as its mean.  Counts and proportions cover
+    every record, partial window included.
     """
     counts: Counter = Counter()
+    matures: Counter = Counter()
     per_label_mcavs: dict[str, list[float]] = {}
     for size, totals, mature in windows:
         counts.update(totals)
+        matures.update(mature)
         for label, presentations in totals.items():
             mcavs = per_label_mcavs.setdefault(label, [])
             if size >= config.window_size:
                 mcavs.append(mature[label] / presentations)
     total_records = sum(size for size, _, _ in windows)
     return {label: LabelSummary(windows=len(mcavs),
-                                mean_mcav=statistics.fmean(mcavs) if mcavs else 0.0,
+                                mean_mcav=statistics.fmean(mcavs) if mcavs else matures[label] / counts[label],
                                 std_mcav=statistics.pstdev(mcavs) if mcavs else 0.0,
                                 presentations=counts[label],
                                 proportion=counts[label] / total_records)
@@ -92,7 +96,7 @@ def classify(summaries: dict[str, LabelSummary],
     """Per-label verdict from mean MCAV and the amount of evidence."""
     verdicts = {}
     for label, summary in summaries.items():
-        if summary.presentations < config.min_confidence or summary.windows == 0:
+        if summary.presentations < config.min_confidence:
             verdicts[label] = VERDICT_INSUFFICIENT
         elif summary.mean_mcav > config.mcav_threshold:
             verdicts[label] = VERDICT_ANOMALOUS

@@ -19,7 +19,6 @@ any number, so ``_coerce`` rejects every non-finite number.
 
 from __future__ import annotations
 
-import io
 import math
 import typing
 from dataclasses import dataclass, field, fields, replace
@@ -39,27 +38,6 @@ class PipelineConfig:
     normal: NormalProfile = field(default_factory=NormalProfile)
     session: SessionProfile = field(default_factory=SessionProfile)
     analysis: AnalysisConfig = field(default_factory=AnalysisConfig)
-
-
-def parse_flat_config(text: str) -> dict[str, str]:
-    """Read ``key = value`` lines, which end where a text file's do, into a dict, preserving
-    value text.  A line with a byte that is not UTF-8, as errors.open_text reads one, is refused."""
-    values: dict[str, str] = {}
-    for line_no, raw in enumerate(io.StringIO(text, newline=None), start=1):
-        if why := not_utf8(raw):
-            raise ConfigError(f"config line {line_no}: {why}")
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, eq, value = (part.strip() for part in line.partition("="))
-        if not eq:
-            raise ConfigError(f"config line {line_no}: expected key = value")
-        if not key or not value:
-            raise ConfigError(f"config line {line_no}: empty key or value")
-        if key in values:
-            raise ConfigError(f"config line {line_no}: duplicate key {quoted(key)}")
-        values[key] = value
-    return values
 
 
 def _coerce(raw: str, typ, key: str):
@@ -85,28 +63,46 @@ def _coerce(raw: str, typ, key: str):
     return value
 
 
-def apply_overrides(config: PipelineConfig, flat: dict[str, str]) -> PipelineConfig:
-    """Overlay flat dotted keys onto a PipelineConfig, validating everything.
-
-    The sections are the fields of PipelineConfig, plus ``weights`` for
-    ``engine.weights``.  Each key is checked in one pass: its section, its
-    name against the section's fields, then its value.
+def apply_overrides(config: PipelineConfig, lines: typing.Iterable[str]) -> PipelineConfig:
+    """Overlay ``section.key = value`` lines, as an errors.open_text file yields them, onto a
+    PipelineConfig in one pass.  The sections are the fields of PipelineConfig, plus ``weights``
+    for ``engine.weights``.  Each line is checked in turn, its bytes, form, key and value, and
+    an error on it reads ``config line <n>: ...``, so the first refused line is the one
+    reported.  Each changed section is then built once, after the last line, and an error
+    from its own rules reads ``<section>: ...``.
     """
     sections = {f.name: getattr(config, f.name) for f in fields(PipelineConfig)}
     sections["weights"] = config.engine.weights
     changes: dict[str, dict] = {}
-    for key, raw in flat.items():
-        section, dot, name = key.partition(".")
-        if not dot or not name:
-            raise ConfigError(f"config key {quoted(key)} is not of the form section.key")
-        if section not in sections:
-            raise ConfigError(f"unknown config section {quoted(section)}")
-        hints = typing.get_type_hints(type(sections[section]))
-        if name not in hints:
-            raise ConfigError(f"unknown config key {quoted(key, str)}")
-        changes.setdefault(section, {})[name] = _coerce(raw, hints[name], key)
+    for line_no, raw in enumerate(lines, start=1):
+        try:
+            if why := not_utf8(raw):
+                raise ConfigError(why)
+            if not (line := raw.strip()) or line.startswith("#"):
+                continue
+            key, eq, value = (part.strip() for part in line.partition("="))
+            if not eq:
+                raise ConfigError("expected key = value")
+            if not key or not value:
+                raise ConfigError("empty key or value")
+            section, dot, name = key.partition(".")
+            if not dot or not name:
+                raise ConfigError(f"config key {quoted(key)} is not of the form section.key")
+            if section not in sections:
+                raise ConfigError(f"unknown config section {quoted(section)}")
+            hints = typing.get_type_hints(type(sections[section]))
+            if name not in hints:
+                raise ConfigError(f"unknown config key {quoted(key, str)}")
+            if name in (values := changes.setdefault(section, {})):
+                raise ConfigError(f"duplicate key {quoted(key)}")
+            values[name] = _coerce(value, hints[name], key)
+        except ConfigError as exc:
+            raise ConfigError(f"config line {line_no}: {exc}") from None
     for section, values in changes.items():
-        sections[section] = replace(sections[section], **values)
+        try:
+            sections[section] = replace(sections[section], **values)
+        except ConfigError as exc:
+            raise ConfigError(f"{section}: {exc}") from None
     sections["engine"] = replace(sections["engine"], weights=sections.pop("weights"))
     return PipelineConfig(**sections)
 
@@ -116,4 +112,4 @@ def build_config(config_path=None) -> PipelineConfig:
     if config_path is None:
         return PipelineConfig()
     with open_text(config_path) as fh:
-        return apply_overrides(PipelineConfig(), parse_flat_config(fh.read()))
+        return apply_overrides(PipelineConfig(), fh)

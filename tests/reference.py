@@ -175,7 +175,8 @@ def recount_scores(pairs: list[tuple[str, int]], window_size: int) -> tuple[list
 
     Returns ``mcav.csv``'s rows as text, and per label, in label order, its
     (windows, mean MCAV, population std, presentations, proportion), where
-    only the full windows give MCAVs and every pair counts.
+    only the full windows give MCAVs and every pair counts.  A label in no
+    full window takes its mature pairs over all of its pairs as its mean.
     """
     rows: list[list[str]] = []
     full_mcavs: dict[str, list[float]] = {}
@@ -191,8 +192,9 @@ def recount_scores(pairs: list[tuple[str, int]], window_size: int) -> tuple[list
     summaries = {}
     for label in sorted({name for name, _ in pairs}):
         mcavs = full_mcavs.get(label, [])
-        mean = sum(mcavs) / len(mcavs) if mcavs else 0.0
+        mine = [context for name, context in pairs if name == label]
+        count = len(mine)
+        mean = sum(mcavs) / len(mcavs) if mcavs else sum(mine) / count
         std = math.sqrt(sum((m - mean) ** 2 for m in mcavs) / len(mcavs)) if mcavs else 0.0
-        count = sum(1 for name, _ in pairs if name == label)
         summaries[label] = (len(mcavs), mean, std, count, count / len(pairs))
     return rows, summaries

@@ -148,11 +148,13 @@ def test_summary_partial_window_excluded_by_default():
 
 
 def test_summary_label_only_in_partial_window():
-    records = [_rec("a", 0)] * 4 + [_rec("tail", 1)] * 2
+    # with no complete window, the mean is the session MCAV: 2 of "tail"'s 3 are mature
+    records = [_rec("a", 0)] * 4 + [_rec("tail", 1), _rec("tail", 0), _rec("tail", 1)]
     summaries = _summarize(records, AnalysisConfig(window_size=4))
     assert summaries["tail"].windows == 0
-    assert summaries["tail"].mean_mcav == 0.0
-    assert summaries["tail"].presentations == 2
+    assert summaries["tail"].mean_mcav == pytest.approx(2 / 3)
+    assert summaries["tail"].std_mcav == 0.0
+    assert summaries["tail"].presentations == 3
 
 
 def test_classify_three_verdicts():
@@ -170,13 +172,16 @@ def test_classify_three_verdicts():
     }
 
 
-def test_classify_without_a_complete_window_is_insufficient():
-    # 6 records never fill a window of 10; mean_mcav 0.0 is a default, not evidence.
-    config = AnalysisConfig(window_size=10, min_confidence=0)
-    records = [_rec("nmap", 1)] * 6
-    summaries = _summarize(records, config)
-    assert summaries["nmap"].windows == 0
-    assert classify(summaries, config) == {"nmap": VERDICT_INSUFFICIENT}
+def test_classify_without_a_complete_window_judges_the_session_mcav():
+    # 6 records never fill a window of 10; the session MCAV is the evidence, and
+    # min_confidence still asks for enough of it.
+    records = [_rec("nmap", 1)] * 6 + [_rec("firefox", 0)] * 3
+    for least, verdicts in ((3, {"nmap": VERDICT_ANOMALOUS, "firefox": VERDICT_NORMAL}),
+                            (4, {"nmap": VERDICT_ANOMALOUS, "firefox": VERDICT_INSUFFICIENT})):
+        config = AnalysisConfig(window_size=10, min_confidence=least)
+        summaries = _summarize(records, config)
+        assert summaries["nmap"].windows == summaries["firefox"].windows == 0
+        assert classify(summaries, config) == verdicts
 
 
 def test_classify_threshold_is_strict():

@@ -226,7 +226,7 @@ def test_pipeline_rejects_non_finite_config_numbers_at_load(tmp_path, capsys, ke
     code = main(["pipeline", "passive-normal", "--duration", "300", "--seed", "7",
                  "--config", str(conf), "--out-dir", str(out_dir)])
     assert code == 2
-    assert capsys.readouterr().err == f"config error: {key} must be finite, got '{value}'\n"
+    assert capsys.readouterr().err == f"config error: config line 1: {key} must be finite, got '{value}'\n"
     assert not out_dir.exists()
 
 
@@ -239,13 +239,14 @@ def test_pipeline_survives_a_steep_ds1_curve(tmp_path):
     assert code == 0
 
 
-def test_pipeline_without_a_complete_window_gives_no_verdict(tmp_path, capsys):
-    # 300 s fills no 10,000-record window; this used to print "nmap: normal".
+def test_pipeline_without_a_complete_window_judges_the_session_mcav(tmp_path, capsys):
+    # 300 s fills no 10,000-record window, so nmap is judged on its session MCAV.
     code = main(["pipeline", "passive-normal", "--duration", "300", "--seed", "7",
                  "--out-dir", str(tmp_path / "run")])
     assert code == 0
-    assert "nmap: insufficient-evidence (mean mcav 0.000 over 5529 presentations)" \
-        in capsys.readouterr().out
+    assert "nmap: anomalous (mean mcav 0.798 over 5529 presentations)" in capsys.readouterr().out
+    summary = (tmp_path / "run" / "summary.csv").read_text().splitlines()
+    assert next(row for row in summary if row.startswith("nmap,")).split(",")[1] == "0"  # windows
 
 
 def test_generate_without_scan(tmp_path):
@@ -650,7 +651,7 @@ def test_run_rejects_out_of_range_signal_config(small_events, tmp_path, capsys):
     code = main(["run", str(small_events), "--seed", "1", "--config", str(conf),
                  "--out", str(tmp_path / "out.csv")])
     assert code == 2
-    assert capsys.readouterr().err == "config error: unknown config key signals.signal_cap\n"
+    assert capsys.readouterr().err == "config error: config line 1: unknown config key signals.signal_cap\n"
 
 
 def _run_or_pipeline_argv(tmp_path, command):
@@ -821,7 +822,7 @@ def test_analyze_rejects_a_window_longer_than_islice_takes(tmp_path, capsys):
     conf.write_text("analysis.window_size = 100000000000000000000\n")
     assert main(["analyze", str(log), "--out-dir", str(tmp_path / "scores"),
                  "--config", str(conf)]) == 2
-    assert capsys.readouterr().err == ("config error: window_size must lie in "
+    assert capsys.readouterr().err == ("config error: analysis: window_size must lie in "
                                        "[1, 9,223,372,036,854,775,807], got 100000000000000000000\n")
     assert not (tmp_path / "scores").exists()
 
@@ -1109,6 +1110,56 @@ def test_bad_config_key_exits_2(small_events, tmp_path, capsys):
                  "--out", str(tmp_path / "o.csv"), "--config", str(conf)])
     assert code == 2
     assert "unknown config key" in capsys.readouterr().err
+
+
+def _config_error(small_events, tmp_path, capsys, text) -> str:
+    """The stderr of a run given ``text`` as its config file, which fails at load:
+    exit 2, nothing on stdout and no log written."""
+    conf = tmp_path / "run.conf"
+    conf.write_text(text)
+    out = tmp_path / "o.csv"
+    assert main(["run", str(small_events), "--seed", "1", "--out", str(out),
+                 "--config", str(conf)]) == 2
+    assert not out.exists() and not (tmp_path / "o.csv.part").exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return captured.err
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("engine.population_size = x", "engine.population_size: expected an integer, got 'x'"),
+    ("signals.ds1_scale = inf", "signals.ds1_scale must be finite, got 'inf'"),
+    ("engine.nosuch = 1", "unknown config key engine.nosuch"),
+    ("nosuch.key = 1", "unknown config section 'nosuch'"),
+], ids=["unreadable", "non-finite", "unknown-key", "unknown-section"])
+def test_a_bad_config_value_names_its_line(small_events, tmp_path, capsys, bad, message):
+    text = f"# tuned\nengine.cell_store_capacity = 40\n{bad}\nanalysis.window_size = 0\n"
+    assert _config_error(small_events, tmp_path, capsys, text) == f"config error: config line 3: {message}\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("engine.population_size = x\nbroken line\n",
+     "config line 1: engine.population_size: expected an integer, got 'x'"),
+    # a section is built after the last line, so a refused line wins over its rules
+    ("engine.threshold_min = 500\nbroken line\n", "config line 2: expected key = value"),
+], ids=["value-then-form", "section-then-form"])
+def test_the_first_refused_config_line_is_reported(small_events, tmp_path, capsys, text, message):
+    assert _config_error(small_events, tmp_path, capsys, text) == f"config error: {message}\n"
+
+
+def test_a_config_section_rule_names_its_section(small_events, tmp_path, capsys):
+    err = _config_error(small_events, tmp_path, capsys, "engine.threshold_min = 500\n")
+    assert err == "config error: engine: threshold_max must lie in [500, inf], got 300.0\n"
+
+
+def test_a_config_section_is_checked_after_its_last_line(small_events, tmp_path):
+    # threshold_min = 500 alone breaks threshold_max's bound; the later line mends it
+    conf = tmp_path / "run.conf"
+    conf.write_text("engine.threshold_min = 500\nengine.threshold_max = 600\n")
+    out = tmp_path / "o.csv"
+    assert main(["run", str(small_events), "--seed", "1", "--out", str(out),
+                 "--config", str(conf)]) == 0
+    assert out.exists()
 
 
 def test_missing_config_file_exits_3(small_events, tmp_path):

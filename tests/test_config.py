@@ -1,5 +1,6 @@
 """Flat config parsing and the layered override machinery."""
 
+import io
 import math
 import re
 import sys
@@ -14,10 +15,9 @@ from dcascan.config import (
     PipelineConfig,
     apply_overrides,
     build_config,
-    parse_flat_config,
 )
 from dcascan.engine import MAX_SIZE, EngineConfig, WeightMatrix
-from dcascan.errors import ConfigError
+from dcascan.errors import ConfigError, quoted
 from dcascan.scenario import NormalProfile, ScanProfile, SessionProfile
 from dcascan.signals import SignalConfig
 
@@ -25,16 +25,15 @@ from dcascan.signals import SignalConfig
 def test_parse_basic_lines():
     text = """
     # engine sizing
-    engine.population_size = 100
+    engine.population_size = 64
 
     analysis.window_size= 5000
-    scan.scanner_label =zmap
+    normal.mean_pps =22
     """
-    assert parse_flat_config(text) == {
-        "engine.population_size": "100",
-        "analysis.window_size": "5000",
-        "scan.scanner_label": "zmap",
-    }
+    config = apply_overrides(PipelineConfig(), io.StringIO(text))
+    assert config.engine.population_size == 64
+    assert config.analysis.window_size == 5000
+    assert config.normal.mean_pps == 22.0
 
 
 @pytest.mark.parametrize(
@@ -43,43 +42,47 @@ def test_parse_basic_lines():
         ("just words", "expected key = value"),
         ("= 5", "empty key"),
         ("a.b =", "empty key or value"),
-        ("x.y = 1\nx.y = 2", "duplicate"),
+        # a key of no section fails on its first line, so the duplicate is of a known key
+        ("engine.population_size = 1\nengine.population_size = 2", "duplicate"),
     ],
 )
 def test_parse_rejects_malformed_lines(text, fragment):
-    with pytest.raises(ConfigError, match=fragment):
-        parse_flat_config(text)
+    with pytest.raises(ConfigError, match=rf"^config line {text.count(chr(10)) + 1}: .*{fragment}"):
+        apply_overrides(PipelineConfig(), io.StringIO(text))
 
 
 def test_parse_error_carries_line_number():
-    with pytest.raises(ConfigError, match="line 3"):
-        parse_flat_config("a.b = 1\n# fine\nbroken line\n")
+    with pytest.raises(ConfigError, match=r"^config line 3: expected key = value$"):
+        apply_overrides(PipelineConfig(), io.StringIO("engine.population_size = 1\n# fine\nbroken line\n"))
 
 
 @pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
 def test_config_lines_end_where_a_text_file_does(tmp_path, sep):
     # str.splitlines also ends a line at these, which used to load two keys from one line
-    text = f"engine.population_size = 5{sep}engine.tissue_capacity = 9"
-    assert parse_flat_config(text) == {"engine.population_size": f"5{sep}engine.tissue_capacity = 9"}
     conf = tmp_path / "c.conf"
-    conf.write_bytes(text.encode("utf-8"))
-    with pytest.raises(ConfigError, match=r"^engine\.population_size: expected an integer, got '5"):
+    conf.write_bytes(f"engine.population_size = 5{sep}engine.tissue_capacity = 9".encode("utf-8"))
+    value = quoted(f"5{sep}engine.tissue_capacity = 9")  # the rest of the line is the value
+    with pytest.raises(ConfigError, match=rf"^config line 1: engine\.population_size: expected an "
+                                          rf"integer, got {re.escape(value)}$"):
         build_config(conf)
     # \r and \r\n end a line, as in a text file
-    assert parse_flat_config("a.b = 1\rc.d = 2\r\ne.f = 3") == {"a.b": "1", "c.d": "2", "e.f": "3"}
+    conf.write_bytes(b"engine.population_size = 7\rengine.tissue_capacity = 80\r\nanalysis.window_size = 9")
+    config = build_config(conf)
+    assert (config.engine.population_size, config.engine.tissue_capacity,
+            config.analysis.window_size) == (7, 80, 9)
 
 
 def test_overrides_reach_every_section():
-    config = apply_overrides(PipelineConfig(), {
-        "engine.population_size": "64",
-        "weights.semi_safe": "4",
-        "signals.icmp_multiplier": "2.5",
-        "scan.target_count": "64",
-        "scan.hosts_up": "16",
-        "normal.mean_pps": "22",
-        "session.login_time": "1.5",
-        "analysis.mcav_threshold": "0.4",
-    })
+    config = apply_overrides(PipelineConfig(), [
+        "engine.population_size = 64",
+        "weights.semi_safe = 4",
+        "signals.icmp_multiplier = 2.5",
+        "scan.target_count = 64",
+        "scan.hosts_up = 16",
+        "normal.mean_pps = 22",
+        "session.login_time = 1.5",
+        "analysis.mcav_threshold = 0.4",
+    ])
     assert config.engine.population_size == 64
     assert config.engine.weights.semi_safe == 4.0
     assert config.engine.weights.csm_pamp == 2.0  # untouched default
@@ -138,9 +141,9 @@ def test_every_field_of_every_section_round_trips():
         # engine.weights is a section of its own, not a flat key.
         names = {f.name for f in fields(cls)} - ({"weights"} if cls is EngineConfig else set())
         assert set(EVERY_KEY[section]) == names, section
-    flat = {f"{section}.{name}": _flat_text(value)
-            for section, values in EVERY_KEY.items() for name, value in values.items()}
-    config = apply_overrides(PipelineConfig(), flat)
+    lines = [f"{section}.{name} = {_flat_text(value)}"
+             for section, values in EVERY_KEY.items() for name, value in values.items()]
+    config = apply_overrides(PipelineConfig(), lines)
     for section, values in EVERY_KEY.items():
         for name, value in values.items():
             assert getattr(_section(config, section), name) == value, f"{section}.{name}"
@@ -148,10 +151,10 @@ def test_every_field_of_every_section_round_trips():
 
 
 def test_override_typed_values():
-    config = apply_overrides(PipelineConfig(), {
-        "normal.activity_length": "2, 6",
-        "signals.ss2_step_bounds": "40, 55, 70",
-    })
+    config = apply_overrides(PipelineConfig(), [
+        "normal.activity_length = 2, 6",
+        "signals.ss2_step_bounds = 40, 55, 70",
+    ])
     assert config.normal.activity_length == (2.0, 6.0)
     assert config.signals.ss2_step_bounds == (40.0, 55.0, 70.0)
 
@@ -177,8 +180,8 @@ def test_override_typed_values():
     ],
 )
 def test_override_rejects_bad_input(flat, fragment):
-    with pytest.raises(ConfigError, match=fragment):
-        apply_overrides(PipelineConfig(), flat)
+    with pytest.raises(ConfigError, match=rf"^config line 1: .*{re.escape(fragment)}"):
+        apply_overrides(PipelineConfig(), [f"{key} = {value}" for key, value in flat.items()])
 
 
 def _float_settings():
@@ -205,26 +208,26 @@ def test_float_settings_cover_every_section():
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("key, template", FLOAT_SETTINGS)
 def test_every_float_key_rejects_non_finite_values(key, template, bad):
-    with pytest.raises(ConfigError, match=rf"^{re.escape(key)} must be finite, got '{bad}'$"):
-        apply_overrides(PipelineConfig(), {key: template.format(bad)})
+    with pytest.raises(ConfigError, match=rf"^config line 1: {re.escape(key)} must be finite, got '{bad}'$"):
+        apply_overrides(PipelineConfig(), [f"{key} = {template.format(bad)}"])
 
 
 @pytest.mark.parametrize("name", ["population_size", "tissue_capacity", "cell_store_capacity"])
 def test_engine_sizes_are_bounded_at_load(name):
     # Loading only: no engine is built, so nothing of that size is allocated.
-    loaded = apply_overrides(PipelineConfig(), {f"engine.{name}": str(MAX_SIZE)})
+    loaded = apply_overrides(PipelineConfig(), [f"engine.{name} = {MAX_SIZE}"])
     assert getattr(loaded.engine, name) == MAX_SIZE
-    with pytest.raises(ConfigError, match=f"{name} must lie in"):
-        apply_overrides(PipelineConfig(), {f"engine.{name}": str(MAX_SIZE + 1)})
+    with pytest.raises(ConfigError, match=f"^engine: {name} must lie in"):
+        apply_overrides(PipelineConfig(), [f"engine.{name} = {MAX_SIZE + 1}"])
 
 
 def test_readme_configuration_block_loads():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
     section = readme.split("\n## Configuration\n", 1)[1]
     block = section.split("```\n", 2)[1]
-    flat = parse_flat_config(block)
-    assert len(flat) >= 5
-    apply_overrides(PipelineConfig(), flat)
+    lines = block.splitlines()
+    assert sum(1 for line in lines if line.strip() and not line.startswith("#")) >= 5
+    apply_overrides(PipelineConfig(), lines)
 
 
 def test_readme_configuration_names_only_live_or_gone_keys():
@@ -236,19 +239,19 @@ def test_readme_configuration_names_only_live_or_gone_keys():
     gone = set(re.findall(key, gone_text))
     assert gone and gone <= named
     for name in sorted(gone):
-        with pytest.raises(ConfigError, match=f"^unknown config key {re.escape(name)}$"):
-            apply_overrides(PipelineConfig(), {name: "1"})
+        with pytest.raises(ConfigError, match=f"^config line 1: unknown config key {re.escape(name)}$"):
+            apply_overrides(PipelineConfig(), [f"{name} = 1"])
     for name in sorted(named - gone):
         section_name, _, field_name = name.partition(".")
         default = getattr(_section(PipelineConfig(), section_name), field_name, None)
-        apply_overrides(PipelineConfig(), {name: _flat_text(default)})
+        apply_overrides(PipelineConfig(), [f"{name} = {_flat_text(default)}"])
 
 
 def test_override_runs_section_validation():
-    with pytest.raises(ConfigError, match="threshold"):
-        apply_overrides(PipelineConfig(), {"engine.threshold_min": "500"})
-    with pytest.raises(ConfigError):
-        apply_overrides(PipelineConfig(), {"weights.mature_safe": "1"})
+    with pytest.raises(ConfigError, match=r"^engine: threshold_max must lie in \[500, inf\], got 300\.0$"):
+        apply_overrides(PipelineConfig(), ["engine.threshold_min = 500"])
+    with pytest.raises(ConfigError, match=r"^weights: mature_safe must be negative, got 1\.0$"):
+        apply_overrides(PipelineConfig(), ["weights.mature_safe = 1"])
 
 
 def test_build_config_layers_file_then_overrides(tmp_path):
@@ -257,7 +260,7 @@ def test_build_config_layers_file_then_overrides(tmp_path):
         "engine.population_size = 50\n"
         "analysis.window_size = 2000\n"
     )
-    config = apply_overrides(build_config(path), {"engine.population_size": "64"})
+    config = apply_overrides(build_config(path), ["engine.population_size = 64"])
     assert config.engine.population_size == 64   # explicit override wins
     assert config.analysis.window_size == 2000  # file survives elsewhere
     assert build_config().engine.population_size == 100  # plain defaults
@@ -314,9 +317,9 @@ def test_override_ranges_hold_at_both_edges(key, lo, hi, outside, bounds):
     section, _, name = key.partition(".")
     for edge in (lo, hi):
         if edge is not None:
-            config = apply_overrides(PipelineConfig(), {key: edge})
+            config = apply_overrides(PipelineConfig(), [f"{key} = {edge}"])
             value = getattr(_section(config, section), name)
             assert value == type(value)(edge)  # an int field compared as a float is inexact
     for value in outside:
-        with pytest.raises(ConfigError, match=f"^{re.escape(f'{name} must lie in {bounds}, got ')}"):
-            apply_overrides(PipelineConfig(), {key: value})
+        with pytest.raises(ConfigError, match=f"^{re.escape(f'{section}: {name} must lie in {bounds}, got ')}"):
+            apply_overrides(PipelineConfig(), [f"{key} = {value}"])

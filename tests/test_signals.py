@@ -333,8 +333,8 @@ _SCORE = st.floats(min_value=0.0, max_value=100.0)
 
 
 @st.composite
-def _signal_overrides(draw) -> dict[str, str]:
-    """Flat ``signals.*`` settings of random finite values that load."""
+def _signal_overrides(draw) -> list[str]:
+    """``signals.*`` config lines of random finite values that load."""
     steps = draw(st.integers(1, 4))
     values = {
         "icmp_multiplier": draw(st.floats(min_value=0.0, allow_infinity=False)),
@@ -349,8 +349,8 @@ def _signal_overrides(draw) -> dict[str, str]:
         "ss2_step_values": draw(st.lists(_SCORE, min_size=steps, max_size=steps)),
         "ss2_top": draw(_SCORE),
     }
-    return {f"signals.{name}": ", ".join(map(str, v)) if isinstance(v, list) else str(v)
-            for name, v in values.items()}
+    return [f"signals.{name} = " + (", ".join(map(str, v)) if isinstance(v, list) else str(v))
+            for name, v in values.items()]
 
 
 _PACKET = st.tuples(st.sampled_from(("sent", "recv")),
